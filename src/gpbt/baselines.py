@@ -3,19 +3,17 @@
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .genealogy import GenealogyTree
 from .orchestrator import (
     STREAM_ALGO,
-    CurvePoint,
     ProgressFn,
     RunConfig,
     RunResult,
+    Tally,
     derive_seed,
     init_seed,
     run,
@@ -44,17 +42,6 @@ class PbtConfig:
         if not 0.0 <= self.resample_prob <= 1.0:
             raise ValueError("resample_prob must be in [0, 1]")
 
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "t_max": self.t_max,
-            "t_g": self.t_g,
-            "truncation": self.truncation,
-            "resample_prob": self.resample_prob,
-            "perturb_factors": list(self.perturb_factors),
-            "seed": self.seed,
-        }
-
 
 def _explore(
     hp: Sequence[float], space: SearchSpace, cfg: PbtConfig, rng: np.random.Generator
@@ -82,40 +69,28 @@ def run_pbt(
     and all n agents keep training. Transfer ledger counts the exploit copies."""
     rng_search = search_stream(config.seed)
     rng_algo = np.random.default_rng(derive_seed(config.seed, STREAM_ALGO))
-    tree = GenealogyTree()
-    curves: list[CurvePoint] = []
+    tally = Tally(progress)
+    tree = tally.tree
     ledger: list[int] = []
-    epochs_total = 0
-    best_val, best_test = math.inf, math.inf
 
     states: list[object] = []
     hps: list[tuple] = []
     last_record: list[int] = []
 
-    t_start = time.perf_counter()
     for i in range(config.n):
         hp = space.sample_uniform(rng_search)
         state = trainer.init(init_seed(config.seed, i))
         state = trainer.step_many(state, space.to_dict(hp), config.t_g)
         val, test = trainer.evaluate(state)
-        cid = tree.record_child(None, 0, hp, val, test, config.t_g, False)
+        last_record.append(tally.record(None, 0, hp, val, test, config.t_g, False))
         states.append(state)
         hps.append(hp)
-        last_record.append(cid)
-        epochs_total += config.t_g
-        if val < best_val:
-            best_val, best_test = val, test
     ledger.append(1)
-    curves.append(
-        CurvePoint(0, epochs_total, best_val, best_test,
-                   (time.perf_counter() - t_start) * 1000.0)
-    )
-    if progress is not None:
-        progress(0, best_val, best_test, epochs_total)
+    tally.end(0)
 
     k = math.ceil(config.truncation * config.n)
     for t in range(1, config.t_max):
-        t_start = time.perf_counter()
+        tally.start()
         order = sorted(
             range(config.n), key=lambda i: (tree.get(last_record[i]).val_loss, i)
         )
@@ -134,28 +109,11 @@ def run_pbt(
             parent = last_record[sources[i]] if i in sources else last_record[i]
             states[i] = trainer.step_many(states[i], space.to_dict(hps[i]), config.t_g)
             val, test = trainer.evaluate(states[i])
-            cid = tree.record_child(parent, t, hps[i], val, test, config.t_g, False)
-            new_records.append(cid)
-            epochs_total += config.t_g
-            if val < best_val:
-                best_val, best_test = val, test
+            new_records.append(tally.record(parent, t, hps[i], val, test, config.t_g, False))
         last_record = new_records
-        curves.append(
-            CurvePoint(t, epochs_total, best_val, best_test,
-                       (time.perf_counter() - t_start) * 1000.0)
-        )
-        if progress is not None:
-            progress(t, best_val, best_test, epochs_total)
+        tally.end(t)
 
-    best_agent = min(tree.records, key=lambda r: (r.val_loss, r.id)).id
-    return RunResult(
-        best_agent=best_agent,
-        best_schedule=tree.schedule(best_agent),
-        curves=curves,
-        total_epochs=epochs_total,
-        transfer_ledger=ledger,
-        tree=tree,
-    )
+    return tally.result(ledger)
 
 
 def run_nonadaptive(
@@ -175,39 +133,20 @@ def run_nonadaptive(
     if seed is None:
         seed = searcher_config.seed
     rng_search = search_stream(seed)
-    tree = GenealogyTree()
-    curves: list[CurvePoint] = []
+    tally = Tally(progress)
     history: list[Observation] = []
-    best_val, best_test = math.inf, math.inf
-    epochs_total = 0
 
     for kth in range(trials):
-        t_start = time.perf_counter()
+        tally.start()
         hp = suggest(searcher_config, space, history, rng_search)
         state = trainer.init(init_seed(seed, kth))
         state = trainer.step_many(state, space.to_dict(hp), t_total)
         val, test = trainer.evaluate(state)
-        tree.record_child(None, 0, hp, val, test, t_total, False)
+        tally.record(None, 0, hp, val, test, t_total, False)
         history.append(Observation(hp, val))
-        epochs_total += t_total
-        if val < best_val:
-            best_val, best_test = val, test
-        curves.append(
-            CurvePoint(kth, epochs_total, best_val, best_test,
-                       (time.perf_counter() - t_start) * 1000.0)
-        )
-        if progress is not None:
-            progress(kth, best_val, best_test, epochs_total)
+        tally.end(kth)
 
-    best_agent = min(tree.records, key=lambda r: (r.val_loss, r.id)).id
-    return RunResult(
-        best_agent=best_agent,
-        best_schedule=tree.schedule(best_agent),
-        curves=curves,
-        total_epochs=epochs_total,
-        transfer_ledger=[1],
-        tree=tree,
-    )
+    return tally.result([1])
 
 
 def run_pooled_ablation(

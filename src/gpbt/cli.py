@@ -16,8 +16,7 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -245,13 +244,8 @@ def _config_dict(kind: str, config) -> dict:
     if kind in ("gpbt", "pooled"):
         return config.as_dict()
     if kind == "pbt":
-        return config.as_dict()
-    return {
-        "searcher": config["searcher"].as_dict(),
-        "trials": config["trials"],
-        "t_total": config["t_total"],
-        "seed": config["seed"],
-    }
+        return asdict(config)
+    return {**config, "searcher": asdict(config["searcher"])}
 
 
 def _curve_rows(name: str, seed: int, result: RunResult, deterministic: bool) -> list[dict]:
@@ -315,34 +309,23 @@ def cmd_run(args) -> int:
     seeds = [args.seed] if args.seed is not None else cfg["seeds"]
     echo = _echo_config(cfg)
 
-    cells = []
+    all_rows: list[dict] = []
     for i, entry in enumerate(cfg["methods"]):
         for seed in seeds:
-            cells.append((i, entry, seed))
-
-    def one(cell):
-        i, entry, seed = cell
-        name, kind, config = _parse_method(entry, i, seed=seed)
-        progress = None
-        if args.verbose:
-            progress = lambda g, val, test, epochs: print(
-                f"{name}/{seed} generation {g}: best val {val:.6g} "
-                f"(test {test:.6g}) after {epochs} epochs",
-                file=sys.stderr,
+            name, kind, config = _parse_method(entry, i, seed=seed)
+            progress = None
+            if args.verbose:
+                progress = lambda g, val, test, epochs: print(
+                    f"{name}/{seed} generation {g}: best val {val:.6g} "
+                    f"(test {test:.6g}) after {epochs} epochs",
+                    file=sys.stderr,
+                )
+            result = _run_cell(kind, config, space, trainer_spec, progress=progress)
+            all_rows.extend(
+                _write_cell(out, name, seed, kind, config, result, echo, args.deterministic)
             )
-        result = _run_cell(kind, config, space, trainer_spec, progress=progress)
-        return _write_cell(out, name, seed, kind, config, result, echo, args.deterministic)
-
-    all_rows: list[dict] = []
-    if args.parallel > 1:
-        with ThreadPoolExecutor(max_workers=args.parallel) as pool:
-            for rows in pool.map(one, cells):
-                all_rows.extend(rows)
-    else:
-        for cell in cells:
-            all_rows.extend(one(cell))
     _atomic_write(out / "curves.csv", _csv_text(all_rows))
-    print(f"wrote {len(cells)} runs under {out}")
+    print(f"wrote {len(cfg['methods']) * len(seeds)} runs under {out}")
     return 0
 
 
@@ -551,7 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=None, help="override config seeds with one seed")
     p_run.add_argument("--deterministic", action="store_true",
                        help="zero wall-clock fields so reruns are byte-identical")
-    p_run.add_argument("--parallel", type=int, default=1, help="concurrent cells")
     p_run.add_argument("--verbose", action="store_true", help="log per-generation progress")
     p_run.add_argument("--out", default=None)
     p_run.set_defaults(fn=cmd_run)

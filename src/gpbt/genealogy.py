@@ -23,18 +23,6 @@ class AgentRecord:
     epochs_trained: int
     early_stopped: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "parent": self.parent,
-            "generation": self.generation,
-            "hp": list(self.hp),
-            "val_loss": self.val_loss,
-            "test_loss": self.test_loss,
-            "epochs_trained": self.epochs_trained,
-            "early_stopped": self.early_stopped,
-        }
-
 
 class GenealogyTree:
     """Append-only ancestry tree; ids are assigned in evaluation order."""
@@ -172,7 +160,8 @@ class GenealogyTree:
 
     def to_lines(self) -> Iterable[str]:
         for r in self._records:
-            yield json.dumps(r.as_dict(), sort_keys=True)
+            # vars, not dataclasses.asdict: the same JSON without a per-field deep copy
+            yield json.dumps(vars(r), sort_keys=True)
 
     def dump(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

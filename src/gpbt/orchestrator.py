@@ -6,19 +6,17 @@ for each child's hyperparameters using only that lineage's history, trains for
 t_g iterations subject to the early-stopping gates, and records everything in
 the genealogy tree.
 
-Two execution modes: sequential (bit-reproducible given the seed; what every
-test uses) and parent-parallel (reproducible statistics, not bit-identical
-ordering). The per-generation early-evaluation ledger is the only structure
-shared across parents and is guarded by a lock.
+Runs are sequential and bit-reproducible given the seed: parents are visited
+best first, each parent's children in creation order. `Tally` is the
+bookkeeping (epochs, best-seen values, curves, result) shared with the
+baselines.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from statistics import median
 from typing import Callable, Sequence
 
@@ -99,35 +97,9 @@ class RunConfig:
     seed_gen0_history: bool = False
 
     def as_dict(self) -> dict:
-        if isinstance(self.c, FixedC):
-            c_entry: dict = {"fixed": self.c.c}
-        else:
-            c_entry = {
-                "dynamic": {
-                    "initial_mean": self.c.initial_mean,
-                    "initial_std": self.c.initial_std,
-                    "near_fraction": self.c.near_fraction,
-                    "far_fraction": self.c.far_fraction,
-                    "std_min": self.c.std_min,
-                }
-            }
-        return {
-            "n": self.n,
-            "t_max": self.t_max,
-            "t_g": self.t_g,
-            "c": c_entry,
-            "searcher": self.searcher.as_dict(),
-            "history_mode": self.history_mode,
-            "early_stop": {
-                "level1_threshold": self.early_stop.level1_threshold,
-                "level1_window": self.early_stop.level1_window,
-                "level2_quantile": self.early_stop.level2_quantile,
-                "level3": self.early_stop.level3,
-            },
-            "selection_temperature": self.selection_temperature,
-            "seed": self.seed,
-            "seed_gen0_history": self.seed_gen0_history,
-        }
+        d = asdict(self)
+        d["c"] = {"fixed": self.c.c} if isinstance(self.c, FixedC) else {"dynamic": d["c"]}
+        return d
 
 
 def valid_c(n: int, c: float) -> bool:
@@ -253,19 +225,6 @@ def satisfaction_gate(
     return child_val <= threshold
 
 
-def schedule_children_for_level3(
-    plan: GenerationPlan, ranked_parents: Sequence[int]
-) -> list[tuple[int, int]]:
-    """Evaluation order (parent_id, slot): the best parent's children first,
-    each parent's own children in creation order. Deliberate best-first
-    ordering keeps the early-loss median high, increasing level-3 stops."""
-    slots = []
-    for rank, pid in enumerate(ranked_parents):
-        for s in range(plan.children_per_parent[rank]):
-            slots.append((pid, s))
-    return slots
-
-
 # ---------------------------------------------------------------------------
 # Dynamic c
 
@@ -274,7 +233,6 @@ def schedule_children_for_level3(
 class DynamicCState:
     mean: float
     std: float
-    last_best_c: float
 
 
 def sample_dynamic_c(
@@ -299,7 +257,7 @@ def update_dynamic_c(
     elif deviation > cfg.far_fraction * std:
         std = std * 2.0
     std = float(min(max(std, cfg.std_min), n))
-    return DynamicCState(mean=winner, std=std, last_best_c=winner)
+    return DynamicCState(mean=winner, std=std)
 
 
 # ---------------------------------------------------------------------------
@@ -334,29 +292,68 @@ class RunResult:
         return self.curves[-1].best_seen_test
 
 
-class _EarlyLedger:
-    """First-iteration losses of the running generation, behind a lock."""
+class Tally:
+    """Bookkeeping shared by every loop: the genealogy tree, the epoch total,
+    best-seen val/test, one curve point per generation (or trial), the
+    progress callback, and the final RunResult."""
 
-    def __init__(self):
-        self.losses: list[float] = []
-        self._lock = threading.Lock()
+    def __init__(self, progress: ProgressFn | None):
+        self.tree = GenealogyTree()
+        self.curves: list[CurvePoint] = []
+        self.epochs = 0
+        self.best_val = math.inf
+        self.best_test = math.inf
+        self._progress = progress
+        self._t_start = time.perf_counter()
 
-    def check_and_add(self, loss: float) -> bool:
-        with self._lock:
-            stop = median_gate(self.losses, loss)
-            self.losses.append(loss)
-            return stop
+    def start(self) -> None:
+        """Begin timing the next curve point; construction starts the first."""
+        self._t_start = time.perf_counter()
+
+    def record(self, parent: int | None, generation: int, hp: HpVector, val: float,
+               test: float, epochs: int, early_stopped: bool) -> int:
+        cid = self.tree.record_child(parent, generation, hp, val, test, epochs, early_stopped)
+        self.epochs += epochs
+        if val < self.best_val:
+            self.best_val, self.best_test = val, test
+        return cid
+
+    def end(self, generation: int) -> None:
+        """Append the curve point timed since `start` and report progress."""
+        self.curves.append(
+            CurvePoint(generation, self.epochs, self.best_val, self.best_test,
+                       (time.perf_counter() - self._t_start) * 1000.0)
+        )
+        if self._progress is not None:
+            self._progress(generation, self.best_val, self.best_test, self.epochs)
+
+    def result(self, transfer_ledger: list[int],
+               dynamic_c_trace: list[dict] | None = None) -> RunResult:
+        """The best agent (ties to the lower id), its schedule, and the curves."""
+        best = min(self.tree.records, key=lambda r: (r.val_loss, r.id)).id
+        return RunResult(
+            best_agent=best,
+            best_schedule=self.tree.schedule(best),
+            curves=self.curves,
+            total_epochs=self.epochs,
+            transfer_ledger=transfer_ledger,
+            tree=self.tree,
+            dynamic_c_trace=dynamic_c_trace,
+        )
 
 
 def _train_child(
-    trainer: Trainer, state, hp_named: dict, t_g: int, early: _EarlyLedger | None
+    trainer: Trainer, state, hp_named: dict, t_g: int, early: list[float] | None
 ):
-    """One child's training: early-evaluate after the first iteration when the
-    level-3 gate is active (inert if t_g == 1), else train through."""
+    """One child's training: with a level-3 ledger of this generation's
+    first-iteration losses, early-evaluate after one iteration and stop if
+    the median gate says so; otherwise train through."""
     state = trainer.step(state, hp_named)
-    if early is not None and t_g > 1:
+    if early is not None:
         val, test = trainer.evaluate(state)
-        if early.check_and_add(val):
+        stop = median_gate(early, val)
+        early.append(val)
+        if stop:
             return state, val, test, 1, True
     if t_g > 1:
         state = trainer.step_many(state, hp_named, t_g - 1)
@@ -375,7 +372,6 @@ def run(
     *,
     progress: ProgressFn | None = None,
     history_probe: HistoryProbe | None = None,
-    parallelism: int = 1,
 ) -> RunResult:
     """Execute the full generation loop and return the best agent, its
     hyperparameter schedule, best-seen curves, and the transfer ledger."""
@@ -383,26 +379,16 @@ def run(
     es = config.early_stop
     rng_search = search_stream(config.seed)
     rng_algo = np.random.default_rng(derive_seed(config.seed, STREAM_ALGO))
-    gate3 = es.level3 and config.t_g > 1
+    gate3 = es.level3 and config.t_g > 1  # inert with a single iteration
 
-    tree = GenealogyTree()
-    lock = threading.Lock()  # guards tree appends, states, and counters
+    tally = Tally(progress)
+    tree = tally.tree
     states: dict[int, object] = {}
-    curves: list[CurvePoint] = []
     ledger: list[int] = []
-    best_seen: list[float] = []
-    totals = {"epochs": 0}
-    best = {"val": math.inf, "test": math.inf}
-
-    def note_child(val: float, test: float) -> None:
-        if val < best["val"]:
-            best["val"] = val
-            best["test"] = test
 
     # -- generation 0: every lineage starts fresh, sharing one growing history
-    t_start = time.perf_counter()
     shared: list[Observation] = []
-    early = _EarlyLedger() if gate3 else None
+    early: list[float] | None = [] if gate3 else None
     for k in range(config.n):
         if history_probe is not None:
             history_probe(0, None, list(shared))
@@ -411,35 +397,22 @@ def run(
         state, val, test, epochs, stopped = _train_child(
             trainer, state, space.to_dict(hp), config.t_g, early
         )
-        cid = tree.record_child(None, 0, hp, val, test, epochs, stopped)
-        states[cid] = state
+        states[tally.record(None, 0, hp, val, test, epochs, stopped)] = state
         shared.append(Observation(hp, val))
-        totals["epochs"] += epochs
-        note_child(val, test)
     prev_ids = list(range(config.n))
     ledger.append(1)  # the initial model
-    best_seen.append(best["val"])
-    curves.append(
-        CurvePoint(0, totals["epochs"], best["val"], best["test"],
-                   (time.perf_counter() - t_start) * 1000.0)
-    )
-    if progress is not None:
-        progress(0, best["val"], best["test"], totals["epochs"])
+    tally.end(0)
 
     dyn_cfg = config.c if isinstance(config.c, DynamicC) else None
-    dyn_state = (
-        DynamicCState(dyn_cfg.initial_mean, dyn_cfg.initial_std, dyn_cfg.initial_mean)
-        if dyn_cfg
-        else None
-    )
+    dyn_state = DynamicCState(dyn_cfg.initial_mean, dyn_cfg.initial_std) if dyn_cfg else None
     dyn_trace: list[dict] | None = [] if dyn_cfg else None
 
     for t in range(1, config.t_max):
         if es.level1_threshold is not None and convergence_gate(
-            best_seen, es.level1_threshold, es.level1_window
+            [p.best_seen_val for p in tally.curves], es.level1_threshold, es.level1_window
         ):
             break
-        t_start = time.perf_counter()
+        tally.start()
         prev_results = [(i, tree.get(i).val_loss) for i in prev_ids]
         prev_losses = [v for _, v in prev_results]
 
@@ -452,7 +425,6 @@ def run(
                 prev_results, plan.parents, config.selection_temperature, rng_algo
             )
             groups.append(("", config.n, ranked))
-            c_pair = None
         else:
             n_a = config.n // 2
             n_b = config.n - n_a
@@ -463,7 +435,6 @@ def run(
                     prev_results, plan.parents, config.selection_temperature, rng_algo
                 )
                 groups.append((label, n_half, ranked))
-            c_pair = (c_a, c_b)
 
         parents_union: list[int] = []
         for _, _, ranked in groups:
@@ -473,67 +444,45 @@ def run(
         tree.set_parents(t, parents_union)
         ledger.append(len(parents_union))
 
-        early = _EarlyLedger() if gate3 else None
+        # Child slots in evaluation order: group by group, best parent first
+        # (weaker parents' children then face a low level-3 median), each
+        # parent's children in creation order. A level-2 halt ends them all.
+        slots = [
+            (label, pid)
+            for label, n_half, ranked in groups
+            for pid, count in zip(ranked, _split_children(n_half, len(ranked)))
+            for _ in range(count)
+        ]
+        early = [] if gate3 else None
         within: dict[int, list[Observation]] = {pid: [] for pid in parents_union}
         gen0_seed = (
             shared
             if (t == 1 and config.history_mode == "sibling_only" and config.seed_gen0_history)
             else None
         )
-        stop_generation = threading.Event()
         recorded: list[int] = []
         group_best: dict[str, float] = {}
-
-        def run_parent(pid: int, count: int, rng: np.random.Generator, label: str) -> None:
-            parent_state = states[pid]
-            for _ in range(count):
-                if stop_generation.is_set():
-                    return
-                with lock:
-                    history = tree.lineage_history(pid, config.history_mode, within[pid])
-                if gen0_seed is not None:
-                    history = list(gen0_seed) + history
-                if history_probe is not None:
-                    history_probe(t, pid, list(history))
-                hp = suggest(config.searcher, space, history, rng)
-                child = trainer.fork(parent_state)
-                child, val, test, epochs, stopped = _train_child(
-                    trainer, child, space.to_dict(hp), config.t_g, early
-                )
-                with lock:
-                    cid = tree.record_child(pid, t, hp, val, test, epochs, stopped)
-                    states[cid] = child
-                    within[pid].append(Observation(hp, val))
-                    recorded.append(cid)
-                    totals["epochs"] += epochs
-                    note_child(val, test)
-                    if label not in group_best or val < group_best[label]:
-                        group_best[label] = val
-                if es.level2_quantile is not None and satisfaction_gate(
-                    val, prev_losses, es.level2_quantile
-                ):
-                    stop_generation.set()
-                    return
-
-        for label, n_half, ranked in groups:
-            counts = _split_children(n_half, len(ranked))
-            if parallelism <= 1:
-                for rank, pid in enumerate(ranked):
-                    if stop_generation.is_set():
-                        break
-                    run_parent(pid, counts[rank], rng_search, label)
-            else:
-                rngs = rng_search.spawn(len(ranked))
-                with ThreadPoolExecutor(max_workers=parallelism) as pool:
-                    futures = [
-                        pool.submit(run_parent, pid, counts[rank], rngs[rank], label)
-                        for rank, pid in enumerate(ranked)
-                    ]
-                    for f in futures:
-                        f.result()
+        for label, pid in slots:
+            history = tree.lineage_history(pid, config.history_mode, within[pid])
+            if gen0_seed is not None:
+                history = list(gen0_seed) + history
+            if history_probe is not None:
+                history_probe(t, pid, list(history))
+            hp = suggest(config.searcher, space, history, rng_search)
+            child, val, test, epochs, stopped = _train_child(
+                trainer, trainer.fork(states[pid]), space.to_dict(hp), config.t_g, early
+            )
+            cid = tally.record(pid, t, hp, val, test, epochs, stopped)
+            states[cid] = child
+            within[pid].append(Observation(hp, val))
+            recorded.append(cid)
+            group_best[label] = min(group_best.get(label, math.inf), val)
+            if es.level2_quantile is not None and satisfaction_gate(
+                val, prev_losses, es.level2_quantile
+            ):
+                break
 
         if dyn_cfg is not None:
-            c_a, c_b = c_pair
             best_a = group_best.get("a", math.inf)
             best_b = group_best.get("b", math.inf)
             winner = c_a if best_a <= best_b else c_b
@@ -552,22 +501,6 @@ def run(
         for pid in prev_ids:
             states.pop(pid, None)
         prev_ids = recorded
-        best_seen.append(best["val"])
-        curves.append(
-            CurvePoint(t, totals["epochs"], best["val"], best["test"],
-                       (time.perf_counter() - t_start) * 1000.0)
-        )
-        if progress is not None:
-            progress(t, best["val"], best["test"], totals["epochs"])
+        tally.end(t)
 
-    records = tree.records
-    best_agent = min(records, key=lambda r: (r.val_loss, r.id)).id
-    return RunResult(
-        best_agent=best_agent,
-        best_schedule=tree.schedule(best_agent),
-        curves=curves,
-        total_epochs=totals["epochs"],
-        transfer_ledger=ledger,
-        tree=tree,
-        dynamic_c_trace=dyn_trace,
-    )
+    return tally.result(ledger, dyn_trace)

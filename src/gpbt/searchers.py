@@ -84,17 +84,6 @@ class SearcherConfig:
             raise ValueError(f"unknown searcher fields: {sorted(unknown)}")
         return cls(**entry)
 
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "seed": self.seed,
-            "gamma": self.gamma,
-            "pool": self.pool,
-            "startup": self.startup,
-            "window": self.window,
-            "beta_delta": self.beta_delta,
-        }
-
 
 def _check_history(space: SearchSpace, history: History) -> None:
     for obs in history:
@@ -217,9 +206,7 @@ class CmaState:
     sigma: np.ndarray  # per-dimension std, unit space
 
 
-def cma_update(
-    state: CmaState | None, history_tail: History, space: SearchSpace
-) -> CmaState | None:
+def cma_update(history_tail: History, space: SearchSpace) -> CmaState | None:
     """Recompute the sampling state from the most recent observation window.
 
     The state is derived purely from the window (no carried momentum) so that
@@ -251,7 +238,7 @@ def _cma_suggest(
     if len(history) < config.window:
         return space.sample_uniform(rng)
     tail = list(history)[-config.window:]
-    state = cma_update(None, tail, space)
+    state = cma_update(tail, space)
     if state is None:
         return space.sample_uniform(rng)
     u = state.mean + state.sigma * rng.standard_normal(space.dim)

@@ -72,19 +72,6 @@ class TrainerSpec:
             entry["command"] = tuple(entry["command"])
         return cls(**entry)
 
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "dim": self.dim,
-            "curvatures": None if self.curvatures is None else list(self.curvatures),
-            "noise": self.noise,
-            "seed": self.seed,
-            "lr_name": self.lr_name,
-            "r_max": self.r_max,
-            "command": list(self.command),
-            "timeout": self.timeout,
-        }
-
 
 class Trainer(Protocol):
     """What the generation loop needs from any trainer backend."""

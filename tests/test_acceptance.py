@@ -283,11 +283,11 @@ def test_criterion_8_transfer_ledger():
 def test_criterion_9_dynamic_c():
     # exact std update unit cases
     cfg = DynamicC()
-    s = DynamicCState(mean=2.0, std=1.0, last_best_c=2.0)
+    s = DynamicCState(mean=2.0, std=1.0)
     ok_units = (
-        update_dynamic_c(s, 2.0, cfg, 16) == DynamicCState(2.0, 0.5, 2.0)
-        and update_dynamic_c(s, 2.1, cfg, 16) == DynamicCState(2.1, 0.5, 2.1)
-        and update_dynamic_c(s, 4.0, cfg, 16) == DynamicCState(4.0, 2.0, 4.0)
+        update_dynamic_c(s, 2.0, cfg, 16) == DynamicCState(2.0, 0.5)
+        and update_dynamic_c(s, 2.1, cfg, 16) == DynamicCState(2.1, 0.5)
+        and update_dynamic_c(s, 4.0, cfg, 16) == DynamicCState(4.0, 2.0)
     )
 
     spec = TrainerSpec(kind="noisy_quadratic", dim=4, curvatures=(1.2, 1.0, 0.8, 0.6), noise=0.12)

@@ -111,12 +111,6 @@ class TestRunCommand:
         tree = GenealogyTree.load(out / "gpbt_tpe" / "0" / "genealogy.ndjson")
         assert len(tree) == 18
 
-    def test_parallel_cells(self, tmp_path):
-        cfg = tiny_config(tmp_path)
-        out = tmp_path / "out"
-        assert main(["run", str(cfg), "--deterministic", "--parallel", "3", "--out", str(out)]) == 0
-        assert len(read_csv(out / "curves.csv")) > 0
-
     def test_unwritable_out_exits_2_before_compute(self, tmp_path):
         cfg = tiny_config(tmp_path)
         blocker = tmp_path / "blocker"

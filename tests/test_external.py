@@ -102,13 +102,13 @@ class TestEndToEnd:
             result = run(config, space(), trainer)
             assert result.total_epochs == sum(r.epochs_trained for r in result.tree.records)
 
-    def test_parallel_parents_share_one_bridge(self):
-        # concurrent parent threads funnel through the bridge's request lock
+    def test_many_parents_share_one_bridge(self):
+        # every parent's children fork and train through one trainer process
         with ExternalTrainer(external_spec(), space()) as trainer:
             config = RunConfig(
                 n=12, t_max=3, t_g=2, c=FixedC(0.75),
                 searcher=SearcherConfig(kind="random"), seed=2,
             )
-            result = run(config, space(), trainer, parallelism=4)
+            result = run(config, space(), trainer)
             assert len(result.tree.records) == 36
             assert result.total_epochs == 72

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gpbt.orchestrator import (
@@ -18,7 +18,6 @@ from gpbt.orchestrator import (
     run,
     sample_dynamic_c,
     satisfaction_gate,
-    schedule_children_for_level3,
     select_parents,
     update_dynamic_c,
     valid_c,
@@ -170,16 +169,6 @@ class TestSatisfactionGate:
 
 
 class TestLevel3Schedule:
-    def test_best_parent_first(self):
-        plan = GenerationPlan(2, (2, 2))
-        order = schedule_children_for_level3(plan, [11, 22])
-        assert order == [(11, 0), (11, 1), (22, 0), (22, 1)]
-
-    def test_single_parent_creation_order(self):
-        plan = GenerationPlan(1, (4,))
-        order = schedule_children_for_level3(plan, [5])
-        assert order == [(5, 0), (5, 1), (5, 2), (5, 3)]
-
     def test_inert_when_single_iteration(self):
         config = small_config(t_g=1, early_stop=EarlyStopConfig(level3=True))
         result = run(config, small_space(), small_trainer())
@@ -189,35 +178,35 @@ class TestLevel3Schedule:
 
 class TestDynamicCOps:
     def test_equal_samples_keep_mean_and_halve_std(self):
-        state = DynamicCState(mean=2.0, std=1.0, last_best_c=2.0)
+        state = DynamicCState(mean=2.0, std=1.0)
         new = update_dynamic_c(state, 2.0, DynamicC(), n=16)
         assert new.mean == 2.0 and new.std == 0.5
 
     def test_near_winner_halves_std(self):
-        state = DynamicCState(mean=2.0, std=1.0, last_best_c=2.0)
+        state = DynamicCState(mean=2.0, std=1.0)
         new = update_dynamic_c(state, 2.1, DynamicC(), n=16)
         assert new.mean == pytest.approx(2.1) and new.std == 0.5
 
     def test_far_winner_doubles_std(self):
-        state = DynamicCState(mean=2.0, std=1.0, last_best_c=2.0)
+        state = DynamicCState(mean=2.0, std=1.0)
         new = update_dynamic_c(state, 4.0, DynamicC(), n=16)
         assert new.mean == pytest.approx(4.0) and new.std == 2.0
 
     def test_intermediate_winner_keeps_std(self):
-        state = DynamicCState(mean=2.0, std=1.0, last_best_c=2.0)
+        state = DynamicCState(mean=2.0, std=1.0)
         new = update_dynamic_c(state, 3.0, DynamicC(), n=16)
         assert new.std == 1.0
 
     def test_std_clamped(self):
-        state = DynamicCState(mean=2.0, std=0.08, last_best_c=2.0)
+        state = DynamicCState(mean=2.0, std=0.08)
         new = update_dynamic_c(state, 2.0, DynamicC(), n=16)
         assert new.std == 0.05
-        state = DynamicCState(mean=2.0, std=10.0, last_best_c=2.0)
+        state = DynamicCState(mean=2.0, std=10.0)
         new = update_dynamic_c(state, 2.0 + 100.0, DynamicC(), n=16)
         assert new.std == 16
 
     def test_samples_clamped_into_plannable_range(self):
-        state = DynamicCState(mean=2.0, std=100.0, last_best_c=2.0)
+        state = DynamicCState(mean=2.0, std=100.0)
         rng = np.random.default_rng(0)
         for _ in range(50):
             c_a, c_b = sample_dynamic_c(state, 8, rng)
@@ -420,23 +409,67 @@ class TestDynamicCRun:
             assert len(result.tree.generation_records(g)) == 12
 
 
-class TestParallelMode:
-    def test_parallel_run_preserves_invariants(self):
+class TestManyParents:
+    def test_many_parents_preserve_invariants(self):
         config = small_config(n=12, t_max=4, t_g=3, c=FixedC(3.0))
-        result = run(config, small_space(), small_trainer(), parallelism=4)
+        result = run(config, small_space(), small_trainer())
         for g in range(4):
             assert len(result.tree.generation_records(g)) == 12
         assert result.total_epochs == 12 * 4 * 3
         vals = [p.best_seen_val for p in result.curves]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
-    def test_parallel_with_level3_lock(self):
+    def test_many_parents_with_level3(self):
         config = small_config(
             n=12, t_max=4, t_g=4, c=FixedC(3.0), early_stop=EarlyStopConfig(level3=True)
         )
-        result = run(config, small_space(), small_trainer(noise=0.3), parallelism=4)
+        result = run(config, small_space(), small_trainer(noise=0.3))
         assert len(result.tree.records) == 48
         assert result.total_epochs == sum(r.epochs_trained for r in result.tree.records)
+
+
+class TestTally:
+    """The bookkeeping shared by run, run_pbt and run_nonadaptive."""
+
+    @pytest.mark.parametrize("method", ["gpbt", "pbt", "nonadaptive"])
+    @given(
+        n=st.integers(1, 10),
+        c=st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]),
+        t_max=st.integers(1, 4),
+        t_g=st.integers(1, 3),
+        level2=st.one_of(st.none(), st.floats(0.0, 1.0)),
+        level3=st.booleans(),
+        mode=st.sampled_from(["sibling_only", "time_enriched", "pooled"]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_epochs_curves_and_ledger(self, method, n, c, t_max, t_g, level2, level3, mode, seed):
+        from gpbt.baselines import PbtConfig, run_nonadaptive, run_pbt
+
+        if method == "gpbt":
+            assume(valid_c(n, c))
+            config = small_config(
+                n=n, t_max=t_max, t_g=t_g, c=FixedC(c), history_mode=mode, seed=seed,
+                early_stop=EarlyStopConfig(level2_quantile=level2, level3=level3),
+            )
+            result = run(config, small_space(), small_trainer())
+        elif method == "pbt":
+            config = PbtConfig(n=n, t_max=t_max, t_g=t_g, seed=seed)
+            result = run_pbt(config, small_space(), small_trainer())
+        else:
+            result = run_nonadaptive(
+                SearcherConfig(kind="tpe"), small_space(), small_trainer(),
+                trials=n, t_total=t_g, seed=seed,
+            )
+        records = result.tree.records
+        assert result.total_epochs == sum(r.epochs_trained for r in records)
+        assert result.total_epochs == result.curves[-1].epochs_consumed
+        vals = [p.best_seen_val for p in result.curves]
+        assert all(a >= b for a, b in zip(vals, vals[1:]))
+        assert result.final_best_val == min(r.val_loss for r in records)
+        if method == "gpbt":
+            for t in range(1, len(result.transfer_ledger)):
+                assert result.transfer_ledger[t] == len(result.tree.parents_of(t))
 
 
 class TestReduction:

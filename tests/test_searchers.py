@@ -182,13 +182,13 @@ class TestCma:
     def test_zero_variance_clamps_sigma(self):
         space = unit_space(1)
         tail = [Observation((0.3,), 1.0)] * 8
-        state = cma_update(None, tail, space)
+        state = cma_update(tail, space)
         assert state.mean[0] == pytest.approx(0.3)
         assert state.sigma[0] == pytest.approx(0.01)
 
     def test_small_window_falls_back_to_uniform(self):
         space = unit_space(1)
-        assert cma_update(None, quad_history(3), space) is None
+        assert cma_update(quad_history(3), space) is None
         a = suggest(SearcherConfig(kind="cma"), space, quad_history(3), np.random.default_rng(2))
         b = space.sample_uniform(np.random.default_rng(2))
         assert a == b
@@ -201,12 +201,12 @@ class TestCma:
         for _ in range(50):
             hp = suggest(cfg, space, hist, rng)
             hist.append(Observation(hp, (hp[0] - 0.7) ** 2))
-        state = cma_update(None, hist[-cfg.window:], space)
+        state = cma_update(hist[-cfg.window:], space)
         assert abs(state.mean[0] - 0.7) < 0.1
 
     def test_state_shapes(self):
         space = unit_space(1)
-        state = cma_update(None, quad_history(12) + quad_history(12, seed=5), space)
+        state = cma_update(quad_history(12) + quad_history(12, seed=5), space)
         assert isinstance(state, CmaState)
         assert state.mean.shape == (1,) and state.sigma.shape == (1,)
         assert (state.sigma >= 0.01).all() and (state.sigma <= 0.5).all()
