@@ -22,7 +22,6 @@ from gpbt import (
     run,
     run_nonadaptive,
     run_pbt,
-    run_pooled_ablation,
 )
 from gpbt.trainers import expected_schedule_loss
 
@@ -57,8 +56,9 @@ def main():
         runs = {
             "gpbt_tpe": run(RunConfig(searcher=SearcherConfig(kind="tpe"), **base), space, trainer),
             "gpbt_rs": run(RunConfig(searcher=SearcherConfig(kind="random"), **base), space, trainer),
-            "pooled": run_pooled_ablation(
-                RunConfig(searcher=SearcherConfig(kind="tpe"), **base), space, trainer
+            "pooled": run(
+                RunConfig(searcher=SearcherConfig(kind="tpe"), history_mode="pooled", **base),
+                space, trainer,
             ),
             "pbt": run_pbt(
                 PbtConfig(n=args.n, t_max=args.t_max, t_g=args.t_g, seed=seed), space, trainer

@@ -1,6 +1,6 @@
 """Genealogical population-based training: adaptive hyperparameter schedules in a single run."""
 
-from .baselines import PbtConfig, run_nonadaptive, run_pbt, run_pooled_ablation
+from .baselines import PbtConfig, run_nonadaptive, run_pbt
 from .genealogy import AgentRecord, GenealogyTree
 from .orchestrator import (
     CurvePoint,
@@ -49,7 +49,6 @@ __all__ = [
     "run",
     "run_nonadaptive",
     "run_pbt",
-    "run_pooled_ablation",
     "satisfaction_gate",
     "select_parents",
     "suggest",

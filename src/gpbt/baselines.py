@@ -1,9 +1,9 @@
-"""Reference methods: PBT, non-adaptive constant-HP search, pooled-history ablation."""
+"""Reference methods: PBT and non-adaptive constant-HP search."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -11,15 +11,13 @@ import numpy as np
 from .orchestrator import (
     STREAM_ALGO,
     ProgressFn,
-    RunConfig,
     RunResult,
     Tally,
     derive_seed,
     init_seed,
-    run,
     search_stream,
 )
-from .searchers import Observation, SearcherConfig, suggest
+from .searchers import SearcherConfig, suggest
 from .space import SearchSpace
 from .trainers import Trainer
 
@@ -134,28 +132,16 @@ def run_nonadaptive(
         seed = searcher_config.seed
     rng_search = search_stream(seed)
     tally = Tally(progress)
-    history: list[Observation] = []
 
     for kth in range(trials):
         tally.start()
+        history = tally.tree.lineage_history(None, "pooled", False)
         hp = suggest(searcher_config, space, history, rng_search)
         state = trainer.init(init_seed(seed, kth))
         state = trainer.step_many(state, space.to_dict(hp), t_total)
         val, test = trainer.evaluate(state)
         tally.record(None, 0, hp, val, test, t_total, False)
-        history.append(Observation(hp, val))
         tally.end(kth)
 
     return tally.result([1])
 
-
-def run_pooled_ablation(
-    config: RunConfig,
-    space: SearchSpace,
-    trainer: Trainer,
-    **kwargs,
-) -> RunResult:
-    """The generation loop with every child's searcher fed the union of all
-    observations from all lineages and generations. Shares the exact code path
-    of `run`, differing only in history assembly."""
-    return run(replace(config, history_mode="pooled"), space, trainer, **kwargs)

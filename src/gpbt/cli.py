@@ -189,6 +189,9 @@ def _parse_method(entry: dict, index: int, seed: int):
             t_total = int(_require(entry, "t_total", context))
         except (ValueError, TypeError) as exc:
             raise ConfigError(context, str(exc)) from None
+        for field, value in (("trials", trials), ("t_total", t_total)):
+            if value < 1:
+                raise ConfigError(f"{context}.{field}", "must be >= 1")
         return name, kind, {"searcher": searcher, "trials": trials, "t_total": t_total, "seed": seed}
     raise ConfigError(f"{context}.method", f"unknown method {kind!r}")
 

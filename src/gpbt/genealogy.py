@@ -29,6 +29,8 @@ class GenealogyTree:
 
     def __init__(self):
         self._records: list[AgentRecord] = []
+        self._observations: list[Observation] = []  # one per record, same index
+        self._children: dict[int | None, list[int]] = {}  # parent (None = root) -> ids
         self._selected: dict[int, tuple[int, ...]] = {}  # generation -> parent ids
 
     def __len__(self) -> int:
@@ -83,14 +85,17 @@ class GenealogyTree:
                 raise ValueError(f"agent {parent} was not selected for generation {generation}")
         if epochs_trained < 1:
             raise ValueError("epochs_trained must be >= 1")
+        observation = Observation(tuple(hp), float(val_loss))  # rejects a non-finite loss
         new_id = len(self._records)
+        self._observations.append(observation)
+        self._children.setdefault(parent, []).append(new_id)
         self._records.append(
             AgentRecord(
                 id=new_id,
                 parent=parent,
                 generation=generation,
-                hp=tuple(hp),
-                val_loss=float(val_loss),
+                hp=observation.hp,
+                val_loss=observation.loss,
                 test_loss=float(test_loss),
                 epochs_trained=int(epochs_trained),
                 early_stopped=bool(early_stopped),
@@ -109,38 +114,31 @@ class GenealogyTree:
         return chain
 
     def lineage_history(
-        self,
-        parent_id: int,
-        mode: str,
-        within_generation: Sequence[Observation],
+        self, parent_id: int | None, mode: str, roots: bool
     ) -> list[Observation]:
-        """Assemble the history fed to the searcher for one parent's children.
+        """The history fed to the searcher for one child of `parent_id`: the
+        observations of every recorded child of a set S of parents, in
+        evaluation (id) order, where None stands for the virtual root.
 
-        sibling_only:   exactly the within-generation observations (children of
-                        this parent evaluated so far).
-        time_enriched:  observations of every recorded child whose parent lies
-                        on this parent's ancestry chain, generation-0 children
-                        included (they are children of the virtual root shared
-                        by every lineage), in evaluation order; the
-                        within-generation observations are appended.
-        pooled:         every recorded observation from all lineages and
-                        generations (the ablation mode).
+        sibling_only:   S = {parent}, plus the root when `roots` is true.
+        time_enriched:  S = the root plus the parent's ancestry chain.
+        pooled:         every record (the ablation mode); so is a
+                        generation-0 child's history (parent_id None).
+
+        A parent's children are one generation past it, and ids follow
+        evaluation order, so concatenating S root first keeps id order.
         """
         if mode not in HISTORY_MODES:
             raise ValueError(f"unknown history mode {mode!r}")
-        self.get(parent_id)  # unknown parent raises regardless of mode
-        if mode == "pooled":
-            return [Observation(r.hp, r.val_loss) for r in self._records]
+        if parent_id is not None:
+            self.get(parent_id)  # an unknown parent raises in every mode
+        if parent_id is None or mode == "pooled":
+            return list(self._observations)
         if mode == "sibling_only":
-            return list(within_generation)
-        chain = set(self.ancestry(parent_id))
-        cutoff = self.get(parent_id).generation
-        past = [
-            Observation(r.hp, r.val_loss)
-            for r in self._records
-            if r.generation <= cutoff and (r.parent is None or r.parent in chain)
-        ]
-        return past + list(within_generation)
+            sources = [None, parent_id] if roots else [parent_id]
+        else:
+            sources = [None, *self.ancestry(parent_id)]
+        return [self._observations[i] for s in sources for i in self._children.get(s, ())]
 
     def schedule(self, agent_id: int) -> list[HpVector]:
         """Hyperparameter schedule along the ancestry chain, root first."""

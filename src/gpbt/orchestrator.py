@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .genealogy import HISTORY_MODES, GenealogyTree
-from .searchers import Observation, SearcherConfig, suggest
+from .searchers import SearcherConfig, suggest
 from .space import HpVector, SearchSpace
 from .trainers import Trainer
 
@@ -35,7 +35,6 @@ STREAM_ALGO = 1
 STREAM_INIT = 2
 
 ProgressFn = Callable[[int, float, float, int], None]
-HistoryProbe = Callable[[int, int | None, list[Observation]], None]
 
 
 def derive_seed(seed: int, *path: int) -> int:
@@ -96,6 +95,36 @@ class RunConfig:
     seed: int = 0
     seed_gen0_history: bool = False
 
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
+        if self.t_max < 1:
+            raise ValueError("t_max must be >= 1")
+        if self.t_g < 1:
+            raise ValueError("t_g must be >= 1")
+        if self.history_mode not in HISTORY_MODES:
+            raise ValueError(
+                f"history_mode must be one of {', '.join(HISTORY_MODES)}, "
+                f"not {self.history_mode!r}"
+            )
+        if isinstance(self.c, FixedC):
+            if not valid_c(self.n, self.c.c):
+                raise ValueError(f"c={self.c.c} is not usable with n={self.n}")
+        else:
+            if self.n < 2:
+                raise ValueError("dynamic c needs n >= 2")
+            if self.c.initial_mean <= 0 or self.c.initial_std <= 0:
+                raise ValueError("dynamic c needs positive initial_mean and initial_std")
+        if self.selection_temperature is not None and self.selection_temperature <= 0:
+            raise ValueError("selection_temperature must be positive")
+        es = self.early_stop
+        if es.level1_threshold is not None and es.level1_threshold <= 0:
+            raise ValueError("level1_threshold must be positive")
+        if es.level1_window < 1:
+            raise ValueError("level1_window must be >= 1")
+        if es.level2_quantile is not None and not 0.0 <= es.level2_quantile <= 1.0:
+            raise ValueError("level2_quantile must be in [0, 1]")
+
     def as_dict(self) -> dict:
         d = asdict(self)
         d["c"] = {"fixed": self.c.c} if isinstance(self.c, FixedC) else {"dynamic": d["c"]}
@@ -108,34 +137,6 @@ def valid_c(n: int, c: float) -> bool:
         return False
     p = int(math.floor(math.sqrt(n / c) + 0.5))
     return 1 <= p <= n
-
-
-def validate_config(config: RunConfig) -> None:
-    if config.n < 1:
-        raise ValueError("n must be >= 1")
-    if config.t_max < 1:
-        raise ValueError("t_max must be >= 1")
-    if config.t_g < 1:
-        raise ValueError("t_g must be >= 1")
-    if config.history_mode not in HISTORY_MODES:
-        raise ValueError(f"unknown history mode {config.history_mode!r}")
-    if isinstance(config.c, FixedC):
-        if not valid_c(config.n, config.c.c):
-            raise ValueError(f"c={config.c.c} is not usable with n={config.n}")
-    else:
-        if config.n < 2:
-            raise ValueError("dynamic c needs n >= 2")
-        if config.c.initial_mean <= 0 or config.c.initial_std <= 0:
-            raise ValueError("dynamic c needs positive initial mean and std")
-    if config.selection_temperature is not None and config.selection_temperature <= 0:
-        raise ValueError("selection temperature must be positive")
-    es = config.early_stop
-    if es.level1_threshold is not None and es.level1_threshold <= 0:
-        raise ValueError("level1 threshold must be positive")
-    if es.level1_window < 1:
-        raise ValueError("level1 window must be >= 1")
-    if es.level2_quantile is not None and not 0.0 <= es.level2_quantile <= 1.0:
-        raise ValueError("level2 quantile must be in [0, 1]")
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +372,9 @@ def run(
     trainer: Trainer,
     *,
     progress: ProgressFn | None = None,
-    history_probe: HistoryProbe | None = None,
 ) -> RunResult:
     """Execute the full generation loop and return the best agent, its
     hyperparameter schedule, best-seen curves, and the transfer ledger."""
-    validate_config(config)
     es = config.early_stop
     rng_search = search_stream(config.seed)
     rng_algo = np.random.default_rng(derive_seed(config.seed, STREAM_ALGO))
@@ -386,19 +385,16 @@ def run(
     states: dict[int, object] = {}
     ledger: list[int] = []
 
-    # -- generation 0: every lineage starts fresh, sharing one growing history
-    shared: list[Observation] = []
+    # -- generation 0: every lineage starts fresh, seeing the root's children so far
     early: list[float] | None = [] if gate3 else None
     for k in range(config.n):
-        if history_probe is not None:
-            history_probe(0, None, list(shared))
-        hp = suggest(config.searcher, space, shared, rng_search)
+        history = tree.lineage_history(None, config.history_mode, False)
+        hp = suggest(config.searcher, space, history, rng_search)
         state = trainer.init(init_seed(config.seed, k))
         state, val, test, epochs, stopped = _train_child(
             trainer, state, space.to_dict(hp), config.t_g, early
         )
         states[tally.record(None, 0, hp, val, test, epochs, stopped)] = state
-        shared.append(Observation(hp, val))
     prev_ids = list(range(config.n))
     ledger.append(1)  # the initial model
     tally.end(0)
@@ -454,27 +450,17 @@ def run(
             for _ in range(count)
         ]
         early = [] if gate3 else None
-        within: dict[int, list[Observation]] = {pid: [] for pid in parents_union}
-        gen0_seed = (
-            shared
-            if (t == 1 and config.history_mode == "sibling_only" and config.seed_gen0_history)
-            else None
-        )
+        roots = t == 1 and config.seed_gen0_history
         recorded: list[int] = []
         group_best: dict[str, float] = {}
         for label, pid in slots:
-            history = tree.lineage_history(pid, config.history_mode, within[pid])
-            if gen0_seed is not None:
-                history = list(gen0_seed) + history
-            if history_probe is not None:
-                history_probe(t, pid, list(history))
+            history = tree.lineage_history(pid, config.history_mode, roots)
             hp = suggest(config.searcher, space, history, rng_search)
             child, val, test, epochs, stopped = _train_child(
                 trainer, trainer.fork(states[pid]), space.to_dict(hp), config.t_g, early
             )
             cid = tally.record(pid, t, hp, val, test, epochs, stopped)
             states[cid] = child
-            within[pid].append(Observation(hp, val))
             recorded.append(cid)
             group_best[label] = min(group_best.get(label, math.inf), val)
             if es.level2_quantile is not None and satisfaction_gate(

@@ -108,25 +108,6 @@ class QuadState:
     rng: np.random.Generator
     latent: int = 1  # hidden response regime, only meaningful for weight_sensitive
 
-    def as_dict(self) -> dict:
-        return {
-            "theta": [float(x) for x in self.theta],
-            "steps": self.steps,
-            "latent": self.latent,
-            "bitgen": self.rng.bit_generator.state,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "QuadState":
-        rng = np.random.default_rng(0)
-        rng.bit_generator.state = data["bitgen"]
-        return cls(
-            theta=np.array(data["theta"], dtype=float),
-            steps=int(data["steps"]),
-            rng=rng,
-            latent=int(data["latent"]),
-        )
-
 
 class NoisyQuadraticTrainer:
     """Stochastic quadratic: exact geometric decay at sigma=0, noise floor otherwise.
@@ -200,13 +181,6 @@ class WeightSensitiveTrainer(NoisyQuadraticTrainer):
 class PhaseState:
     v: np.ndarray  # per-coordinate expected squared parameter
     steps: int
-
-    def as_dict(self) -> dict:
-        return {"v": [float(x) for x in self.v], "steps": self.steps}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PhaseState":
-        return cls(v=np.array(data["v"], dtype=float), steps=int(data["steps"]))
 
 
 class PhaseSurrogateTrainer:

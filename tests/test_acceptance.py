@@ -8,12 +8,13 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gpbt.baselines import PbtConfig, run_nonadaptive, run_pbt, run_pooled_ablation
+from gpbt.baselines import PbtConfig, run_nonadaptive, run_pbt
 from gpbt.orchestrator import (
     DynamicC,
     DynamicCState,
@@ -34,6 +35,7 @@ from gpbt.trainers import (
     expected_schedule_loss,
     make_trainer,
 )
+from history_spy import run_with_histories
 
 SEEDS = range(10)
 
@@ -94,14 +96,11 @@ def test_criterion_2_history_isolation():
         trainer = make_trainer(
             TrainerSpec(kind="noisy_quadratic", dim=3, curvatures=(2.0, 1.0, 0.5), noise=0.2)
         )
-        snapshots = []
-        result = run(
-            config, space, trainer,
-            history_probe=lambda g, pid, hist: snapshots.append((g, pid, list(hist))),
-        )
+        result, calls = run_with_histories(config, space, trainer)
         by_key = {(r.hp, r.val_loss): r for r in result.tree.records}
         tree = result.tree
-        for g, pid, hist in snapshots:
+        for child, hist in calls:
+            g, pid = child.generation, child.parent
             if g == 0:
                 continue
             chain = set(tree.ancestry(pid))
@@ -214,7 +213,7 @@ def test_criterion_6_genealogy_beats_pooling():
             n=16, t_max=8, t_g=3, c=FixedC(4.0), searcher=SearcherConfig(kind="tpe"), seed=seed
         )
         a = run(config, space, trainer)
-        b = run_pooled_ablation(config, space, trainer)
+        b = run(replace(config, history_mode="pooled"), space, trainer)
         sib.append(a.final_best_val)
         pooled.append(b.final_best_val)
         wins += a.final_best_val < b.final_best_val

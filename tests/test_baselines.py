@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from gpbt.baselines import PbtConfig, run_nonadaptive, run_pbt, run_pooled_ablation
+from gpbt.baselines import PbtConfig, run_nonadaptive, run_pbt
 from gpbt.orchestrator import FixedC, RunConfig, run
 from gpbt.searchers import SearcherConfig
 from gpbt.space import Dimension, SearchSpace
 from gpbt.trainers import TrainerSpec, make_trainer
+from history_spy import run_with_histories
 
 
 def space(upper=1.0):
@@ -30,6 +31,20 @@ class TestPbt:
         assert result.total_epochs == 8 * 4 * 3
         for g in range(4):
             assert len(result.tree.generation_records(g)) == 8
+
+    def test_nan_loss_rejected(self):
+        class Diverging:
+            def __init__(self, inner):
+                self._inner = inner
+
+            def __getattr__(self, name):
+                return getattr(self._inner, name)
+
+            def evaluate(self, state):
+                return math.nan, math.nan
+
+        with pytest.raises(ValueError, match="finite"):
+            run_pbt(PbtConfig(n=4, t_max=2, seed=0), space(), Diverging(trainer()))
 
     def test_perturb_clips_to_bounds(self):
         # all mass at the upper bound stays in bounds after x1.2 perturbation
@@ -107,20 +122,17 @@ class TestPooledAblation:
         # c=n collapses to one lineage, where pooled and time-enriched coincide
         base = dict(n=6, t_max=4, t_g=2, c=FixedC(6.0), searcher=SearcherConfig(kind="tpe"), seed=0)
         a = run(RunConfig(history_mode="time_enriched", **base), space(), trainer())
-        b = run_pooled_ablation(RunConfig(**base), space(), trainer())
+        b = run(RunConfig(history_mode="pooled", **base), space(), trainer())
         assert [r.hp for r in a.tree.records] == [r.hp for r in b.tree.records]
         assert a.final_best_val == b.final_best_val
 
     def test_generation1_history_size(self):
-        seen = []
         config = RunConfig(
-            n=4, t_max=2, t_g=1, c=FixedC(1.0), searcher=SearcherConfig(kind="tpe"), seed=0
+            n=4, t_max=2, t_g=1, c=FixedC(1.0), searcher=SearcherConfig(kind="tpe"), seed=0,
+            history_mode="pooled",
         )
-        run_pooled_ablation(
-            config, space(), trainer(),
-            history_probe=lambda g, pid, hist: seen.append((g, len(hist))),
-        )
-        gen1 = [size for g, size in seen if g == 1]
+        _, calls = run_with_histories(config, space(), trainer())
+        gen1 = [len(hist) for rec, hist in calls if rec.generation == 1]
         assert gen1 == [4, 5, 6, 7]  # all generation-0 plus siblings recorded so far
 
 

@@ -151,6 +151,26 @@ class TestRunCommand:
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "level4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "index,fields,named",
+        [
+            (0, {"history_mode": "lineage"}, "history_mode"),
+            (0, {"c": 100, "n": 4}, "c=100"),
+            (0, {"early_stop": {"level2_quantile": 2.0}}, "level2_quantile"),
+            (2, {"trials": 0}, "methods[2].trials"),
+            (2, {"t_total": 0}, "methods[2].t_total"),
+        ],
+        ids=["history_mode", "c", "level2_quantile", "trials", "t_total"],
+    )
+    def test_invalid_method_value_exits_2(self, tmp_path, capsys, index, fields, named):
+        path = tmp_path / "bad.json"
+        cfg = json.loads(tiny_config(tmp_path).read_text())
+        cfg["methods"][index].update(fields)
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err
+
     def test_trainer_failure_exits_3(self, tmp_path):
         cfg = tiny_config(
             tmp_path,

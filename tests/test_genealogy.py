@@ -9,11 +9,16 @@ def record(tree, parent, generation, hp=(0.5,), val=1.0, test=1.1, epochs=1, sto
     return tree.record_child(parent, generation, hp, val, test, epochs, stopped)
 
 
-def build_two_by_two(generations=3, n=4):
-    """c=1 population: 2 parents x 2 children per generation, losses by id."""
+def generation_zero(n=4):
     tree = GenealogyTree()
     for k in range(n):
         record(tree, None, 0, hp=(0.1 * k,), val=float(k))
+    return tree
+
+
+def build_two_by_two(generations=3, n=4):
+    """c=1 population: 2 parents x 2 children per generation, losses by id."""
+    tree = generation_zero(n)
     prev = list(range(n))
     for g in range(1, generations):
         parents = sorted(prev, key=lambda i: (tree.get(i).val_loss, i))[:2]
@@ -25,6 +30,10 @@ def build_two_by_two(generations=3, n=4):
                 new.append(cid)
         prev = new
     return tree
+
+
+def observations(tree, ids):
+    return [Observation(tree.get(i).hp, tree.get(i).val_loss) for i in ids]
 
 
 class TestRecordChild:
@@ -61,6 +70,14 @@ class TestRecordChild:
         tree = build_two_by_two(3)
         assert [r.id for r in tree.records] == list(range(len(tree)))
 
+    def test_non_finite_loss_rejected(self):
+        tree = generation_zero(2)
+        with pytest.raises(ValueError):
+            record(tree, None, 0, val=float("nan"))
+        assert len(tree) == 2 and tree.lineage_history(None, "pooled", False) == observations(
+            tree, [0, 1]
+        )
+
 
 class TestAncestry:
     def test_generation_zero_is_singleton(self):
@@ -87,34 +104,58 @@ class TestAncestry:
 
 
 class TestLineageHistory:
-    def test_sibling_only_is_exactly_within(self):
-        tree = build_two_by_two(2)
-        within = [Observation((0.9,), 0.5), Observation((0.8,), 0.4)]
-        hist = tree.lineage_history(tree.parents_of(1)[0], "sibling_only", within)
-        assert hist == within
+    def test_sibling_only_sees_own_children_so_far(self):
+        tree = generation_zero()
+        tree.set_parents(1, [0, 1])
+        assert tree.lineage_history(0, "sibling_only", False) == []
+        a = record(tree, 0, 1, hp=(0.9,), val=0.5)
+        assert tree.lineage_history(0, "sibling_only", False) == observations(tree, [a])
+        assert tree.lineage_history(1, "sibling_only", False) == []
+        b = record(tree, 1, 1, hp=(0.8,), val=0.4)
+        assert tree.lineage_history(0, "sibling_only", False) == observations(tree, [a])
+        assert tree.lineage_history(1, "sibling_only", False) == observations(tree, [b])
+
+    def test_sibling_only_roots_prepends_generation_zero(self):
+        tree = generation_zero()
+        tree.set_parents(1, [0, 1])
+        a = record(tree, 0, 1, hp=(0.9,), val=0.5)
+        record(tree, 1, 1, hp=(0.8,), val=0.4)
+        hist = tree.lineage_history(0, "sibling_only", True)
+        assert hist == observations(tree, [0, 1, 2, 3, a])
+
+    def test_generation_zero_sees_every_record(self):
+        tree = generation_zero(3)
+        for mode in ("sibling_only", "time_enriched", "pooled"):
+            assert tree.lineage_history(None, mode, False) == observations(tree, [0, 1, 2])
 
     def test_time_enriched_generation_one(self):
-        # n=4 generation-0 children plus 1 evaluated sibling -> 5 observations
-        tree = build_two_by_two(2, n=4)
-        parent = tree.parents_of(1)[0]
-        within = [Observation((0.7,), 0.3)]
-        hist = tree.lineage_history(parent, "time_enriched", within)
-        assert len(hist) == 5
-        assert hist[-1] == within[0]
+        # n=4 generation-0 children, then 1 evaluated sibling -> 5 observations
+        tree = generation_zero()
+        tree.set_parents(1, [0, 1])
+        assert tree.lineage_history(0, "time_enriched", False) == observations(tree, range(4))
+        a = record(tree, 0, 1, hp=(0.7,), val=0.3)
+        hist = tree.lineage_history(0, "time_enriched", False)
+        assert hist == observations(tree, [0, 1, 2, 3, a])
+        record(tree, 1, 1, hp=(0.6,), val=0.2)  # the other lineage's child stays out
+        assert tree.lineage_history(0, "time_enriched", False) == hist
 
     def test_time_enriched_three_generations(self):
         # 2 parents x 2 children: at generation 2, before any sibling,
         # the lineage sees 4 gen-0 children + the 2 children of its gen-1 ancestor.
-        tree = build_two_by_two(3)
-        parent2 = tree.parents_of(2)[0]
-        hist = tree.lineage_history(parent2, "time_enriched", [])
-        assert len(hist) == 6
+        tree = build_two_by_two(2)  # generation 1: ids 4, 5 under 0; ids 6, 7 under 1
+        tree.set_parents(2, [4, 6])
+        hist = tree.lineage_history(4, "time_enriched", False)
+        assert hist == observations(tree, [0, 1, 2, 3, 4, 5])
+        record(tree, 4, 2, hp=(0.01,), val=0.5)
+        record(tree, 6, 2, hp=(0.02,), val=0.5)
+        assert tree.lineage_history(6, "time_enriched", False) == observations(
+            tree, [0, 1, 2, 3, 6, 7, 9]
+        )
 
     def test_time_enriched_excludes_other_branches(self):
         tree = build_two_by_two(3)
-        parent2 = tree.parents_of(2)[0]
-        chain = set(tree.ancestry(parent2))
-        hist = tree.lineage_history(parent2, "time_enriched", [])
+        chain = set(tree.ancestry(8))
+        hist = tree.lineage_history(8, "time_enriched", False)
         hp_to_record = {r.hp: r for r in tree.records}
         for obs in hist:
             rec = hp_to_record[obs.hp]
@@ -122,18 +163,18 @@ class TestLineageHistory:
 
     def test_pooled_sees_everything(self):
         tree = build_two_by_two(3)
-        hist = tree.lineage_history(tree.parents_of(2)[0], "pooled", [])
-        assert len(hist) == len(tree)
+        hist = tree.lineage_history(tree.parents_of(2)[0], "pooled", False)
+        assert hist == observations(tree, range(len(tree)))
 
     def test_unknown_parent_rejected(self):
         tree = build_two_by_two(2)
         with pytest.raises(KeyError):
-            tree.lineage_history(99, "sibling_only", [])
+            tree.lineage_history(99, "sibling_only", False)
 
     def test_unknown_mode_rejected(self):
         tree = build_two_by_two(2)
         with pytest.raises(ValueError):
-            tree.lineage_history(0, "all", [])
+            tree.lineage_history(0, "all", False)
 
 
 class TestScheduleAndBest:
@@ -178,9 +219,9 @@ class TestSerialization:
         assert loaded.records == tree.records
         for g in (1, 2, 3):
             for parent in tree.parents_of(g):
-                assert loaded.lineage_history(parent, "time_enriched", []) == tree.lineage_history(
-                    parent, "time_enriched", []
-                )
+                assert loaded.lineage_history(
+                    parent, "time_enriched", False
+                ) == tree.lineage_history(parent, "time_enriched", False)
 
     def test_lines_are_json_objects(self):
         import json

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from gpbt.orchestrator import (
 from gpbt.searchers import SearcherConfig
 from gpbt.space import Dimension, SearchSpace
 from gpbt.trainers import TrainerSpec, make_trainer
+from history_spy import run_with_histories
 
 
 def small_space():
@@ -346,50 +348,72 @@ class TestEarlyStopLevels:
 
 
 class TestHistoryModes:
-    def probe_histories(self, mode, **overrides):
-        calls = []
+    def histories(self, mode, **overrides):
         config = small_config(history_mode=mode, **overrides)
-        result = run(
-            config,
-            small_space(),
-            small_trainer(),
-            history_probe=lambda g, pid, hist: calls.append((g, pid, hist)),
-        )
-        return calls, result
+        _, calls = run_with_histories(config, small_space(), small_trainer())
+        return calls
 
     def test_sibling_only_sizes(self):
-        calls, _ = self.probe_histories("sibling_only")
-        for g, pid, hist in calls:
-            if g == 0:
+        for rec, hist in self.histories("sibling_only"):
+            if rec.generation == 0:
                 continue
             assert len(hist) <= 3  # at most own prior siblings (4 children per parent)
 
     def test_generation0_shared_history_grows(self):
-        calls, _ = self.probe_histories("sibling_only")
-        gen0 = [len(h) for g, _, h in calls if g == 0]
+        calls = self.histories("sibling_only")
+        gen0 = [len(h) for rec, h in calls if rec.generation == 0]
         assert gen0 == list(range(8))
 
     def test_seed_gen0_history_flag(self):
-        calls, _ = self.probe_histories("sibling_only", seed_gen0_history=True)
-        gen1 = [len(h) for g, _, h in calls if g == 1]
+        calls = self.histories("sibling_only", seed_gen0_history=True)
+        gen1 = [len(h) for rec, h in calls if rec.generation == 1]
         assert min(gen1) == 8  # every generation-1 history starts with all of P0
 
     def test_pooled_sees_all_records(self):
-        calls, result = self.probe_histories("pooled")
-        for g, pid, hist in calls:
-            if g > 0:
-                # pooled history = every record evaluated so far
-                assert len(hist) >= 8
+        for rec, hist in self.histories("pooled"):
+            # pooled history = every record evaluated so far
+            assert len(hist) == rec.id
 
     def test_pooled_identical_to_gpbt_under_random_searcher(self):
         # shared code path: a history-insensitive searcher makes them bit-identical
         config = small_config(searcher=SearcherConfig(kind="random"))
         a = run(config, small_space(), small_trainer())
-        from gpbt.baselines import run_pooled_ablation
-
-        b = run_pooled_ablation(config, small_space(), small_trainer())
+        b = run(replace(config, history_mode="pooled"), small_space(), small_trainer())
         assert [r.hp for r in a.tree.records] == [r.hp for r in b.tree.records]
         assert [r.val_loss for r in a.tree.records] == [r.val_loss for r in b.tree.records]
+
+    @pytest.mark.parametrize("mode", ["sibling_only", "time_enriched", "pooled"])
+    @pytest.mark.parametrize("seed_gen0", [False, True])
+    @given(
+        n=st.integers(1, 10),
+        c=st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]),
+        t_g=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_histories_stay_in_lineage(self, n, c, t_g, mode, seed_gen0, seed):
+        assume(valid_c(n, c))
+        config = small_config(
+            n=n, t_max=4, t_g=t_g, c=FixedC(c), history_mode=mode,
+            seed_gen0_history=seed_gen0, seed=seed,
+            searcher=SearcherConfig(kind="random"),
+        )
+        result, calls = run_with_histories(config, small_space(), small_trainer())
+        tree = result.tree
+        record_of = {(r.hp, r.val_loss): r for r in tree.records}
+        for rec, hist in calls:
+            seen = [record_of[(o.hp, o.loss)] for o in hist]
+            if rec.parent is None or mode == "pooled":
+                sources = None  # every earlier record
+            elif mode == "sibling_only":
+                sources = {rec.parent} | ({None} if seed_gen0 and rec.generation == 1 else set())
+            else:
+                sources = {None, *tree.ancestry(rec.parent)}
+            if sources is not None:
+                assert {r.parent for r in seen} <= sources
+            # nothing is left out, and evaluation order is kept
+            earlier = tree.records[: rec.id]
+            assert seen == [r for r in earlier if sources is None or r.parent in sources]
 
 
 class TestDynamicCRun:

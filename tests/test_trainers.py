@@ -162,15 +162,6 @@ class TestForkAndSerialization:
         b = t.step(b, {"lr": 0.3})
         assert np.array_equal(a.theta, b.theta)
 
-    def test_state_round_trips_exactly(self):
-        t = quad_trainer(noise=0.4)
-        s = t.init(5)
-        s = t.step(s, {"lr": 0.2})
-        clone = QuadState.from_dict(s.as_dict())
-        s = t.step(s, {"lr": 0.4})
-        clone = t.step(clone, {"lr": 0.4})
-        assert np.array_equal(s.theta, clone.theta)
-        assert t.evaluate(s) == t.evaluate(clone)
 
 
 class TestWeightSensitive:
