@@ -13,6 +13,7 @@ import numpy as np
 from gpbt import (
     Dimension,
     FixedC,
+    NonadaptiveConfig,
     PbtConfig,
     RunConfig,
     SearcherConfig,
@@ -64,8 +65,8 @@ def main():
                 PbtConfig(n=args.n, t_max=args.t_max, t_g=args.t_g, seed=seed), space, trainer
             ),
             "random_search": run_nonadaptive(
-                SearcherConfig(kind="random", seed=seed), space, trainer,
-                trials=args.n, t_total=budget // args.n,
+                NonadaptiveConfig(trials=args.n, t_total=budget // args.n, seed=seed),
+                space, trainer,
             ),
         }
         for name, res in runs.items():

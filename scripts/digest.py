@@ -1,0 +1,100 @@
+#!/usr/bin/env python3
+"""Hash what `gpbt run --deterministic` writes, to show what a change keeps.
+
+Runs the bundled configs and small configs covering pooled histories, dynamic
+c, all three early-stopping levels, Boltzmann selection, PBT and non-adaptive
+search through `gpbt.cli.main`, then prints one sha256 per output file and one
+per top-level key of every result.json. Everything goes through the CLI and
+the config files, so the same script runs against whichever gpbt package is
+on the path; diff its output between two checkouts:
+
+    PYTHONPATH=src python scripts/digest.py > after.txt
+    PYTHONPATH=../other-checkout/src python scripts/digest.py > before.txt
+    diff before.txt after.txt
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import gpbt
+from gpbt.cli import main as gpbt_main
+
+SPACE = [
+    {"name": "lr", "lower": 0.01, "upper": 1.0, "scale": "log"},
+    {"name": "dropout", "lower": 0.0, "upper": 1.0, "scale": "linear"},
+]
+
+SMALL_METHODS = [
+    {"name": "pooled", "method": "pooled", "n": 6, "t_max": 3, "t_g": 2,
+     "searcher": {"kind": "tpe", "startup": 2}},
+    {"name": "dynamic_c", "method": "gpbt", "n": 8, "t_max": 4, "t_g": 2,
+     "dynamic_c": {"initial_mean": 2.0, "initial_std": 1.0},
+     "searcher": {"kind": "cma", "window": 4}, "history_mode": "time_enriched"},
+    {"name": "levels", "method": "gpbt", "n": 9, "t_max": 5, "t_g": 3, "c": 1.0,
+     "searcher": {"kind": "gp_ucb"},
+     "early_stop": {"level1_threshold": 1e-4, "level1_window": 1,
+                    "level2_quantile": 0.5, "level3": True}},
+    {"name": "boltzmann", "method": "gpbt", "n": 8, "t_max": 3, "t_g": 1, "c": 0.5,
+     "searcher": {"kind": "random"}, "selection_temperature": 0.5,
+     "seed_gen0_history": True},
+    {"name": "pbt", "method": "pbt", "n": 6, "t_max": 3, "t_g": 2,
+     "truncation": 0.5, "resample_prob": 0.5},
+    {"name": "nonadaptive", "method": "nonadaptive", "searcher": {"kind": "tpe", "startup": 2},
+     "trials": 6, "t_total": 4},
+]
+
+SMALL_TRAINERS = {
+    "small_quadratic": {"kind": "noisy_quadratic", "dim": 3, "curvatures": [2.0, 1.0, 0.5],
+                        "noise": 0.1, "seed": 0},
+    "small_weight_sensitive": {"kind": "weight_sensitive", "dim": 2, "noise": 0.2,
+                               "r_max": 1.0, "seed": 1},
+    "small_phase": {"kind": "phase_surrogate", "dim": 2, "curvatures": [1.5, 0.5],
+                    "noise": 0.1},
+}
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest_run(label: str, config: Path, out: Path) -> list[str]:
+    """Run one config and return its digest lines, sorted by path."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = gpbt_main(["run", str(config), "--deterministic", "--out", str(out)])
+    if code != 0:
+        raise SystemExit(f"{label}: gpbt run exited with {code}")
+    lines = []
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        rel = f"{label}/{path.relative_to(out).as_posix()}"
+        data = path.read_bytes()
+        lines.append(f"{sha(data)}  {rel}")
+        if path.name == "result.json":
+            for key, value in sorted(json.loads(data).items()):
+                lines.append(f"{sha(json.dumps(value, sort_keys=True).encode())}  {rel}:{key}")
+    return lines
+
+
+def main():
+    bundled = Path(gpbt.__file__).parent / "configs"
+    configs = [(p.stem, p) for p in sorted(bundled.glob("*.json"))]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for label, trainer in SMALL_TRAINERS.items():
+            path = tmp / f"{label}.json"
+            cfg = {"space": SPACE, "trainer": trainer, "seeds": [0, 1], "methods": SMALL_METHODS}
+            path.write_text(json.dumps(cfg), encoding="utf-8")
+            configs.append((label, path))
+        lines = []
+        for label, path in configs:
+            lines += digest_run(label, path, tmp / "out" / label)
+    text = "\n".join(lines)
+    print(text)
+    print(f"{sha(text.encode())}  all")
+
+
+if __name__ == "__main__":
+    main()

@@ -1,6 +1,6 @@
 """Genealogical population-based training: adaptive hyperparameter schedules in a single run."""
 
-from .baselines import PbtConfig, run_nonadaptive, run_pbt
+from .baselines import NonadaptiveConfig, PbtConfig, run_nonadaptive, run_pbt
 from .genealogy import AgentRecord, GenealogyTree
 from .orchestrator import (
     CurvePoint,
@@ -34,6 +34,7 @@ __all__ = [
     "GenerationPlan",
     "History",
     "HpVector",
+    "NonadaptiveConfig",
     "Observation",
     "PbtConfig",
     "RunConfig",

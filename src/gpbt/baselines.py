@@ -21,6 +21,9 @@ from .searchers import SearcherConfig, suggest
 from .space import SearchSpace
 from .trainers import Trainer
 
+# PBT explore: each dimension is multiplied by one of these, picked uniformly.
+PERTURB_FACTORS = (0.8, 1.2)
+
 
 @dataclass(frozen=True)
 class PbtConfig:
@@ -29,16 +32,29 @@ class PbtConfig:
     t_g: int = 1
     truncation: float = 0.25          # fraction exploited at both ends
     resample_prob: float = 0.25       # explore: probability of full resample
-    perturb_factors: tuple[float, float] = (0.8, 1.2)
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1 or self.t_max < 1 or self.t_g < 1:
-            raise ValueError("n, t_max and t_g must be >= 1")
+        for name in ("n", "t_max", "t_g"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if not 0.0 < self.truncation <= 0.5:
             raise ValueError("truncation must be in (0, 0.5]")
         if not 0.0 <= self.resample_prob <= 1.0:
             raise ValueError("resample_prob must be in [0, 1]")
+
+
+@dataclass(frozen=True)
+class NonadaptiveConfig:
+    trials: int
+    t_total: int  # training iterations per trial
+    searcher: SearcherConfig = SearcherConfig(kind="random")
+    seed: int = 0
+
+    def __post_init__(self):
+        for name in ("trials", "t_total"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 def _explore(
@@ -50,7 +66,7 @@ def _explore(
         return space.sample_uniform(rng)
     out = []
     for d, v in zip(space.dims, hp):
-        factor = cfg.perturb_factors[int(rng.integers(0, len(cfg.perturb_factors)))]
+        factor = PERTURB_FACTORS[int(rng.integers(0, len(PERTURB_FACTORS)))]
         out.append(min(max(v * factor, d.lower), d.upper))
     return tuple(out)
 
@@ -100,7 +116,6 @@ def run_pbt(
             states[i] = trainer.fork(states[src])
             hps[i] = _explore(hps[src], space, config, rng_algo)
         ledger.append(k)
-        tree.set_parents(t, sorted(set(last_record)))
 
         new_records = []
         for i in range(config.n):
@@ -115,32 +130,25 @@ def run_pbt(
 
 
 def run_nonadaptive(
-    searcher_config: SearcherConfig,
+    config: NonadaptiveConfig,
     space: SearchSpace,
     trainer: Trainer,
-    trials: int,
-    t_total: int,
     *,
-    seed: int | None = None,
     progress: ProgressFn | None = None,
 ) -> RunResult:
     """Sequential constant-HP search: each trial trains a fresh lineage for the
     whole horizon under one hyperparameter vector chosen by the searcher."""
-    if trials < 1 or t_total < 1:
-        raise ValueError("trials and t_total must be >= 1")
-    if seed is None:
-        seed = searcher_config.seed
-    rng_search = search_stream(seed)
+    rng_search = search_stream(config.seed)
     tally = Tally(progress)
 
-    for kth in range(trials):
+    for kth in range(config.trials):
         tally.start()
         history = tally.tree.lineage_history(None, "pooled", False)
-        hp = suggest(searcher_config, space, history, rng_search)
-        state = trainer.init(init_seed(seed, kth))
-        state = trainer.step_many(state, space.to_dict(hp), t_total)
+        hp = suggest(config.searcher, space, history, rng_search)
+        state = trainer.init(init_seed(config.seed, kth))
+        state = trainer.step_many(state, space.to_dict(hp), config.t_total)
         val, test = trainer.evaluate(state)
-        tally.record(None, 0, hp, val, test, t_total, False)
+        tally.record(None, 0, hp, val, test, config.t_total, False)
         tally.end(kth)
 
     return tally.result([1])

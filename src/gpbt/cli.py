@@ -12,27 +12,19 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
 import sys
-from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
-from .baselines import PbtConfig, run_nonadaptive, run_pbt
+from .baselines import NonadaptiveConfig, PbtConfig, run_nonadaptive, run_pbt
+from .config import ConfigError, build, typed_value
 from .external import TrainerProtocolError
-from .orchestrator import (
-    DynamicC,
-    EarlyStopConfig,
-    FixedC,
-    RunConfig,
-    RunResult,
-    run,
-    valid_c,
-)
-from .searchers import SearcherConfig
+from .orchestrator import DynamicC, FixedC, RunConfig, RunResult, run, valid_c
 from .space import SearchSpace
 from .trainers import TrainerSpec, make_trainer
 
@@ -47,153 +39,81 @@ CURVE_FIELDS = (
 )
 
 
-class ConfigError(Exception):
-    def __init__(self, field: str, message: str):
-        super().__init__(f"{field}: {message}")
-        self.field = field
-
-
-# ---------------------------------------------------------------------------
-# Config parsing
-
-
-def _require(entry: dict, field: str, context: str):
-    if field not in entry:
-        raise ConfigError(f"{context}.{field}", "missing required field")
-    return entry[field]
-
-
 def load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
     except FileNotFoundError:
         raise ConfigError("config", f"file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError("config", f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:  # also a non-UTF-8 file or an integer of over 4300 digits
         raise ConfigError("config", f"invalid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config", "top level must be an object")
+    for field in ("space", "trainer", "seeds", "methods"):
+        if field not in cfg:
+            raise ConfigError(f"config.{field}", "missing required field")
 
-    try:
-        space = SearchSpace.from_config(_require(cfg, "space", "config"))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError("space", str(exc)) from None
-    try:
-        trainer_spec = TrainerSpec.from_config(_require(cfg, "trainer", "config"))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError("trainer", str(exc)) from None
-
-    seeds = _require(cfg, "seeds", "config")
-    if not isinstance(seeds, list) or not seeds or not all(isinstance(s, int) for s in seeds):
-        raise ConfigError("seeds", "must be a non-empty list of integers")
-
-    methods = _require(cfg, "methods", "config")
+    space = SearchSpace.from_config(cfg["space"])
+    trainer_spec = build(TrainerSpec, cfg["trainer"], "trainer")
+    seeds = typed_value(list[int], cfg["seeds"], "seeds")
+    if not seeds or min(seeds) < 0:
+        raise ConfigError("seeds", "must be a non-empty list of integers >= 0")
+    methods = cfg["methods"]
     if not isinstance(methods, list) or not methods:
         raise ConfigError("methods", "must be a non-empty list")
-    names = set()
+    parsed = []
     for i, entry in enumerate(methods):
-        name = entry.get("name") or entry.get("method")
-        if not name:
-            raise ConfigError(f"methods[{i}].method", "missing method kind")
-        if name in names:
+        name, kind, config = _parse_method(entry, i, seed=seeds[0])
+        if any(name == other for other, _, _ in parsed):
             raise ConfigError(f"methods[{i}].name", f"duplicate method name {name!r}")
-        names.add(name)
-        _parse_method(entry, i, seed=seeds[0])  # validate eagerly
+        parsed.append((name, kind, config))
 
     cfg["_space"] = space
     cfg["_trainer_spec"] = trainer_spec
+    cfg["_methods"] = parsed
     return cfg
 
 
-def _parse_searcher(entry: dict, context: str) -> SearcherConfig:
-    try:
-        return SearcherConfig.from_config(entry)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{context}.searcher", str(exc)) from None
-
-
-_METHOD_FIELDS = {
-    "gpbt": {
-        "name", "method", "n", "t_max", "t_g", "c", "dynamic_c", "searcher",
-        "history_mode", "early_stop", "selection_temperature", "seed_gen0_history",
-    },
-    "pbt": {"name", "method", "n", "t_max", "t_g", "truncation", "resample_prob"},
-    "nonadaptive": {"name", "method", "searcher", "trials", "t_total"},
+_METHOD_CONFIGS = {
+    "gpbt": RunConfig,
+    "pooled": RunConfig,
+    "pbt": PbtConfig,
+    "nonadaptive": NonadaptiveConfig,
 }
-_METHOD_FIELDS["pooled"] = _METHOD_FIELDS["gpbt"]
-_EARLY_STOP_FIELDS = {"level1_threshold", "level1_window", "level2_quantile", "level3"}
 
 
-def _parse_method(entry: dict, index: int, seed: int):
-    """Return (name, kind, config) for one methods[] entry with `seed` applied."""
+def _parse_method(entry, index: int, seed: int):
+    """(name, kind, config) for one methods[] entry, run with `seed`.
+
+    Beyond the config dataclass's own fields an entry has `method` (the kind)
+    and `name`; a gpbt entry takes `c` (a number) or `dynamic_c` (an object),
+    and a pooled entry is a gpbt entry with history_mode fixed to pooled.
+    """
     context = f"methods[{index}]"
-    kind = _require(entry, "method", context)
-    name = entry.get("name", kind)
-    if kind in _METHOD_FIELDS:
-        unknown = set(entry) - _METHOD_FIELDS[kind]
-        if unknown:
-            raise ConfigError(f"{context}.{sorted(unknown)[0]}", "unknown field")
-    if kind in ("gpbt", "pooled"):
-        bad_es = set(entry.get("early_stop") or {}) - _EARLY_STOP_FIELDS
-        if bad_es:
-            raise ConfigError(f"{context}.early_stop.{sorted(bad_es)[0]}", "unknown field")
-        try:
-            if "dynamic_c" in entry:
-                d = entry["dynamic_c"] or {}
-                c: FixedC | DynamicC = DynamicC(
-                    initial_mean=float(d.get("initial_mean", 2.0)),
-                    initial_std=float(d.get("initial_std", 1.0)),
-                )
-            else:
-                c = FixedC(float(entry.get("c", 1.0)))
-            es = entry.get("early_stop", {}) or {}
-            config = RunConfig(
-                n=int(_require(entry, "n", context)),
-                t_max=int(_require(entry, "t_max", context)),
-                t_g=int(entry.get("t_g", 1)),
-                c=c,
-                searcher=_parse_searcher(entry.get("searcher", {"kind": "tpe"}), context),
-                history_mode="pooled" if kind == "pooled" else entry.get("history_mode", "sibling_only"),
-                early_stop=EarlyStopConfig(
-                    level1_threshold=es.get("level1_threshold"),
-                    level1_window=int(es.get("level1_window", 2)),
-                    level2_quantile=es.get("level2_quantile"),
-                    level3=bool(es.get("level3", False)),
-                ),
-                selection_temperature=entry.get("selection_temperature"),
-                seed=seed,
-                seed_gen0_history=bool(entry.get("seed_gen0_history", False)),
-            )
-        except ConfigError:
-            raise
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(context, str(exc)) from None
-        return name, kind, config
-    if kind == "pbt":
-        try:
-            config = PbtConfig(
-                n=int(_require(entry, "n", context)),
-                t_max=int(_require(entry, "t_max", context)),
-                t_g=int(entry.get("t_g", 1)),
-                truncation=float(entry.get("truncation", 0.25)),
-                resample_prob=float(entry.get("resample_prob", 0.25)),
-                seed=seed,
-            )
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(context, str(exc)) from None
-        return name, kind, config
-    if kind == "nonadaptive":
-        searcher = _parse_searcher(entry.get("searcher", {"kind": "random"}), context)
-        try:
-            trials = int(_require(entry, "trials", context))
-            t_total = int(_require(entry, "t_total", context))
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(context, str(exc)) from None
-        for field, value in (("trials", trials), ("t_total", t_total)):
-            if value < 1:
-                raise ConfigError(f"{context}.{field}", "must be >= 1")
-        return name, kind, {"searcher": searcher, "trials": trials, "t_total": t_total, "seed": seed}
-    raise ConfigError(f"{context}.method", f"unknown method {kind!r}")
+    if not isinstance(entry, dict):
+        raise ConfigError(context, f"expected an object, got {json.dumps(entry)}")
+    fields = dict(entry)
+    kind = fields.pop("method", None)
+    name = fields.pop("name", kind)
+    if kind is None:
+        raise ConfigError(f"{context}.method", "missing required field")
+    if not isinstance(kind, str) or kind not in _METHOD_CONFIGS:
+        raise ConfigError(f"{context}.method", f"unknown method {kind!r}")
+    if not isinstance(name, str) or not name:
+        raise ConfigError(f"{context}.name", "expected a non-empty string")
+    given = {"seed": seed}
+    if _METHOD_CONFIGS[kind] is RunConfig:
+        if "c" in fields and "dynamic_c" in fields:
+            raise ConfigError(f"{context}.c", "c and dynamic_c are exclusive")
+        if "dynamic_c" in fields:
+            given["c"] = build(DynamicC, fields.pop("dynamic_c"), f"{context}.dynamic_c")
+        elif "c" in fields:
+            given["c"] = build(FixedC, {"c": fields.pop("c")}, context)
+        if kind == "pooled":
+            given["history_mode"] = "pooled"
+    return name, kind, build(_METHOD_CONFIGS[kind], fields, context, **given)
 
 
 def _resolve_out(args, cfg: dict) -> Path:
@@ -223,32 +143,16 @@ def _atomic_write(path: Path, data: str):
     tmp.replace(path)
 
 
-def _run_cell(
-    kind: str, config, space: SearchSpace, trainer_spec: TrainerSpec, progress=None
-) -> RunResult:
+def _run_cell(config, space: SearchSpace, trainer_spec: TrainerSpec, progress=None) -> RunResult:
+    # Runners are looked up at call time, so wrapping the module globals works.
+    runner = {PbtConfig: run_pbt, NonadaptiveConfig: run_nonadaptive}.get(type(config), run)
     trainer = make_trainer(trainer_spec, space)
     try:
-        if kind in ("gpbt", "pooled"):
-            return run(config, space, trainer, progress=progress)
-        if kind == "pbt":
-            return run_pbt(config, space, trainer, progress=progress)
-        return run_nonadaptive(
-            config["searcher"], space, trainer,
-            trials=config["trials"], t_total=config["t_total"], seed=config["seed"],
-            progress=progress,
-        )
+        return runner(config, space, trainer, progress=progress)
     finally:
         close = getattr(trainer, "close", None)
         if close is not None:
             close()
-
-
-def _config_dict(kind: str, config) -> dict:
-    if kind in ("gpbt", "pooled"):
-        return config.as_dict()
-    if kind == "pbt":
-        return asdict(config)
-    return {**config, "searcher": asdict(config["searcher"])}
 
 
 def _curve_rows(name: str, seed: int, result: RunResult, deterministic: bool) -> list[dict]:
@@ -276,7 +180,7 @@ def _csv_text(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _write_cell(out: Path, name: str, seed: int, kind: str, config, result: RunResult,
+def _write_cell(out: Path, name: str, seed: int, config, result: RunResult,
                 cfg_echo: dict, deterministic: bool) -> list[dict]:
     cell = out / name / str(seed)
     cell.mkdir(parents=True, exist_ok=True)
@@ -284,7 +188,9 @@ def _write_cell(out: Path, name: str, seed: int, kind: str, config, result: RunR
         "method": name,
         "seed": seed,
         "config": cfg_echo,
-        "run_config": _config_dict(kind, config),
+        "run_config": (
+            config.as_dict() if isinstance(config, RunConfig) else dataclasses.asdict(config)
+        ),
         "best_agent": result.best_agent,
         "best_schedule": [list(hp) for hp in result.best_schedule],
         "final_best_val": result.final_best_val,
@@ -313,9 +219,9 @@ def cmd_run(args) -> int:
     echo = _echo_config(cfg)
 
     all_rows: list[dict] = []
-    for i, entry in enumerate(cfg["methods"]):
+    for name, _, method_config in cfg["_methods"]:
         for seed in seeds:
-            name, kind, config = _parse_method(entry, i, seed=seed)
+            config = dataclasses.replace(method_config, seed=seed)
             progress = None
             if args.verbose:
                 progress = lambda g, val, test, epochs: print(
@@ -323,10 +229,8 @@ def cmd_run(args) -> int:
                     f"(test {test:.6g}) after {epochs} epochs",
                     file=sys.stderr,
                 )
-            result = _run_cell(kind, config, space, trainer_spec, progress=progress)
-            all_rows.extend(
-                _write_cell(out, name, seed, kind, config, result, echo, args.deterministic)
-            )
+            result = _run_cell(config, space, trainer_spec, progress=progress)
+            all_rows.extend(_write_cell(out, name, seed, config, result, echo, args.deterministic))
     _atomic_write(out / "curves.csv", _csv_text(all_rows))
     print(f"wrote {len(cfg['methods']) * len(seeds)} runs under {out}")
     return 0
@@ -340,8 +244,7 @@ def _load_finals(out: Path, cfg: dict, seeds: list[int]):
     """Per-method final stats from the written cells; raises on missing ones."""
     missing = []
     per_method: dict[str, dict] = {}
-    for i, entry in enumerate(cfg["methods"]):
-        name = entry.get("name") or entry["method"]
+    for name, _, _ in cfg["_methods"]:
         finals_val, finals_test, epochs, transfers = [], [], [], []
         for seed in seeds:
             path = out / name / str(seed) / "result.json"
@@ -434,12 +337,7 @@ def cmd_sweep_c(args) -> int:
     seeds = [args.seed] if args.seed is not None else cfg["seeds"]
     echo = _echo_config(cfg)
 
-    template = None
-    template_index = 0
-    for i, entry in enumerate(cfg["methods"]):
-        if entry["method"] == "gpbt":
-            template, template_index = entry, i
-            break
+    template = next((config for _, kind, config in cfg["_methods"] if kind == "gpbt"), None)
     if template is None:
         raise ConfigError("methods", "sweep-c needs at least one gpbt method entry")
 
@@ -453,18 +351,14 @@ def cmd_sweep_c(args) -> int:
     all_rows: list[dict] = []
     ran = 0
     for c in values:
-        n = int(template["n"])
-        if not valid_c(n, c):
-            print(f"warning: c={c:g} invalid for n={n}, skipped", file=sys.stderr)
+        if not valid_c(template.n, c):
+            print(f"warning: c={c:g} invalid for n={template.n}, skipped", file=sys.stderr)
             continue
         name = f"c={c:g}"
         for seed in seeds:
-            _, _, config = _parse_method(template, template_index, seed=seed)
-            config = replace(config, c=FixedC(c))
-            result = _run_cell("gpbt", config, space, trainer_spec)
-            all_rows.extend(
-                _write_cell(out, name, seed, "gpbt", config, result, echo, args.deterministic)
-            )
+            config = dataclasses.replace(template, c=FixedC(c), seed=seed)
+            result = _run_cell(config, space, trainer_spec)
+            all_rows.extend(_write_cell(out, name, seed, config, result, echo, args.deterministic))
             ran += 1
     _atomic_write(out / "curves.csv", _csv_text(all_rows))
     print(f"sweep complete: {ran} runs under {out}")
@@ -526,6 +420,13 @@ def cmd_emit_plot_data(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError("must be >= 0")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gpbt", description="Genealogical population-based training experiments"
@@ -534,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute every (method, seed) cell of a config")
     p_run.add_argument("config")
-    p_run.add_argument("--seed", type=int, default=None, help="override config seeds with one seed")
+    p_run.add_argument("--seed", type=_seed, default=None, help="override config seeds with one seed")
     p_run.add_argument("--deterministic", action="store_true",
                        help="zero wall-clock fields so reruns are byte-identical")
     p_run.add_argument("--verbose", action="store_true", help="log per-generation progress")
@@ -549,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep-c", help="fixed-c sweep over the first gpbt method entry")
     p_sweep.add_argument("config")
     p_sweep.add_argument("--values", required=True, help="comma-separated c values")
-    p_sweep.add_argument("--seed", type=int, default=None)
+    p_sweep.add_argument("--seed", type=_seed, default=None)
     p_sweep.add_argument("--deterministic", action="store_true")
     p_sweep.add_argument("--out", default=None)
     p_sweep.set_defaults(fn=cmd_sweep_c)

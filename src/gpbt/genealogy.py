@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .searchers import Observation
 from .space import HpVector
@@ -31,7 +31,7 @@ class GenealogyTree:
         self._records: list[AgentRecord] = []
         self._observations: list[Observation] = []  # one per record, same index
         self._children: dict[int | None, list[int]] = {}  # parent (None = root) -> ids
-        self._selected: dict[int, tuple[int, ...]] = {}  # generation -> parent ids
+        self._generations: dict[int, list[AgentRecord]] = {}  # generation -> records
 
     def __len__(self) -> int:
         return len(self._records)
@@ -45,21 +45,9 @@ class GenealogyTree:
             raise KeyError(f"unknown agent id {agent_id}")
         return self._records[agent_id]
 
-    def set_parents(self, generation: int, parent_ids: Sequence[int]) -> None:
-        """Register the parents selected for `generation` (rank order preserved)."""
-        if generation < 1:
-            raise ValueError("generation 0 has no selected parents")
-        for pid in parent_ids:
-            rec = self.get(pid)
-            if rec.generation != generation - 1:
-                raise ValueError(
-                    f"agent {pid} has generation {rec.generation}, "
-                    f"cannot parent generation {generation}"
-                )
-        self._selected[generation] = tuple(parent_ids)
-
     def parents_of(self, generation: int) -> tuple[int, ...]:
-        return self._selected.get(generation, ())
+        """The distinct parents of the generation's records, in id order."""
+        return tuple(sorted({r.parent for r in self.generation_records(generation)} - {None}))
 
     def record_child(
         self,
@@ -81,26 +69,24 @@ class GenealogyTree:
                     f"parent {parent} (generation {rec.generation}) cannot have a "
                     f"generation-{generation} child"
                 )
-            if parent not in self._selected.get(generation, ()):
-                raise ValueError(f"agent {parent} was not selected for generation {generation}")
         if epochs_trained < 1:
             raise ValueError("epochs_trained must be >= 1")
         observation = Observation(tuple(hp), float(val_loss))  # rejects a non-finite loss
         new_id = len(self._records)
         self._observations.append(observation)
         self._children.setdefault(parent, []).append(new_id)
-        self._records.append(
-            AgentRecord(
-                id=new_id,
-                parent=parent,
-                generation=generation,
-                hp=observation.hp,
-                val_loss=observation.loss,
-                test_loss=float(test_loss),
-                epochs_trained=int(epochs_trained),
-                early_stopped=bool(early_stopped),
-            )
+        record = AgentRecord(
+            id=new_id,
+            parent=parent,
+            generation=generation,
+            hp=observation.hp,
+            val_loss=observation.loss,
+            test_loss=float(test_loss),
+            epochs_trained=int(epochs_trained),
+            early_stopped=bool(early_stopped),
         )
+        self._records.append(record)
+        self._generations.setdefault(generation, []).append(record)
         return new_id
 
     def ancestry(self, agent_id: int) -> list[int]:
@@ -146,13 +132,13 @@ class GenealogyTree:
 
     def best_agent(self, generation: int) -> int:
         """Lowest val_loss in a generation; ties go to the lower id."""
-        candidates = [r for r in self._records if r.generation == generation]
+        candidates = self._generations.get(generation)
         if not candidates:
             raise ValueError(f"no records for generation {generation}")
         return min(candidates, key=lambda r: (r.val_loss, r.id)).id
 
     def generation_records(self, generation: int) -> list[AgentRecord]:
-        return [r for r in self._records if r.generation == generation]
+        return list(self._generations.get(generation, ()))
 
     # -- persistence (newline-delimited JSON, one record per line) ----------
 
@@ -172,23 +158,12 @@ class GenealogyTree:
         with open(path, encoding="utf-8") as fh:
             records = [json.loads(line) for line in fh if line.strip()]
         records.sort(key=lambda r: r["id"])
-        # Selected-parent lists are reconstructed from the child records;
-        # histories do not depend on selection order, only on membership.
-        by_generation: dict[int, list[int]] = {}
         for rec in records:
-            if rec["parent"] is not None:
-                parents = by_generation.setdefault(rec["generation"], [])
-                if rec["parent"] not in parents:
-                    parents.append(rec["parent"])
-        for rec in records:
-            gen = rec["generation"]
-            if gen >= 1 and gen not in tree._selected:
-                tree._selected[gen] = tuple(by_generation.get(gen, ()))
             if rec["id"] != len(tree._records):
                 raise ValueError(f"non-contiguous record id {rec['id']}")
             tree.record_child(
                 parent=rec["parent"],
-                generation=gen,
+                generation=rec["generation"],
                 hp=tuple(rec["hp"]),
                 val_loss=rec["val_loss"],
                 test_loss=rec["test_loss"],

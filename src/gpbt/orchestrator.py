@@ -61,17 +61,27 @@ class FixedC:
     c: float = 1.0
 
 
+# Dynamic-c std update: halve it when the winner lands within NEAR stds of
+# the mean, double it beyond FAR stds, and keep it at least STD_MIN.
+DYNAMIC_C_NEAR = 0.3
+DYNAMIC_C_FAR = 1.5
+DYNAMIC_C_STD_MIN = 0.05
+
+
 @dataclass(frozen=True)
 class DynamicC:
     """Gaussian controller for c: mean follows the winning half's c; the std is
     halved when the winner lands near the mean and doubled when it lands far
-    outside (fractions of the current std, overridable)."""
+    outside."""
 
     initial_mean: float = 2.0
     initial_std: float = 1.0
-    near_fraction: float = 0.3
-    far_fraction: float = 1.5
-    std_min: float = 0.05
+
+    def __post_init__(self):
+        if self.initial_mean <= 0:
+            raise ValueError("initial_mean must be positive")
+        if self.initial_std <= 0:
+            raise ValueError("initial_std must be positive")
 
 
 @dataclass(frozen=True)
@@ -81,12 +91,20 @@ class EarlyStopConfig:
     level2_quantile: float | None = None  # generation halt: satisfaction quantile
     level3: bool = False  # per-child median gate after one iteration
 
+    def __post_init__(self):
+        if self.level1_threshold is not None and self.level1_threshold <= 0:
+            raise ValueError("level1_threshold must be positive")
+        if self.level1_window < 1:
+            raise ValueError("level1_window must be >= 1")
+        if self.level2_quantile is not None and not 0.0 <= self.level2_quantile <= 1.0:
+            raise ValueError("level2_quantile must be in [0, 1]")
+
 
 @dataclass(frozen=True)
 class RunConfig:
     n: int
     t_max: int
-    searcher: SearcherConfig
+    searcher: SearcherConfig = SearcherConfig()
     t_g: int = 1
     c: FixedC | DynamicC = FixedC(1.0)
     history_mode: str = "sibling_only"
@@ -110,20 +128,10 @@ class RunConfig:
         if isinstance(self.c, FixedC):
             if not valid_c(self.n, self.c.c):
                 raise ValueError(f"c={self.c.c} is not usable with n={self.n}")
-        else:
-            if self.n < 2:
-                raise ValueError("dynamic c needs n >= 2")
-            if self.c.initial_mean <= 0 or self.c.initial_std <= 0:
-                raise ValueError("dynamic c needs positive initial_mean and initial_std")
+        elif self.n < 2:
+            raise ValueError("dynamic c needs n >= 2")
         if self.selection_temperature is not None and self.selection_temperature <= 0:
             raise ValueError("selection_temperature must be positive")
-        es = self.early_stop
-        if es.level1_threshold is not None and es.level1_threshold <= 0:
-            raise ValueError("level1_threshold must be positive")
-        if es.level1_window < 1:
-            raise ValueError("level1_window must be >= 1")
-        if es.level2_quantile is not None and not 0.0 <= es.level2_quantile <= 1.0:
-            raise ValueError("level2_quantile must be in [0, 1]")
 
     def as_dict(self) -> dict:
         d = asdict(self)
@@ -246,18 +254,16 @@ def sample_dynamic_c(
     return c_a, c_b
 
 
-def update_dynamic_c(
-    state: DynamicCState, winner: float, cfg: DynamicC, n: int
-) -> DynamicCState:
+def update_dynamic_c(state: DynamicCState, winner: float, n: int) -> DynamicCState:
     """Move the mean to the winning c; halve the std if the winner was near the
-    old mean, double it if far outside, clamped to [std_min, n]."""
+    old mean, double it if far outside, clamped to [DYNAMIC_C_STD_MIN, n]."""
     deviation = abs(winner - state.mean)
     std = state.std
-    if deviation < cfg.near_fraction * std:
+    if deviation < DYNAMIC_C_NEAR * std:
         std = std / 2.0
-    elif deviation > cfg.far_fraction * std:
+    elif deviation > DYNAMIC_C_FAR * std:
         std = std * 2.0
-    std = float(min(max(std, cfg.std_min), n))
+    std = float(min(max(std, DYNAMIC_C_STD_MIN), n))
     return DynamicCState(mean=winner, std=std)
 
 
@@ -348,15 +354,16 @@ def _train_child(
 ):
     """One child's training: with a level-3 ledger of this generation's
     first-iteration losses, early-evaluate after one iteration and stop if
-    the median gate says so; otherwise train through."""
-    state = trainer.step(state, hp_named)
-    if early is not None:
+    the median gate says so; otherwise train through in one trainer call."""
+    if early is None:
+        state = trainer.step_many(state, hp_named, t_g)
+    else:
+        state = trainer.step(state, hp_named)
         val, test = trainer.evaluate(state)
         stop = median_gate(early, val)
         early.append(val)
         if stop:
             return state, val, test, 1, True
-    if t_g > 1:
         state = trainer.step_many(state, hp_named, t_g - 1)
     val, test = trainer.evaluate(state)
     return state, val, test, t_g, False
@@ -432,14 +439,6 @@ def run(
                 )
                 groups.append((label, n_half, ranked))
 
-        parents_union: list[int] = []
-        for _, _, ranked in groups:
-            for pid in ranked:
-                if pid not in parents_union:
-                    parents_union.append(pid)
-        tree.set_parents(t, parents_union)
-        ledger.append(len(parents_union))
-
         # Child slots in evaluation order: group by group, best parent first
         # (weaker parents' children then face a low level-3 median), each
         # parent's children in creation order. A level-2 halt ends them all.
@@ -472,7 +471,7 @@ def run(
             best_a = group_best.get("a", math.inf)
             best_b = group_best.get("b", math.inf)
             winner = c_a if best_a <= best_b else c_b
-            dyn_state = update_dynamic_c(dyn_state, winner, dyn_cfg, config.n)
+            dyn_state = update_dynamic_c(dyn_state, winner, config.n)
             dyn_trace.append(
                 {
                     "generation": t,
@@ -487,6 +486,7 @@ def run(
         for pid in prev_ids:
             states.pop(pid, None)
         prev_ids = recorded
+        ledger.append(len(tree.parents_of(t)))  # the parent states actually forked
         tally.end(t)
 
     return tally.result(ledger, dyn_trace)

@@ -55,7 +55,6 @@ History = Sequence[Observation]
 @dataclass(frozen=True)
 class SearcherConfig:
     kind: str = "tpe"
-    seed: int = 0
     gamma: float = 0.25   # tpe: fraction of history routed to the good density
     pool: int = 24        # tpe: candidates drawn from the good density
     startup: int = 4      # tpe: observations required before modelling
@@ -64,7 +63,7 @@ class SearcherConfig:
 
     def __post_init__(self):
         if self.kind not in SEARCHER_KINDS:
-            raise ValueError(f"unknown searcher kind {self.kind!r}")
+            raise ValueError(f"kind must be one of {', '.join(SEARCHER_KINDS)}, not {self.kind!r}")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("gamma must be in (0, 1]")
         if self.pool < 1:
@@ -75,14 +74,6 @@ class SearcherConfig:
             raise ValueError("window must be >= 1")
         if not 0.0 < self.beta_delta < 1.0:
             raise ValueError("beta_delta must be in (0, 1)")
-
-    @classmethod
-    def from_config(cls, entry: dict) -> "SearcherConfig":
-        known = {"kind", "seed", "gamma", "pool", "startup", "window", "beta_delta"}
-        unknown = set(entry) - known
-        if unknown:
-            raise ValueError(f"unknown searcher fields: {sorted(unknown)}")
-        return cls(**entry)
 
 
 def _check_history(space: SearchSpace, history: History) -> None:

@@ -13,6 +13,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .config import ConfigError, typed_value
+
 HpVector = tuple[float, ...]
 
 SCALES = ("linear", "log", "reverse-log")
@@ -142,19 +144,16 @@ class SearchSpace:
         return [d.as_dict() for d in self.dims]
 
     @classmethod
-    def from_config(cls, entries: Sequence[dict]) -> "SearchSpace":
-        """Build from the run-config declaration: [{name, lower, upper, scale}, ...]."""
-        dims = []
-        for e in entries:
-            dims.append(
-                Dimension(
-                    name=e["name"],
-                    lower=float(e["lower"]),
-                    upper=float(e["upper"]),
-                    scale=e.get("scale", "linear"),
-                )
-            )
-        return cls(dims)
+    def from_config(cls, entries: list[dict]) -> "SearchSpace":
+        """Build from the run-config declaration: [{name, lower, upper, scale}, ...].
+
+        Raises ConfigError (a ValueError) naming the entry or field at fault.
+        """
+        dims = typed_value(list[Dimension], entries, "space")
+        try:
+            return cls(dims)
+        except ValueError as exc:
+            raise ConfigError("space", str(exc)) from None
 
     def __repr__(self):
         parts = ", ".join(f"{d.name}[{d.lower}, {d.upper}]({d.scale})" for d in self.dims)

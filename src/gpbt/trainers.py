@@ -47,13 +47,15 @@ class TrainerSpec:
 
     def __post_init__(self):
         if self.kind not in TRAINER_KINDS:
-            raise ValueError(f"unknown trainer kind {self.kind!r}")
+            raise ValueError(f"kind must be one of {', '.join(TRAINER_KINDS)}, not {self.kind!r}")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         if self.curvatures is not None and len(self.curvatures) != self.dim:
             raise ValueError("curvatures length must equal dim")
         if self.noise < 0:
             raise ValueError("noise must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.kind == "external" and not self.command:
             raise ValueError("external trainer needs a command")
 
@@ -62,15 +64,6 @@ class TrainerSpec:
         if self.curvatures is None:
             return np.ones(self.dim)
         return np.asarray(self.curvatures, dtype=float)
-
-    @classmethod
-    def from_config(cls, entry: dict) -> "TrainerSpec":
-        entry = dict(entry)
-        if "curvatures" in entry and entry["curvatures"] is not None:
-            entry["curvatures"] = tuple(float(x) for x in entry["curvatures"])
-        if "command" in entry:
-            entry["command"] = tuple(entry["command"])
-        return cls(**entry)
 
 
 class Trainer(Protocol):

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gpbt.baselines import PbtConfig, run_nonadaptive, run_pbt
+from gpbt.baselines import NonadaptiveConfig, PbtConfig, run_nonadaptive, run_pbt
 from gpbt.orchestrator import (
     DynamicC,
     DynamicCState,
@@ -121,13 +121,13 @@ def test_criterion_3_nonadaptive_reduction():
     spec = TrainerSpec(kind="noisy_quadratic", dim=3, curvatures=(2.0, 1.0, 0.5), noise=0.1)
     ok = True
     for kind in ("random", "tpe", "cma", "gp_ucb"):
-        scfg = SearcherConfig(kind=kind, seed=0)
+        scfg = SearcherConfig(kind=kind)
         trainer = make_trainer(spec)
         g = run(
             RunConfig(n=12, t_max=1, t_g=2, c=FixedC(1.0), searcher=scfg, seed=0),
             space, trainer,
         )
-        b = run_nonadaptive(scfg, space, trainer, trials=12, t_total=2)
+        b = run_nonadaptive(NonadaptiveConfig(trials=12, t_total=2, searcher=scfg), space, trainer)
         ok &= [r.hp for r in g.tree.records] == [r.hp for r in b.tree.records]
     report(3, "t_max=1 reduces to the bare searcher loop (bit-identical)", ok)
 
@@ -187,7 +187,7 @@ def test_criterion_5_adaptive_beats_constant():
         )
         gpbt_losses.append(final_schedule_replay(result, space, spec, t_g))
         rs = run_nonadaptive(
-            SearcherConfig(kind="random", seed=seed), space, trainer, trials=16, t_total=horizon
+            NonadaptiveConfig(trials=16, t_total=horizon, seed=seed), space, trainer
         )
         constant = space.to_dict(rs.best_schedule[0])["lr"]
         rs_losses.append(expected_final_loss(spec, [constant] * horizon))
@@ -281,12 +281,11 @@ def test_criterion_8_transfer_ledger():
 
 def test_criterion_9_dynamic_c():
     # exact std update unit cases
-    cfg = DynamicC()
     s = DynamicCState(mean=2.0, std=1.0)
     ok_units = (
-        update_dynamic_c(s, 2.0, cfg, 16) == DynamicCState(2.0, 0.5)
-        and update_dynamic_c(s, 2.1, cfg, 16) == DynamicCState(2.1, 0.5)
-        and update_dynamic_c(s, 4.0, cfg, 16) == DynamicCState(4.0, 2.0)
+        update_dynamic_c(s, 2.0, 16) == DynamicCState(2.0, 0.5)
+        and update_dynamic_c(s, 2.1, 16) == DynamicCState(2.1, 0.5)
+        and update_dynamic_c(s, 4.0, 16) == DynamicCState(4.0, 2.0)
     )
 
     spec = TrainerSpec(kind="noisy_quadratic", dim=4, curvatures=(1.2, 1.0, 0.8, 0.6), noise=0.12)

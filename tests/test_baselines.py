@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gpbt.baselines import PbtConfig, run_nonadaptive, run_pbt
+from gpbt.baselines import NonadaptiveConfig, PbtConfig, run_nonadaptive, run_pbt
 from gpbt.orchestrator import FixedC, RunConfig, run
 from gpbt.searchers import SearcherConfig
 from gpbt.space import Dimension, SearchSpace
@@ -84,37 +84,32 @@ class TestPbt:
 
 class TestNonadaptive:
     def test_single_trial(self):
-        result = run_nonadaptive(
-            SearcherConfig(kind="random", seed=0), space(), trainer(), trials=1, t_total=4
-        )
+        result = run_nonadaptive(NonadaptiveConfig(trials=1, t_total=4), space(), trainer())
         assert len(result.tree.records) == 1
         assert result.total_epochs == 4
 
     def test_equal_budget_construction(self):
-        result = run_nonadaptive(
-            SearcherConfig(kind="random", seed=0), space(), trainer(), trials=12, t_total=10
-        )
+        result = run_nonadaptive(NonadaptiveConfig(trials=12, t_total=10), space(), trainer())
         assert result.total_epochs == 120
         assert [p.epochs_consumed for p in result.curves] == [10 * (k + 1) for k in range(12)]
 
     def test_noiseless_finds_analytic_optimum(self):
         # sigma=0, h=1: loss after t steps is (1-r)^(2t), argmin at the upper bound
         t = make_trainer(TrainerSpec(kind="noisy_quadratic", dim=2, curvatures=(1.0, 1.0), noise=0.0))
-        result = run_nonadaptive(
-            SearcherConfig(kind="random", seed=0), space(), t, trials=200, t_total=5
-        )
+        result = run_nonadaptive(NonadaptiveConfig(trials=200, t_total=5), space(), t)
         assert result.best_schedule[0][0] == pytest.approx(1.0, abs=0.02)
 
     def test_best_seen_curve_non_increasing(self):
-        result = run_nonadaptive(
-            SearcherConfig(kind="tpe", seed=2), space(), trainer(noise=0.3), trials=30, t_total=3
-        )
+        config = NonadaptiveConfig(trials=30, t_total=3, searcher=SearcherConfig(kind="tpe"), seed=2)
+        result = run_nonadaptive(config, space(), trainer(noise=0.3))
         vals = [p.best_seen_val for p in result.curves]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            run_nonadaptive(SearcherConfig(), space(), trainer(), trials=0, t_total=1)
+            NonadaptiveConfig(trials=0, t_total=1)
+        with pytest.raises(ValueError):
+            NonadaptiveConfig(trials=1, t_total=0)
 
 
 class TestPooledAblation:

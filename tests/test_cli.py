@@ -171,6 +171,58 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and named in err
 
+    @pytest.mark.parametrize(
+        "section,fields,named",
+        [
+            ("method", {"searcher": {"kind": "tpe", "pool": 2.5}}, "methods[0].searcher.pool"),
+            ("method", {"searcher": {"kind": "cma", "window": 4.5}}, "methods[0].searcher.window"),
+            ("trainer", {"dim": 2.5, "curvatures": None}, "trainer.dim"),
+            ("method", {"early_stop": {"level3": "false"}}, "methods[0].early_stop.level3"),
+            ("method", {"n": 6.9}, "methods[0].n"),
+            ("method", {"c": None, "dynamic_c": {"initial_mena": 3}},
+             "methods[0].dynamic_c.initial_mena"),
+            ("method", {"dynamic_c": {"initial_mean": 2.0}}, "methods[0].c"),
+            ("method", {"c": 10**400}, "methods[0].c"),
+        ],
+        ids=["pool", "window", "dim", "level3", "n", "dynamic_c_typo", "c_and_dynamic_c",
+             "c_overflows_float"],
+    )
+    def test_mistyped_field_exits_2(self, tmp_path, capsys, section, fields, named):
+        # A None value removes the field.
+        path = tmp_path / "bad.json"
+        cfg = json.loads(tiny_config(tmp_path).read_text())
+        entry = cfg["trainer"] if section == "trainer" else cfg["methods"][0]
+        entry.update(fields)
+        for key in [k for k, v in fields.items() if v is None]:
+            del entry[key]
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--deterministic", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err
+
+    @pytest.mark.parametrize("kind", ["directory", "huge_integer", "not_utf8"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, kind):
+        path = tmp_path / "cfg"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "huge_integer":
+            path.write_text('{"seeds": [' + "1" * 5000 + "]}")
+        else:
+            path.write_bytes(b'{"name": "\xff"}')
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("config error: config:")
+
+    def test_selection_temperature_parses(self, tmp_path):
+        from gpbt.cli import load_config
+
+        cfg = json.loads(tiny_config(tmp_path).read_text())
+        cfg["methods"][0]["selection_temperature"] = 0.5
+        path = tmp_path / "boltzmann.json"
+        path.write_text(json.dumps(cfg))
+        name, _, config = load_config(str(path))["_methods"][0]
+        assert name == "gpbt_tpe" and config.selection_temperature == 0.5
+        assert main(["run", str(path), "--deterministic", "--out", str(tmp_path / "o")]) == 0
+
     def test_trainer_failure_exits_3(self, tmp_path):
         cfg = tiny_config(
             tmp_path,

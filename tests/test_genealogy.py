@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+from gpbt.baselines import PbtConfig, run_pbt
 from gpbt.genealogy import GenealogyTree
-from gpbt.searchers import Observation
+from gpbt.orchestrator import EarlyStopConfig, FixedC, RunConfig, run
+from gpbt.searchers import Observation, SearcherConfig
+from gpbt.space import Dimension, SearchSpace
+from gpbt.trainers import TrainerSpec, make_trainer
 
 
 def record(tree, parent, generation, hp=(0.5,), val=1.0, test=1.1, epochs=1, stopped=False):
@@ -22,7 +26,6 @@ def build_two_by_two(generations=3, n=4):
     prev = list(range(n))
     for g in range(1, generations):
         parents = sorted(prev, key=lambda i: (tree.get(i).val_loss, i))[:2]
-        tree.set_parents(g, parents)
         new = []
         for p in parents:
             for j in range(2):
@@ -46,20 +49,22 @@ class TestRecordChild:
     def test_selected_parent_accepted(self):
         tree = build_two_by_two(2)
         parents = tree.parents_of(1)
+        assert parents == (0, 1)
         assert all(tree.get(c).parent in parents for c in range(4, 8))
 
-    def test_unselected_parent_rejected(self):
-        tree = GenealogyTree()
-        for k in range(4):
-            record(tree, None, 0, val=float(k))
-        tree.set_parents(1, [0, 1])
-        with pytest.raises(ValueError):
-            record(tree, 3, 1)
+    def test_parents_of_derived_from_records(self):
+        tree = generation_zero(4)
+        assert tree.parents_of(0) == () and tree.parents_of(1) == ()
+        for parent in (2, 0, 2):
+            record(tree, parent, 1)
+        assert tree.parents_of(1) == (0, 2)  # distinct, in id order
+        assert tree.parents_of(2) == ()
 
     def test_generation_mismatch_rejected(self):
         tree = build_two_by_two(2)
         with pytest.raises(ValueError):
-            tree.set_parents(2, [0])  # generation-0 agent cannot parent generation 2
+            record(tree, 0, 2)  # a generation-0 agent cannot parent generation 2
+        assert len(tree) == 8 and tree.parents_of(2) == ()
 
     def test_nonzero_generation_needs_parent(self):
         tree = GenealogyTree()
@@ -89,9 +94,7 @@ class TestAncestry:
         record(tree, None, 0, val=0.0)  # id 0
         for k in range(5):
             record(tree, None, 0, val=float(k + 1))
-        tree.set_parents(1, [0])
         record(tree, 0, 1)  # id 6
-        tree.set_parents(2, [6])
         cid = record(tree, 6, 2)
         assert tree.ancestry(cid) == [0, 6, cid]
 
@@ -106,7 +109,6 @@ class TestAncestry:
 class TestLineageHistory:
     def test_sibling_only_sees_own_children_so_far(self):
         tree = generation_zero()
-        tree.set_parents(1, [0, 1])
         assert tree.lineage_history(0, "sibling_only", False) == []
         a = record(tree, 0, 1, hp=(0.9,), val=0.5)
         assert tree.lineage_history(0, "sibling_only", False) == observations(tree, [a])
@@ -117,7 +119,6 @@ class TestLineageHistory:
 
     def test_sibling_only_roots_prepends_generation_zero(self):
         tree = generation_zero()
-        tree.set_parents(1, [0, 1])
         a = record(tree, 0, 1, hp=(0.9,), val=0.5)
         record(tree, 1, 1, hp=(0.8,), val=0.4)
         hist = tree.lineage_history(0, "sibling_only", True)
@@ -131,7 +132,6 @@ class TestLineageHistory:
     def test_time_enriched_generation_one(self):
         # n=4 generation-0 children, then 1 evaluated sibling -> 5 observations
         tree = generation_zero()
-        tree.set_parents(1, [0, 1])
         assert tree.lineage_history(0, "time_enriched", False) == observations(tree, range(4))
         a = record(tree, 0, 1, hp=(0.7,), val=0.3)
         hist = tree.lineage_history(0, "time_enriched", False)
@@ -143,7 +143,6 @@ class TestLineageHistory:
         # 2 parents x 2 children: at generation 2, before any sibling,
         # the lineage sees 4 gen-0 children + the 2 children of its gen-1 ancestor.
         tree = build_two_by_two(2)  # generation 1: ids 4, 5 under 0; ids 6, 7 under 1
-        tree.set_parents(2, [4, 6])
         hist = tree.lineage_history(4, "time_enriched", False)
         assert hist == observations(tree, [0, 1, 2, 3, 4, 5])
         record(tree, 4, 2, hp=(0.01,), val=0.5)
@@ -222,6 +221,33 @@ class TestSerialization:
                 assert loaded.lineage_history(
                     parent, "time_enriched", False
                 ) == tree.lineage_history(parent, "time_enriched", False)
+
+    def test_level2_run_parents_survive_round_trip(self, tmp_path):
+        # A level-2 halt leaves selected parents without children; the ledger
+        # counts only the parents forked, which the file reproduces.
+        space = SearchSpace([Dimension("lr", 0.01, 1.0, "log")])
+        trainer = make_trainer(TrainerSpec(dim=3, curvatures=(2.0, 1.0, 0.5), noise=0.1))
+        config = RunConfig(
+            n=16, t_max=4, c=FixedC(1.0), searcher=SearcherConfig(kind="random"),
+            early_stop=EarlyStopConfig(level2_quantile=0.5), seed=19,
+        )
+        result = run(config, space, trainer)
+        assert min(result.transfer_ledger[1:]) < 4  # some generation was cut short
+        result.tree.dump(tmp_path / "tree.ndjson")
+        loaded = GenealogyTree.load(tmp_path / "tree.ndjson")
+        for g in range(1, 4):
+            assert loaded.parents_of(g) == result.tree.parents_of(g)
+            assert result.transfer_ledger[g] == len(loaded.parents_of(g))
+
+    def test_pbt_parents_survive_round_trip(self, tmp_path):
+        space = SearchSpace([Dimension("lr", 0.01, 1.0, "log")])
+        trainer = make_trainer(TrainerSpec(dim=3, noise=0.1))
+        result = run_pbt(PbtConfig(n=8, t_max=3, seed=0), space, trainer)
+        result.tree.dump(tmp_path / "tree.ndjson")
+        loaded = GenealogyTree.load(tmp_path / "tree.ndjson")
+        for g in (1, 2):
+            parents = {r.parent for r in result.tree.generation_records(g)}
+            assert result.tree.parents_of(g) == loaded.parents_of(g) == tuple(sorted(parents))
 
     def test_lines_are_json_objects(self):
         import json

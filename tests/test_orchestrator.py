@@ -112,6 +112,25 @@ class TestSelectParents:
             agree += picked == expected
         assert agree >= 99
 
+    @pytest.mark.parametrize("p", [1, 2, 4, 5, 8])
+    def test_boltzmann_returns_distinct_ids(self, p):
+        results = [(10 + i, l) for i, l in enumerate([0.3, 0.1, 0.2, 0.4, 0.25])]
+        picked = select_parents(results, p, 0.5, np.random.default_rng(p))
+        assert len(picked) == len(set(picked)) == min(p, len(results))
+        assert set(picked) <= {i for i, _ in results}
+
+    def test_boltzmann_reproducible_for_seed(self):
+        results = [(i, float(l)) for i, l in enumerate(np.random.default_rng(1).random(10))]
+        draws = [select_parents(results, 3, 0.5, np.random.default_rng(7)) for _ in range(2)]
+        assert draws[0] == draws[1]
+        others = {tuple(select_parents(results, 3, 0.5, np.random.default_rng(s))) for s in range(20)}
+        assert len(others) > 1  # the draw depends on the rng
+
+    def test_boltzmann_tiny_temperature_picks_argmin(self):
+        results = [(0, 0.3), (1, 0.1), (2, 0.2), (3, 0.4)]
+        for seed in range(20):
+            assert select_parents(results, 1, 1e-6, np.random.default_rng(seed)) == [1]
+
     def test_scale_invariance_of_truncation(self):
         rng = np.random.default_rng(3)
         losses = rng.random(12)
@@ -181,30 +200,30 @@ class TestLevel3Schedule:
 class TestDynamicCOps:
     def test_equal_samples_keep_mean_and_halve_std(self):
         state = DynamicCState(mean=2.0, std=1.0)
-        new = update_dynamic_c(state, 2.0, DynamicC(), n=16)
+        new = update_dynamic_c(state, 2.0, n=16)
         assert new.mean == 2.0 and new.std == 0.5
 
     def test_near_winner_halves_std(self):
         state = DynamicCState(mean=2.0, std=1.0)
-        new = update_dynamic_c(state, 2.1, DynamicC(), n=16)
+        new = update_dynamic_c(state, 2.1, n=16)
         assert new.mean == pytest.approx(2.1) and new.std == 0.5
 
     def test_far_winner_doubles_std(self):
         state = DynamicCState(mean=2.0, std=1.0)
-        new = update_dynamic_c(state, 4.0, DynamicC(), n=16)
+        new = update_dynamic_c(state, 4.0, n=16)
         assert new.mean == pytest.approx(4.0) and new.std == 2.0
 
     def test_intermediate_winner_keeps_std(self):
         state = DynamicCState(mean=2.0, std=1.0)
-        new = update_dynamic_c(state, 3.0, DynamicC(), n=16)
+        new = update_dynamic_c(state, 3.0, n=16)
         assert new.std == 1.0
 
     def test_std_clamped(self):
         state = DynamicCState(mean=2.0, std=0.08)
-        new = update_dynamic_c(state, 2.0, DynamicC(), n=16)
+        new = update_dynamic_c(state, 2.0, n=16)
         assert new.std == 0.05
         state = DynamicCState(mean=2.0, std=10.0)
-        new = update_dynamic_c(state, 2.0 + 100.0, DynamicC(), n=16)
+        new = update_dynamic_c(state, 2.0 + 100.0, n=16)
         assert new.std == 16
 
     def test_samples_clamped_into_plannable_range(self):
@@ -280,7 +299,7 @@ class TestRun:
         for g in range(1, 4):
             prev = tree.generation_records(g - 1)
             expected = sorted(prev, key=lambda r: (r.val_loss, r.id))[:2]
-            assert list(tree.parents_of(g)) == [r.id for r in expected]
+            assert list(tree.parents_of(g)) == sorted(r.id for r in expected)
 
     def test_progress_callback(self):
         seen = []
@@ -468,7 +487,7 @@ class TestTally:
     )
     @settings(max_examples=25, deadline=None)
     def test_epochs_curves_and_ledger(self, method, n, c, t_max, t_g, level2, level3, mode, seed):
-        from gpbt.baselines import PbtConfig, run_nonadaptive, run_pbt
+        from gpbt.baselines import NonadaptiveConfig, PbtConfig, run_nonadaptive, run_pbt
 
         if method == "gpbt":
             assume(valid_c(n, c))
@@ -481,10 +500,10 @@ class TestTally:
             config = PbtConfig(n=n, t_max=t_max, t_g=t_g, seed=seed)
             result = run_pbt(config, small_space(), small_trainer())
         else:
-            result = run_nonadaptive(
-                SearcherConfig(kind="tpe"), small_space(), small_trainer(),
-                trials=n, t_total=t_g, seed=seed,
+            config = NonadaptiveConfig(
+                trials=n, t_total=t_g, searcher=SearcherConfig(kind="tpe"), seed=seed
             )
+            result = run_nonadaptive(config, small_space(), small_trainer())
         records = result.tree.records
         assert result.total_epochs == sum(r.epochs_trained for r in records)
         assert result.total_epochs == result.curves[-1].epochs_consumed
@@ -496,13 +515,33 @@ class TestTally:
                 assert result.transfer_ledger[t] == len(result.tree.parents_of(t))
 
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_boltzmann_run_keeps_invariants(self, seed):
+        config = small_config(
+            n=12, t_max=5, t_g=3, c=FixedC(0.5), selection_temperature=0.5, seed=seed,
+            early_stop=EarlyStopConfig(level3=True),
+        )
+        result = run(config, small_space(), small_trainer())
+        tree = result.tree
+        assert result.total_epochs == sum(r.epochs_trained for r in tree.records)
+        assert result.transfer_ledger[0] == 1
+        for t in range(1, 5):
+            parents = tree.parents_of(t)
+            assert result.transfer_ledger[t] == len(parents) == plan_generation(12, 0.5).parents
+            assert all(tree.get(p).generation == t - 1 for p in parents)
+        again = run(config, small_space(), small_trainer())
+        assert [r.hp for r in again.tree.records] == [r.hp for r in tree.records]
+
+
 class TestReduction:
     @pytest.mark.parametrize("kind", ["random", "tpe", "cma", "gp_ucb"])
     def test_tmax_one_matches_bare_searcher_loop(self, kind):
-        from gpbt.baselines import run_nonadaptive
+        from gpbt.baselines import NonadaptiveConfig, run_nonadaptive
 
-        scfg = SearcherConfig(kind=kind, seed=0)
+        scfg = SearcherConfig(kind=kind)
         config = small_config(n=10, t_max=1, t_g=2, c=FixedC(1.0), searcher=scfg)
         g = run(config, small_space(), small_trainer())
-        b = run_nonadaptive(scfg, small_space(), small_trainer(), trials=10, t_total=2)
+        b = run_nonadaptive(
+            NonadaptiveConfig(trials=10, t_total=2, searcher=scfg), small_space(), small_trainer()
+        )
         assert [r.hp for r in g.tree.records] == [r.hp for r in b.tree.records]

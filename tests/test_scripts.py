@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,15 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(script, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
 
 
 @pytest.mark.parametrize(
@@ -17,10 +27,19 @@ ROOT = Path(__file__).resolve().parents[1]
     ids=["benchmark_methods", "earlystop_speedup"],
 )
 def test_script_runs(script, args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = run_script(script, *args)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_digest_lists_files_and_result_keys():
+    proc = run_script("digest.py")
+    assert proc.returncode == 0, proc.stderr
+    pairs = [line.split("  ", 1) for line in proc.stdout.splitlines()]
+    names = [name for _, name in pairs]
+    assert all(re.fullmatch("[0-9a-f]{64}", digest) for digest, _ in pairs)
+    assert len(set(names)) == len(names) and names[-1] == "all"
+    for name in ("boston_like/gpbt_tpe/1/curves.csv", "small_quadratic/curves.csv",
+                 "small_quadratic/levels/0/genealogy.ndjson",
+                 "small_phase/nonadaptive/1/result.json",
+                 "small_weight_sensitive/pbt/0/result.json:transfer_ledger"):
+        assert name in names

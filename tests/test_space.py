@@ -178,3 +178,27 @@ def test_config_round_trip():
     rebuilt = SearchSpace.from_config(space.as_config())
     assert rebuilt.names == space.names
     assert [d.scale for d in rebuilt.dims] == [d.scale for d in space.dims]
+
+
+@pytest.mark.parametrize(
+    "entry,named",
+    [
+        ({"name": "lr", "lower": 0.001, "upper": 1, "scal": "log"}, "space[0].scal: unknown field"),
+        ({"name": "lr", "lower": "0.001", "upper": 1}, "space[0].lower: expected a finite number"),
+        ({"name": "lr", "upper": 1}, "space[0].lower: missing required field"),
+        ({"name": "lr", "lower": 1, "upper": 0.5}, "space[0]: dimension 'lr'"),
+    ],
+    ids=["unknown_field", "string_bound", "missing_bound", "empty_range"],
+)
+def test_from_config_names_the_field(entry, named):
+    with pytest.raises(ValueError) as exc:
+        SearchSpace.from_config([entry])
+    assert str(exc.value).startswith(named)
+
+
+def test_from_config_checks_the_whole_space():
+    entry = {"name": "lr", "lower": 0.1, "upper": 1.0}
+    with pytest.raises(ValueError, match="^space: duplicate"):
+        SearchSpace.from_config([entry, entry])
+    with pytest.raises(ValueError, match="^space: expected a list"):
+        SearchSpace.from_config({"lr": entry})
