@@ -4,7 +4,9 @@
 Runs the bundled configs and small configs covering pooled histories, dynamic
 c, all three early-stopping levels, Boltzmann selection, PBT and non-adaptive
 search through `gpbt.cli.main`, then prints one sha256 per output file and one
-per top-level key of every result.json. Everything goes through the CLI and
+per top-level key of every result.json. It also runs one `sweep-c` over a small
+config the same way, and hashes the stderr of `run --verbose` on it (those
+lines hold no clock values). Everything goes through the CLI and
 the config files, so the same script runs against whichever gpbt package is
 on the path; diff its output between two checkouts:
 
@@ -61,12 +63,12 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digest_run(label: str, config: Path, out: Path) -> list[str]:
-    """Run one config and return its digest lines, sorted by path."""
+def digest_cli(label: str, argv: list[str], out: Path) -> list[str]:
+    """Run one deterministic CLI command and return its digest lines, sorted by path."""
     with contextlib.redirect_stdout(io.StringIO()):
-        code = gpbt_main(["run", str(config), "--deterministic", "--out", str(out)])
+        code = gpbt_main([*argv, "--deterministic", "--out", str(out)])
     if code != 0:
-        raise SystemExit(f"{label}: gpbt run exited with {code}")
+        raise SystemExit(f"{label}: gpbt {argv[0]} exited with {code}")
     lines = []
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         rel = f"{label}/{path.relative_to(out).as_posix()}"
@@ -76,6 +78,16 @@ def digest_run(label: str, config: Path, out: Path) -> list[str]:
             for key, value in sorted(json.loads(data).items()):
                 lines.append(f"{sha(json.dumps(value, sort_keys=True).encode())}  {rel}:{key}")
     return lines
+
+
+def digest_verbose(label: str, config: Path, out: Path) -> str:
+    """The digest line of the stderr of `run --verbose` on one config."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = gpbt_main(["run", str(config), "--verbose", "--out", str(out)])
+    if code != 0:
+        raise SystemExit(f"{label}: gpbt run --verbose exited with {code}")
+    return f"{sha(err.getvalue().encode())}  {label}"
 
 
 def main():
@@ -90,7 +102,12 @@ def main():
             configs.append((label, path))
         lines = []
         for label, path in configs:
-            lines += digest_run(label, path, tmp / "out" / label)
+            lines += digest_cli(label, ["run", str(path)], tmp / "out" / label)
+        small = tmp / "small_quadratic.json"
+        sweep = ["sweep-c", str(small), "--values", "0.5,1,2"]
+        lines += digest_cli("sweep_c", sweep, tmp / "out" / "sweep_c")
+        verbose_out = tmp / "out" / "verbose"
+        lines.append(digest_verbose("verbose/small_quadratic.stderr", small, verbose_out))
     text = "\n".join(lines)
     print(text)
     print(f"{sha(text.encode())}  all")

@@ -83,7 +83,7 @@ def run_pbt(
     and all n agents keep training. Transfer ledger counts the exploit copies."""
     rng_search = search_stream(config.seed)
     rng_algo = np.random.default_rng(derive_seed(config.seed, STREAM_ALGO))
-    tally = Tally(progress)
+    tally = Tally(trainer, space, progress)
     tree = tally.tree
     ledger: list[int] = []
 
@@ -94,9 +94,8 @@ def run_pbt(
     for i in range(config.n):
         hp = space.sample_uniform(rng_search)
         state = trainer.init(init_seed(config.seed, i))
-        state = trainer.step_many(state, space.to_dict(hp), config.t_g)
-        val, test = trainer.evaluate(state)
-        last_record.append(tally.record(None, 0, hp, val, test, config.t_g, False))
+        rid, state = tally.child(None, 0, hp, state, config.t_g)
+        last_record.append(rid)
         states.append(state)
         hps.append(hp)
     ledger.append(1)
@@ -109,21 +108,16 @@ def run_pbt(
             range(config.n), key=lambda i: (tree.get(last_record[i]).val_loss, i)
         )
         top, bottom = order[:k], order[-k:]
-        sources = {}
+        parents = list(last_record)
         for i in bottom:
             src = top[int(rng_algo.integers(0, len(top)))]
-            sources[i] = src
+            parents[i] = last_record[src]
             states[i] = trainer.fork(states[src])
             hps[i] = _explore(hps[src], space, config, rng_algo)
         ledger.append(k)
 
-        new_records = []
         for i in range(config.n):
-            parent = last_record[sources[i]] if i in sources else last_record[i]
-            states[i] = trainer.step_many(states[i], space.to_dict(hps[i]), config.t_g)
-            val, test = trainer.evaluate(states[i])
-            new_records.append(tally.record(parent, t, hps[i], val, test, config.t_g, False))
-        last_record = new_records
+            last_record[i], states[i] = tally.child(parents[i], t, hps[i], states[i], config.t_g)
         tally.end(t)
 
     return tally.result(ledger)
@@ -139,16 +133,13 @@ def run_nonadaptive(
     """Sequential constant-HP search: each trial trains a fresh lineage for the
     whole horizon under one hyperparameter vector chosen by the searcher."""
     rng_search = search_stream(config.seed)
-    tally = Tally(progress)
+    tally = Tally(trainer, space, progress)
 
     for kth in range(config.trials):
         tally.start()
         history = tally.tree.lineage_history(None, "pooled", False)
         hp = suggest(config.searcher, space, history, rng_search)
-        state = trainer.init(init_seed(config.seed, kth))
-        state = trainer.step_many(state, space.to_dict(hp), config.t_total)
-        val, test = trainer.evaluate(state)
-        tally.record(None, 0, hp, val, test, config.t_total, False)
+        tally.child(None, 0, hp, trainer.init(init_seed(config.seed, kth)), config.t_total)
         tally.end(kth)
 
     return tally.result([1])

@@ -210,29 +210,37 @@ def _echo_config(cfg: dict) -> dict:
     return {k: v for k, v in cfg.items() if not k.startswith("_")}
 
 
-def cmd_run(args) -> int:
-    cfg = load_config(args.config)
+def _run_cells(args, cfg: dict, cells: list[tuple[str, object]]) -> tuple[Path, int]:
+    """Run every (name, config) cell once per seed, writing each cell's files
+    and the combined curves.csv; return the output directory and the run count."""
     out = _resolve_out(args, cfg)
     _check_writable(out)
     space, trainer_spec = cfg["_space"], cfg["_trainer_spec"]
     seeds = [args.seed] if args.seed is not None else cfg["seeds"]
     echo = _echo_config(cfg)
+    verbose = getattr(args, "verbose", False)
 
     all_rows: list[dict] = []
-    for name, _, method_config in cfg["_methods"]:
+    for name, cell_config in cells:
         for seed in seeds:
-            config = dataclasses.replace(method_config, seed=seed)
+            config = dataclasses.replace(cell_config, seed=seed)
             progress = None
-            if args.verbose:
-                progress = lambda g, val, test, epochs: print(
-                    f"{name}/{seed} generation {g}: best val {val:.6g} "
-                    f"(test {test:.6g}) after {epochs} epochs",
+            if verbose:
+                progress = lambda p: print(
+                    f"{name}/{seed} generation {p.generation}: best val {p.best_seen_val:.6g} "
+                    f"(test {p.best_seen_test:.6g}) after {p.epochs_consumed} epochs",
                     file=sys.stderr,
                 )
             result = _run_cell(config, space, trainer_spec, progress=progress)
             all_rows.extend(_write_cell(out, name, seed, config, result, echo, args.deterministic))
     _atomic_write(out / "curves.csv", _csv_text(all_rows))
-    print(f"wrote {len(cfg['methods']) * len(seeds)} runs under {out}")
+    return out, len(cells) * len(seeds)
+
+
+def cmd_run(args) -> int:
+    cfg = load_config(args.config)
+    out, runs = _run_cells(args, cfg, [(name, config) for name, _, config in cfg["_methods"]])
+    print(f"wrote {runs} runs under {out}")
     return 0
 
 
@@ -331,12 +339,6 @@ def cmd_compare(args) -> int:
 
 def cmd_sweep_c(args) -> int:
     cfg = load_config(args.config)
-    out = _resolve_out(args, cfg)
-    _check_writable(out)
-    space, trainer_spec = cfg["_space"], cfg["_trainer_spec"]
-    seeds = [args.seed] if args.seed is not None else cfg["seeds"]
-    echo = _echo_config(cfg)
-
     template = next((config for _, kind, config in cfg["_methods"] if kind == "gpbt"), None)
     if template is None:
         raise ConfigError("methods", "sweep-c needs at least one gpbt method entry")
@@ -348,20 +350,19 @@ def cmd_sweep_c(args) -> int:
     if not values:
         raise ConfigError("--values", "empty list")
 
-    all_rows: list[dict] = []
-    ran = 0
+    cells: list[tuple[str, RunConfig]] = []
+    names: set[str] = set()
     for c in values:
+        name = f"c={c:g}"  # two values with one name would share a cell directory
+        if name in names:
+            raise ConfigError("--values", f"duplicate value {c:g}")
+        names.add(name)
         if not valid_c(template.n, c):
             print(f"warning: c={c:g} invalid for n={template.n}, skipped", file=sys.stderr)
             continue
-        name = f"c={c:g}"
-        for seed in seeds:
-            config = dataclasses.replace(template, c=FixedC(c), seed=seed)
-            result = _run_cell(config, space, trainer_spec)
-            all_rows.extend(_write_cell(out, name, seed, config, result, echo, args.deterministic))
-            ran += 1
-    _atomic_write(out / "curves.csv", _csv_text(all_rows))
-    print(f"sweep complete: {ran} runs under {out}")
+        cells.append((name, dataclasses.replace(template, c=FixedC(c))))
+    out, runs = _run_cells(args, cfg, cells)
+    print(f"sweep complete: {runs} runs under {out}")
     return 0
 
 

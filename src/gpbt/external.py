@@ -102,9 +102,6 @@ class ExternalTrainer:
         )
         return ExternalState(token=str(reply["state"]))
 
-    def step(self, state: ExternalState, hp: Mapping[str, float]) -> ExternalState:
-        return self.step_many(state, hp, 1)
-
     def step_many(self, state: ExternalState, hp: Mapping[str, float], iters: int) -> ExternalState:
         if iters < 1:
             return state

@@ -4,12 +4,14 @@ Each generation step selects the best children as parents (roughly sqrt(n/c)
 of them), forks every parent's model state to its children, asks the searcher
 for each child's hyperparameters using only that lineage's history, trains for
 t_g iterations subject to the early-stopping gates, and records everything in
-the genealogy tree.
+the genealogy tree. Generation 0 is the loop's first pass: its one parent is
+the virtual root, and each of its children starts from a fresh trainer state
+instead of a fork.
 
 Runs are sequential and bit-reproducible given the seed: parents are visited
 best first, each parent's children in creation order. `Tally` is the
-bookkeeping (epochs, best-seen values, curves, result) shared with the
-baselines.
+bookkeeping (training, recording, epochs, best-seen values, curves, result)
+shared with the baselines.
 """
 
 from __future__ import annotations
@@ -33,9 +35,6 @@ from .trainers import Trainer
 STREAM_SEARCH = 0
 STREAM_ALGO = 1
 STREAM_INIT = 2
-
-ProgressFn = Callable[[int, float, float, int], None]
-
 
 def derive_seed(seed: int, *path: int) -> int:
     """Stable 64-bit sub-seed for a (run seed, purpose, ...) path."""
@@ -141,7 +140,7 @@ class RunConfig:
 
 def valid_c(n: int, c: float) -> bool:
     """Whether c yields between 1 and n parents before any clamping."""
-    if c <= 0:
+    if not math.isfinite(c) or c <= 0:
         return False
     p = int(math.floor(math.sqrt(n / c) + 0.5))
     return 1 <= p <= n
@@ -280,6 +279,9 @@ class CurvePoint:
     wall_ms: float = 0.0
 
 
+ProgressFn = Callable[[CurvePoint], None]
+
+
 @dataclass
 class RunResult:
     best_agent: int
@@ -300,11 +302,14 @@ class RunResult:
 
 
 class Tally:
-    """Bookkeeping shared by every loop: the genealogy tree, the epoch total,
-    best-seen val/test, one curve point per generation (or trial), the
-    progress callback, and the final RunResult."""
+    """Bookkeeping shared by every loop: training and recording each child in
+    the genealogy tree, the epoch total, best-seen val/test, one curve point
+    per generation (or trial), the progress callback, and the final
+    RunResult."""
 
-    def __init__(self, progress: ProgressFn | None):
+    def __init__(self, trainer: Trainer, space: SearchSpace, progress: ProgressFn | None):
+        self.trainer = trainer
+        self.space = space
         self.tree = GenealogyTree()
         self.curves: list[CurvePoint] = []
         self.epochs = 0
@@ -317,22 +322,40 @@ class Tally:
         """Begin timing the next curve point; construction starts the first."""
         self._t_start = time.perf_counter()
 
-    def record(self, parent: int | None, generation: int, hp: HpVector, val: float,
-               test: float, epochs: int, early_stopped: bool) -> int:
-        cid = self.tree.record_child(parent, generation, hp, val, test, epochs, early_stopped)
-        self.epochs += epochs
+    def child(self, parent: int | None, generation: int, hp: HpVector, state, iters: int,
+              early: list[float] | None = None) -> tuple[int, object]:
+        """Train `state` for `iters` iterations under `hp`, evaluate it, and
+        record it as a child of `parent`; return its id and trained state.
+
+        With a level-3 ledger of this generation's first-iteration losses, the
+        child is evaluated after one iteration and stops there if the median
+        gate says so; without one it trains through in one trainer call."""
+        trainer = self.trainer
+        hp_named = self.space.to_dict(hp)
+        done = iters if early is None else 1  # iterations before the level-3 gate
+        state = trainer.step_many(state, hp_named, done)
+        val, test = trainer.evaluate(state)
+        stopped = False
+        if early is not None:
+            stopped = median_gate(early, val)
+            early.append(val)
+            if not stopped:
+                state = trainer.step_many(state, hp_named, iters - 1)
+                val, test = trainer.evaluate(state)
+                done = iters
+        cid = self.tree.record_child(parent, generation, hp, val, test, done, stopped)
+        self.epochs += done
         if val < self.best_val:
             self.best_val, self.best_test = val, test
-        return cid
+        return cid, state
 
     def end(self, generation: int) -> None:
-        """Append the curve point timed since `start` and report progress."""
-        self.curves.append(
-            CurvePoint(generation, self.epochs, self.best_val, self.best_test,
-                       (time.perf_counter() - self._t_start) * 1000.0)
-        )
+        """Append the curve point timed since `start` and report it as progress."""
+        point = CurvePoint(generation, self.epochs, self.best_val, self.best_test,
+                           (time.perf_counter() - self._t_start) * 1000.0)
+        self.curves.append(point)
         if self._progress is not None:
-            self._progress(generation, self.best_val, self.best_test, self.epochs)
+            self._progress(point)
 
     def result(self, transfer_ledger: list[int],
                dynamic_c_trace: list[dict] | None = None) -> RunResult:
@@ -347,26 +370,6 @@ class Tally:
             tree=self.tree,
             dynamic_c_trace=dynamic_c_trace,
         )
-
-
-def _train_child(
-    trainer: Trainer, state, hp_named: dict, t_g: int, early: list[float] | None
-):
-    """One child's training: with a level-3 ledger of this generation's
-    first-iteration losses, early-evaluate after one iteration and stop if
-    the median gate says so; otherwise train through in one trainer call."""
-    if early is None:
-        state = trainer.step_many(state, hp_named, t_g)
-    else:
-        state = trainer.step(state, hp_named)
-        val, test = trainer.evaluate(state)
-        stop = median_gate(early, val)
-        early.append(val)
-        if stop:
-            return state, val, test, 1, True
-        state = trainer.step_many(state, hp_named, t_g - 1)
-    val, test = trainer.evaluate(state)
-    return state, val, test, t_g, False
 
 
 # ---------------------------------------------------------------------------
@@ -387,42 +390,31 @@ def run(
     rng_algo = np.random.default_rng(derive_seed(config.seed, STREAM_ALGO))
     gate3 = es.level3 and config.t_g > 1  # inert with a single iteration
 
-    tally = Tally(progress)
+    tally = Tally(trainer, space, progress)
     tree = tally.tree
     states: dict[int, object] = {}
     ledger: list[int] = []
-
-    # -- generation 0: every lineage starts fresh, seeing the root's children so far
-    early: list[float] | None = [] if gate3 else None
-    for k in range(config.n):
-        history = tree.lineage_history(None, config.history_mode, False)
-        hp = suggest(config.searcher, space, history, rng_search)
-        state = trainer.init(init_seed(config.seed, k))
-        state, val, test, epochs, stopped = _train_child(
-            trainer, state, space.to_dict(hp), config.t_g, early
-        )
-        states[tally.record(None, 0, hp, val, test, epochs, stopped)] = state
-    prev_ids = list(range(config.n))
-    ledger.append(1)  # the initial model
-    tally.end(0)
-
     dyn_cfg = config.c if isinstance(config.c, DynamicC) else None
     dyn_state = DynamicCState(dyn_cfg.initial_mean, dyn_cfg.initial_std) if dyn_cfg else None
     dyn_trace: list[dict] | None = [] if dyn_cfg else None
 
-    for t in range(1, config.t_max):
+    for t in range(config.t_max):
         if es.level1_threshold is not None and convergence_gate(
             [p.best_seen_val for p in tally.curves], es.level1_threshold, es.level1_window
         ):
             break
         tally.start()
-        prev_results = [(i, tree.get(i).val_loss) for i in prev_ids]
+        prev = tree.generation_records(t - 1)
+        prev_results = [(r.id, r.val_loss) for r in prev]
         prev_losses = [v for _, v in prev_results]
 
-        # One group under fixed c, two independently planned halves under
-        # dynamic c (each half selects its parents from the full ranking).
-        groups: list[tuple[str, int, list[int]]] = []
-        if dyn_cfg is None:
+        # Generation 0 has one parent, the virtual root (None). After it: one
+        # group under fixed c, two independently planned halves under dynamic
+        # c (each half selects its parents from the full ranking).
+        groups: list[tuple[str, int, list[int | None]]] = []
+        if t == 0:
+            groups.append(("", config.n, [None]))
+        elif dyn_cfg is None:
             plan = plan_generation(config.n, config.c.c)
             ranked = select_parents(
                 prev_results, plan.parents, config.selection_temperature, rng_algo
@@ -450,24 +442,24 @@ def run(
         ]
         early = [] if gate3 else None
         roots = t == 1 and config.seed_gen0_history
-        recorded: list[int] = []
         group_best: dict[str, float] = {}
-        for label, pid in slots:
+        for k, (label, pid) in enumerate(slots):
             history = tree.lineage_history(pid, config.history_mode, roots)
             hp = suggest(config.searcher, space, history, rng_search)
-            child, val, test, epochs, stopped = _train_child(
-                trainer, trainer.fork(states[pid]), space.to_dict(hp), config.t_g, early
-            )
-            cid = tally.record(pid, t, hp, val, test, epochs, stopped)
+            if pid is None:
+                state = trainer.init(init_seed(config.seed, k))
+            else:
+                state = trainer.fork(states[pid])
+            cid, child = tally.child(pid, t, hp, state, config.t_g, early)
             states[cid] = child
-            recorded.append(cid)
+            val = tree.get(cid).val_loss
             group_best[label] = min(group_best.get(label, math.inf), val)
             if es.level2_quantile is not None and satisfaction_gate(
                 val, prev_losses, es.level2_quantile
             ):
                 break
 
-        if dyn_cfg is not None:
+        if dyn_cfg is not None and t > 0:
             best_a = group_best.get("a", math.inf)
             best_b = group_best.get("b", math.inf)
             winner = c_a if best_a <= best_b else c_b
@@ -483,10 +475,10 @@ def run(
                 }
             )
 
-        for pid in prev_ids:
-            states.pop(pid, None)
-        prev_ids = recorded
-        ledger.append(len(tree.parents_of(t)))  # the parent states actually forked
+        for r in prev:
+            del states[r.id]
+        # The parent states actually forked; the root stands for the initial model.
+        ledger.append(len({r.parent for r in tree.generation_records(t)}))
         tally.end(t)
 
     return tally.result(ledger, dyn_trace)

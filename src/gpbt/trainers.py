@@ -1,6 +1,6 @@
 """Training-function contract, synthetic trainers, and a brute-force schedule oracle.
 
-Trainers advance an opaque state one learning iteration at a time under a
+Trainers advance an opaque state by a number of learning iterations under a
 named hyperparameter mapping. The synthetic trainers are built around a noisy
 quadratic whose expected-loss recursion is exact:
 
@@ -67,10 +67,11 @@ class TrainerSpec:
 
 
 class Trainer(Protocol):
-    """What the generation loop needs from any trainer backend."""
+    """What the generation loop needs from any trainer backend: a fresh state
+    from a seed, `iters` iterations under one hp mapping, (val, test) losses,
+    and an independent copy of a state."""
 
     def init(self, seed: int): ...
-    def step(self, state, hp: Mapping[str, float]): ...
     def step_many(self, state, hp: Mapping[str, float], iters: int): ...
     def evaluate(self, state) -> tuple[float, float]: ...
     def fork(self, state): ...
@@ -121,17 +122,13 @@ class NoisyQuadraticTrainer:
     def _rate(self, state: QuadState, hp: Mapping[str, float]) -> float:
         return float(hp.get(self.spec.lr_name, 0.0))
 
-    def step(self, state: QuadState, hp: Mapping[str, float]) -> QuadState:
-        r = self._rate(state, hp)
-        xi = state.rng.standard_normal(self.spec.dim)
-        theta = (1.0 - r * self.h) * state.theta + r * self.spec.noise * xi
-        state.theta = np.clip(theta, -THETA_CLIP, THETA_CLIP)
-        state.steps += 1
-        return state
-
     def step_many(self, state: QuadState, hp: Mapping[str, float], iters: int) -> QuadState:
+        r = self._rate(state, hp)
         for _ in range(iters):
-            state = self.step(state, hp)
+            xi = state.rng.standard_normal(self.spec.dim)
+            theta = (1.0 - r * self.h) * state.theta + r * self.spec.noise * xi
+            state.theta = np.clip(theta, -THETA_CLIP, THETA_CLIP)
+            state.steps += 1
         return state
 
     def evaluate(self, state: QuadState) -> tuple[float, float]:
@@ -191,16 +188,12 @@ class PhaseSurrogateTrainer:
     def init(self, seed: int) -> PhaseState:
         return PhaseState(v=np.ones(self.spec.dim), steps=0)
 
-    def step(self, state: PhaseState, hp: Mapping[str, float]) -> PhaseState:
+    def step_many(self, state: PhaseState, hp: Mapping[str, float], iters: int) -> PhaseState:
         r = float(hp.get(self.spec.lr_name, 0.0))
         decay = (1.0 - r * self.h) ** 2
-        state.v = np.minimum(decay * state.v + (r * self.spec.noise) ** 2, THETA_CLIP**2)
-        state.steps += 1
-        return state
-
-    def step_many(self, state: PhaseState, hp: Mapping[str, float], iters: int) -> PhaseState:
         for _ in range(iters):
-            state = self.step(state, hp)
+            state.v = np.minimum(decay * state.v + (r * self.spec.noise) ** 2, THETA_CLIP**2)
+            state.steps += 1
         return state
 
     def evaluate(self, state: PhaseState) -> tuple[float, float]:

@@ -241,6 +241,20 @@ class TestRunCommand:
         for rel in files_a:
             assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes()
 
+    def test_verbose_logs_each_curve_point(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--verbose", "--deterministic", "--out", str(out)]) == 0
+        expected = [
+            f"{r['method']}/{r['seed']} generation {r['generation']}: "
+            f"best val {float(r['best_seen_val']):.6g} (test {float(r['best_seen_test']):.6g}) "
+            f"after {r['epochs_consumed']} epochs"
+            for r in read_csv(out / "curves.csv")
+        ]
+        # three methods x two seeds; gpbt and pbt log 3 generations, nonadaptive 6 trials
+        assert len(expected) == 2 * (3 + 3 + 6)
+        assert capsys.readouterr().err.splitlines() == expected
+
 
 class TestCompareCommand:
     def test_summary_outputs(self, tmp_path, capsys):
@@ -306,6 +320,22 @@ class TestSweepC:
         assert not (out / "c=0.01").exists()
         rows = read_csv(out / "curves.csv")
         assert {r["method"] for r in rows} == {"c=1", "c=4"}
+
+    def test_nan_value_is_skipped(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path, seeds=[0])
+        out = tmp_path / "out"
+        code = main(["sweep-c", str(cfg), "--values", "nan,1", "--deterministic", "--out", str(out)])
+        assert code == 0
+        assert "warning: c=nan invalid for n=6, skipped" in capsys.readouterr().err
+        assert {r["method"] for r in read_csv(out / "curves.csv")} == {"c=1"}
+
+    @pytest.mark.parametrize("values", ["1,1.0", "2,0.5,2.0000001"])
+    def test_duplicate_value_exits_2(self, tmp_path, capsys, values):
+        cfg = tiny_config(tmp_path, seeds=[0])
+        out = tmp_path / "out"
+        assert main(["sweep-c", str(cfg), "--values", values, "--out", str(out)]) == 2
+        assert "config error: --values: duplicate value" in capsys.readouterr().err
+        assert not (out / "curves.csv").exists()
 
 
 class TestEmitPlotData:

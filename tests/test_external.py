@@ -24,7 +24,7 @@ class TestBridgeBasics:
     def test_init_step_eval_fork_shutdown(self):
         with ExternalTrainer(external_spec(), space()) as trainer:
             s0 = trainer.init(3)
-            s1 = trainer.step(s0, {"lr": 0.5})
+            s1 = trainer.step_many(s0, {"lr": 0.5}, 1)
             val, test = trainer.evaluate(s1)
             assert val == pytest.approx((1.3 * 0.5) ** 2)
             assert test == pytest.approx(val * 1.01)
@@ -35,8 +35,8 @@ class TestBridgeBasics:
         with ExternalTrainer(external_spec(), space()) as trainer:
             a = trainer.init(0)
             b = trainer.fork(a)
-            a2 = trainer.step(a, {"lr": 0.9})
-            b2 = trainer.step(b, {"lr": 0.1})
+            a2 = trainer.step_many(a, {"lr": 0.9}, 1)
+            b2 = trainer.step_many(b, {"lr": 0.1}, 1)
             assert trainer.evaluate(a2) != trainer.evaluate(b2)
             # the fork source is still addressable and unchanged
             assert trainer.evaluate(b)[0] == pytest.approx(1.0)
@@ -50,19 +50,19 @@ class TestBridgeBasics:
         with ExternalTrainer(external_spec("error"), space()) as trainer:
             s = trainer.init(0)
             with pytest.raises(TrainerProtocolError, match="scripted failure"):
-                trainer.step(s, {"lr": 0.5})
+                trainer.step_many(s, {"lr": 0.5}, 1)
 
     def test_malformed_reply_names_line(self):
         with ExternalTrainer(external_spec("malformed"), space()) as trainer:
             s = trainer.init(0)
             with pytest.raises(TrainerProtocolError, match="not json"):
-                trainer.step(s, {"lr": 0.5})
+                trainer.step_many(s, {"lr": 0.5}, 1)
 
     def test_timeout(self):
         with ExternalTrainer(external_spec("sleep", timeout=0.5), space()) as trainer:
             s = trainer.init(0)
             with pytest.raises(TrainerProtocolError, match="timed out"):
-                trainer.step(s, {"lr": 0.5})
+                trainer.step_many(s, {"lr": 0.5}, 1)
 
     def test_make_trainer_requires_space(self):
         with pytest.raises(ValueError):

@@ -303,15 +303,11 @@ class TestRun:
 
     def test_progress_callback(self):
         seen = []
-        run(
-            small_config(),
-            small_space(),
-            small_trainer(),
-            progress=lambda g, v, t, e: seen.append((g, v, t, e)),
-        )
-        assert [g for g, *_ in seen] == [0, 1, 2, 3]
-        epochs = [e for *_, e in seen]
+        result = run(small_config(), small_space(), small_trainer(), progress=seen.append)
+        assert [p.generation for p in seen] == [0, 1, 2, 3]
+        epochs = [p.epochs_consumed for p in seen]
         assert epochs == sorted(epochs)
+        assert seen == result.curves
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -531,6 +527,52 @@ class TestTally:
             assert all(tree.get(p).generation == t - 1 for p in parents)
         again = run(config, small_space(), small_trainer())
         assert [r.hp for r in again.tree.records] == [r.hp for r in tree.records]
+
+
+class FourCallTrainer:
+    """A trainer with only the four contract calls."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def init(self, seed):
+        return self._inner.init(seed)
+
+    def step_many(self, state, hp, iters):
+        return self._inner.step_many(state, hp, iters)
+
+    def evaluate(self, state):
+        return self._inner.evaluate(state)
+
+    def fork(self, state):
+        return self._inner.fork(state)
+
+
+class TestTrainerContract:
+    """init/step_many/evaluate/fork is all any runner asks of a trainer."""
+
+    @pytest.mark.parametrize("method", ["level3", "dynamic_c", "pbt", "nonadaptive"])
+    def test_four_calls_run_every_loop(self, method):
+        from gpbt.baselines import NonadaptiveConfig, PbtConfig, run_nonadaptive, run_pbt
+
+        runner, config = {
+            "level3": (run, small_config(
+                n=9, t_g=3, c=FixedC(1.0), early_stop=EarlyStopConfig(level3=True)
+            )),
+            "dynamic_c": (run, small_config(c=DynamicC())),
+            "pbt": (run_pbt, PbtConfig(n=6, t_max=3, t_g=2)),
+            "nonadaptive": (run_nonadaptive, NonadaptiveConfig(trials=6, t_total=4)),
+        }[method]
+        result = runner(config, small_space(), FourCallTrainer(small_trainer()))
+        expected = runner(config, small_space(), small_trainer())
+        assert result.tree.records == expected.tree.records
+        assert [replace(p, wall_ms=0.0) for p in result.curves] == [
+            replace(p, wall_ms=0.0) for p in expected.curves
+        ]
+        assert result.transfer_ledger == expected.transfer_ledger
+        assert result.dynamic_c_trace == expected.dynamic_c_trace
+        if method == "level3":
+            assert any(r.early_stopped for r in result.tree.records)
 
 
 class TestReduction:

@@ -41,5 +41,7 @@ def test_digest_lists_files_and_result_keys():
     for name in ("boston_like/gpbt_tpe/1/curves.csv", "small_quadratic/curves.csv",
                  "small_quadratic/levels/0/genealogy.ndjson",
                  "small_phase/nonadaptive/1/result.json",
-                 "small_weight_sensitive/pbt/0/result.json:transfer_ledger"):
+                 "small_weight_sensitive/pbt/0/result.json:transfer_ledger",
+                 "sweep_c/curves.csv", "sweep_c/c=0.5/1/genealogy.ndjson",
+                 "sweep_c/c=2/0/result.json:run_config", "verbose/small_quadratic.stderr"):
         assert name in names

@@ -65,21 +65,21 @@ class TestStep:
         t = quad_trainer(noise=0.5)
         s = t.init(0)
         theta0 = s.theta.copy()
-        s = t.step(s, {"lr": 0.0})
+        s = t.step_many(s, {"lr": 0.0}, 1)
         assert np.array_equal(s.theta, theta0)
         assert s.steps == 1
 
     def test_unit_rate_annihilates(self):
         t = quad_trainer(dim=2, curvatures=(1.0, 1.0))
         s = manual_state(t, [0.3, -0.8])
-        s = t.step(s, {"lr": 1.0})
+        s = t.step_many(s, {"lr": 1.0}, 1)
         assert np.allclose(s.theta, 0.0)
 
     def test_closed_form_three_steps(self):
         t = quad_trainer(dim=1, curvatures=(1.0,))
         s = manual_state(t, [1.0])
         for _ in range(3):
-            s = t.step(s, {"lr": 0.5})
+            s = t.step_many(s, {"lr": 0.5}, 1)
         assert s.theta[0] == pytest.approx(0.125, abs=0)
 
     def test_closed_form_agreement_randomized(self):
@@ -92,7 +92,7 @@ class TestStep:
             t = quad_trainer(dim=1, curvatures=(h,))
             s = manual_state(t, [theta0])
             for _ in range(steps):
-                s = t.step(s, {"lr": r})
+                s = t.step_many(s, {"lr": r}, 1)
             expected = (1.0 - r * h) ** steps * theta0
             assert s.theta[0] == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
@@ -100,14 +100,14 @@ class TestStep:
         t = quad_trainer()
         s = t.init(0)
         theta0 = s.theta.copy()
-        s = t.step(s, {"dropout": 0.5})
+        s = t.step_many(s, {"dropout": 0.5}, 1)
         assert np.array_equal(s.theta, theta0)
 
     def test_divergence_stays_finite(self):
         t = quad_trainer(dim=1, curvatures=(4.0,))
         s = manual_state(t, [1.0])
         for _ in range(200):
-            s = t.step(s, {"lr": 1.0})  # r*h = 4 > 2 diverges
+            s = t.step_many(s, {"lr": 1.0}, 1)  # r*h = 4 > 2 diverges
         val, test = t.evaluate(s)
         assert math.isfinite(val) and val == LOSS_CLAMP
         assert math.isfinite(test)
@@ -127,7 +127,7 @@ class TestEvaluate:
     def test_purity(self):
         t = quad_trainer(noise=0.3)
         s = t.init(0)
-        s = t.step(s, {"lr": 0.1})
+        s = t.step_many(s, {"lr": 0.1}, 1)
         state_before = s.rng.bit_generator.state
         first = t.evaluate(s)
         second = t.evaluate(s)
@@ -137,7 +137,7 @@ class TestEvaluate:
     def test_val_test_gap_is_small_and_deterministic(self):
         t = quad_trainer(noise=0.2)
         s = t.init(3)
-        s = t.step(s, {"lr": 0.2})
+        s = t.step_many(s, {"lr": 0.2}, 1)
         val, test = t.evaluate(s)
         assert test == pytest.approx(val, rel=0.2)
         assert test != val
@@ -147,19 +147,19 @@ class TestForkAndSerialization:
     def test_copy_isolation(self):
         t = quad_trainer(noise=0.4)
         a = t.init(0)
-        a = t.step(a, {"lr": 0.3})
+        a = t.step_many(a, {"lr": 0.3}, 1)
         b = t.fork(a)
         before = t.evaluate(a)
         for _ in range(5):
-            b = t.step(b, {"lr": 0.7})
+            b = t.step_many(b, {"lr": 0.7}, 1)
         assert t.evaluate(a) == before
 
     def test_fork_preserves_stream(self):
         t = quad_trainer(noise=0.4)
         a = t.init(0)
         b = t.fork(a)
-        a = t.step(a, {"lr": 0.3})
-        b = t.step(b, {"lr": 0.3})
+        a = t.step_many(a, {"lr": 0.3}, 1)
+        b = t.step_many(b, {"lr": 0.3}, 1)
         assert np.array_equal(a.theta, b.theta)
 
 
@@ -181,7 +181,7 @@ class TestWeightSensitive:
         for r in (0.1, 0.9):
             s = manual_state(t, [1.0], latent=1)
             for _ in range(5):
-                s = t.step(s, {"lr": r})
+                s = t.step_many(s, {"lr": r}, 1)
             losses[r] = t.evaluate(s)[0]
         assert losses[0.9] < losses[0.1]
 
@@ -191,7 +191,7 @@ class TestWeightSensitive:
         for r in (0.1, 0.9):
             s = manual_state(t, [1.0], latent=-1)
             for _ in range(5):
-                s = t.step(s, {"lr": r})
+                s = t.step_many(s, {"lr": r}, 1)
             losses[r] = t.evaluate(s)[0]
         assert losses[0.1] < losses[0.9]
 
@@ -200,8 +200,8 @@ class TestWeightSensitive:
         plus = manual_state(t, [1.0], latent=1)
         minus = manual_state(t, [1.0], latent=-1)
         for _ in range(4):
-            plus = t.step(plus, {"lr": 0.8})
-            minus = t.step(minus, {"lr": 0.2})
+            plus = t.step_many(plus, {"lr": 0.8}, 1)
+            minus = t.step_many(minus, {"lr": 0.2}, 1)
         assert t.evaluate(plus) == t.evaluate(minus)
 
 
