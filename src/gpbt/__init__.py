@@ -18,7 +18,7 @@ from .orchestrator import (
     satisfaction_gate,
     select_parents,
 )
-from .searchers import History, Observation, SearcherConfig, suggest
+from .searchers import History, SearcherConfig, suggest
 from .space import Dimension, HpVector, SearchSpace
 from .trainers import TrainerSpec, brute_force_schedule, make_trainer
 
@@ -35,7 +35,6 @@ __all__ = [
     "History",
     "HpVector",
     "NonadaptiveConfig",
-    "Observation",
     "PbtConfig",
     "RunConfig",
     "RunResult",

@@ -87,36 +87,33 @@ def run_pbt(
     tree = tally.tree
     ledger: list[int] = []
 
-    states: list[object] = []
-    hps: list[tuple] = []
-    last_record: list[int] = []
-
-    for i in range(config.n):
-        hp = space.sample_uniform(rng_search)
-        state = trainer.init(init_seed(config.seed, i))
-        rid, state = tally.child(None, 0, hp, state, config.t_g)
-        last_record.append(rid)
-        states.append(state)
-        hps.append(hp)
-    ledger.append(1)
-    tally.end(0)
+    # Per agent: latest record (None: the virtual root), model state, hps.
+    last_record: list[int | None] = [None] * config.n
+    states: list[object] = [None] * config.n
+    hps: list[tuple] = [()] * config.n
 
     k = math.ceil(config.truncation * config.n)
-    for t in range(1, config.t_max):
+    for t in range(config.t_max):
         tally.start()
-        order = sorted(
-            range(config.n), key=lambda i: (tree.get(last_record[i]).val_loss, i)
-        )
-        top, bottom = order[:k], order[-k:]
         parents = list(last_record)
-        for i in bottom:
-            src = top[int(rng_algo.integers(0, len(top)))]
-            parents[i] = last_record[src]
-            states[i] = trainer.fork(states[src])
-            hps[i] = _explore(hps[src], space, config, rng_algo)
-        ledger.append(k)
+        if t == 0:
+            ledger.append(1)  # the one initial model
+        else:
+            order = sorted(
+                range(config.n), key=lambda i: (tree.get(last_record[i]).val_loss, i)
+            )
+            top, bottom = order[:k], order[-k:]
+            for i in bottom:
+                src = top[int(rng_algo.integers(0, len(top)))]
+                parents[i] = last_record[src]
+                states[i] = trainer.fork(states[src])
+                hps[i] = _explore(hps[src], space, config, rng_algo)
+            ledger.append(k)
 
         for i in range(config.n):
+            if t == 0:
+                hps[i] = space.sample_uniform(rng_search)
+                states[i] = trainer.init(init_seed(config.seed, i))
             last_record[i], states[i] = tally.child(parents[i], t, hps[i], states[i], config.t_g)
         tally.end(t)
 
@@ -137,7 +134,7 @@ def run_nonadaptive(
 
     for kth in range(config.trials):
         tally.start()
-        history = tally.tree.lineage_history(None, "pooled", False)
+        history = tally.history(tally.tree.lineage_history(None, "pooled", False))
         hp = suggest(config.searcher, space, history, rng_search)
         tally.child(None, 0, hp, trainer.init(init_seed(config.seed, kth)), config.t_total)
         tally.end(kth)

@@ -57,7 +57,6 @@ class ExternalTrainer:
         self._lines: queue.Queue = queue.Queue()
         self._reader = threading.Thread(target=self._pump, daemon=True)
         self._reader.start()
-        self._lock = threading.Lock()  # one in-flight request at a time
         self._closed = False
 
     def _pump(self):
@@ -66,21 +65,20 @@ class ExternalTrainer:
         self._lines.put(None)  # EOF marker
 
     def _request(self, msg: dict) -> dict:
-        with self._lock:
-            if self._closed or self._proc.poll() is not None:
-                raise TrainerProtocolError("trainer process is not running")
-            try:
-                self._proc.stdin.write(json.dumps(msg) + "\n")
-                self._proc.stdin.flush()
-            except (BrokenPipeError, ValueError) as exc:
-                raise TrainerProtocolError(f"trainer pipe closed: {exc}") from exc
-            try:
-                line = self._lines.get(timeout=self.spec.timeout)
-            except queue.Empty:
-                self._kill()
-                raise TrainerProtocolError(
-                    f"trainer reply timed out after {self.spec.timeout}s"
-                ) from None
+        if self._closed or self._proc.poll() is not None:
+            raise TrainerProtocolError("trainer process is not running")
+        try:
+            self._proc.stdin.write(json.dumps(msg) + "\n")
+            self._proc.stdin.flush()
+        except (BrokenPipeError, ValueError) as exc:
+            raise TrainerProtocolError(f"trainer pipe closed: {exc}") from exc
+        try:
+            line = self._lines.get(timeout=self.spec.timeout)
+        except queue.Empty:
+            self._kill()
+            raise TrainerProtocolError(
+                f"trainer reply timed out after {self.spec.timeout}s"
+            ) from None
         if line is None:
             code = self._proc.wait()
             raise TrainerProtocolError(f"trainer exited with code {code} mid-conversation")

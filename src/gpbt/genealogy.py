@@ -1,12 +1,16 @@
-"""Population ancestry: append-only agent records, lineage histories, schedules."""
+"""Population ancestry: append-only agent records, lineage histories, schedules.
+
+A lineage history is the list of record ids a searcher learns from; the tree
+holds no search space, so its caller maps those records into unit space.
+"""
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .searchers import Observation
 from .space import HpVector
 
 HISTORY_MODES = ("sibling_only", "time_enriched", "pooled")
@@ -29,7 +33,6 @@ class GenealogyTree:
 
     def __init__(self):
         self._records: list[AgentRecord] = []
-        self._observations: list[Observation] = []  # one per record, same index
         self._children: dict[int | None, list[int]] = {}  # parent (None = root) -> ids
         self._generations: dict[int, list[AgentRecord]] = {}  # generation -> records
 
@@ -71,16 +74,16 @@ class GenealogyTree:
                 )
         if epochs_trained < 1:
             raise ValueError("epochs_trained must be >= 1")
-        observation = Observation(tuple(hp), float(val_loss))  # rejects a non-finite loss
+        if not math.isfinite(val_loss):
+            raise ValueError("val_loss must be finite")
         new_id = len(self._records)
-        self._observations.append(observation)
         self._children.setdefault(parent, []).append(new_id)
         record = AgentRecord(
             id=new_id,
             parent=parent,
             generation=generation,
-            hp=observation.hp,
-            val_loss=observation.loss,
+            hp=tuple(hp),
+            val_loss=float(val_loss),
             test_loss=float(test_loss),
             epochs_trained=int(epochs_trained),
             early_stopped=bool(early_stopped),
@@ -99,12 +102,10 @@ class GenealogyTree:
         chain.reverse()
         return chain
 
-    def lineage_history(
-        self, parent_id: int | None, mode: str, roots: bool
-    ) -> list[Observation]:
-        """The history fed to the searcher for one child of `parent_id`: the
-        observations of every recorded child of a set S of parents, in
-        evaluation (id) order, where None stands for the virtual root.
+    def lineage_history(self, parent_id: int | None, mode: str, roots: bool) -> list[int]:
+        """The ids of the records the searcher learns from for one child of
+        `parent_id`: every recorded child of a set S of parents, in evaluation
+        (id) order, where None stands for the virtual root.
 
         sibling_only:   S = {parent}, plus the root when `roots` is true.
         time_enriched:  S = the root plus the parent's ancestry chain.
@@ -119,12 +120,12 @@ class GenealogyTree:
         if parent_id is not None:
             self.get(parent_id)  # an unknown parent raises in every mode
         if parent_id is None or mode == "pooled":
-            return list(self._observations)
+            return list(range(len(self._records)))
         if mode == "sibling_only":
             sources = [None, parent_id] if roots else [parent_id]
         else:
             sources = [None, *self.ancestry(parent_id)]
-        return [self._observations[i] for s in sources for i in self._children.get(s, ())]
+        return [i for s in sources for i in self._children.get(s, ())]
 
     def schedule(self, agent_id: int) -> list[HpVector]:
         """Hyperparameter schedule along the ancestry chain, root first."""

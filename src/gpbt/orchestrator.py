@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .genealogy import HISTORY_MODES, GenealogyTree
-from .searchers import SearcherConfig, suggest
+from .searchers import History, SearcherConfig, suggest
 from .space import HpVector, SearchSpace
 from .trainers import Trainer
 
@@ -303,14 +303,17 @@ class RunResult:
 
 class Tally:
     """Bookkeeping shared by every loop: training and recording each child in
-    the genealogy tree, the epoch total, best-seen val/test, one curve point
-    per generation (or trial), the progress callback, and the final
-    RunResult."""
+    the genealogy tree, the searchers' unit-space view of the records, the
+    epoch total, best-seen val/test, one curve point per generation (or trial),
+    the progress callback, and the final RunResult."""
 
     def __init__(self, trainer: Trainer, space: SearchSpace, progress: ProgressFn | None):
         self.trainer = trainer
         self.space = space
         self.tree = GenealogyTree()
+        # Each record's unit-space point and val loss by id; doubled when full.
+        self._u = np.empty((64, space.dim))
+        self._loss = np.empty(64)
         self.curves: list[CurvePoint] = []
         self.epochs = 0
         self.best_val = math.inf
@@ -343,11 +346,21 @@ class Tally:
                 state = trainer.step_many(state, hp_named, iters - 1)
                 val, test = trainer.evaluate(state)
                 done = iters
+        u = self.space.to_unit(hp)
         cid = self.tree.record_child(parent, generation, hp, val, test, done, stopped)
+        if cid == self._loss.shape[0]:
+            self._u = np.concatenate([self._u, np.empty_like(self._u)])
+            self._loss = np.concatenate([self._loss, np.empty_like(self._loss)])
+        self._u[cid], self._loss[cid] = u, val
         self.epochs += done
         if val < self.best_val:
             self.best_val, self.best_test = val, test
         return cid, state
+
+    def history(self, ids: list[int]) -> History:
+        """The searcher history of the records `ids`, in the order given."""
+        rows = np.asarray(ids, dtype=np.intp)
+        return History(self._u.take(rows, axis=0), self._loss.take(rows))
 
     def end(self, generation: int) -> None:
         """Append the curve point timed since `start` and report it as progress."""
@@ -444,7 +457,7 @@ def run(
         roots = t == 1 and config.seed_gen0_history
         group_best: dict[str, float] = {}
         for k, (label, pid) in enumerate(slots):
-            history = tree.lineage_history(pid, config.history_mode, roots)
+            history = tally.history(tree.lineage_history(pid, config.history_mode, roots))
             hp = suggest(config.searcher, space, history, rng_search)
             if pid is None:
                 state = trainer.init(init_seed(config.seed, k))

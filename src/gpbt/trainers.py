@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence
 
@@ -58,6 +59,8 @@ class TrainerSpec:
             raise ValueError("seed must be >= 0")
         if self.kind == "external" and not self.command:
             raise ValueError("external trainer needs a command")
+        if not 0 < self.timeout <= threading.TIMEOUT_MAX:
+            raise ValueError(f"timeout must be in (0, {threading.TIMEOUT_MAX}] seconds")
 
     @property
     def h(self) -> np.ndarray:

@@ -26,7 +26,7 @@ from gpbt.orchestrator import (
     run,
     update_dynamic_c,
 )
-from gpbt.searchers import Observation, SearcherConfig, suggest
+from gpbt.searchers import History, SearcherConfig, suggest
 from gpbt.space import Dimension, SearchSpace
 from gpbt.trainers import (
     TrainerSpec,
@@ -97,15 +97,13 @@ def test_criterion_2_history_isolation():
             TrainerSpec(kind="noisy_quadratic", dim=3, curvatures=(2.0, 1.0, 0.5), noise=0.2)
         )
         result, calls = run_with_histories(config, space, trainer)
-        by_key = {(r.hp, r.val_loss): r for r in result.tree.records}
         tree = result.tree
         for child, hist in calls:
             g, pid = child.generation, child.parent
             if g == 0:
                 continue
             chain = set(tree.ancestry(pid))
-            for obs in hist:
-                rec = by_key[(obs.hp, obs.loss)]
+            for rec in hist:
                 checked += 1
                 if mode == "sibling_only":
                     if rec.parent != pid or rec.generation != g:
@@ -341,14 +339,18 @@ def test_criterion_10_cli_determinism(tmp_path):
 def test_criterion_11_searcher_sanity():
     space = SearchSpace([Dimension("x", 0.0, 1.0)])
 
+    def history(hps, losses):
+        u = np.array([space.to_unit(hp) for hp in hps]).reshape(len(hps), 1)
+        return History(u, np.array(losses, dtype=float))
+
     # TPE cluster preference: >= 90/100 suggestions in the good half
     rng = np.random.default_rng(7)
-    hist = []
+    hps, losses = [], []
     for _ in range(20):
-        hist.append(Observation((float(np.clip(rng.normal(0.2, 0.02), 0, 1)),),
-                                float(rng.normal(0.1, 0.01))))
-        hist.append(Observation((float(np.clip(rng.normal(0.8, 0.02), 0, 1)),),
-                                float(rng.normal(0.9, 0.01))))
+        for center, loss in ((0.2, 0.1), (0.8, 0.9)):
+            hps.append((float(np.clip(rng.normal(center, 0.02), 0, 1)),))
+            losses.append(float(rng.normal(loss, 0.01)))
+    hist = history(hps, losses)
     hits = sum(
         suggest(SearcherConfig(kind="tpe"), space, hist, np.random.default_rng(s))[0] <= 0.5
         for s in range(100)
@@ -358,12 +360,13 @@ def test_criterion_11_searcher_sanity():
         good = 0
         for seed in SEEDS:
             rng = np.random.default_rng(seed)
-            h = []
+            hps, losses = [], []
             for _ in range(rounds):
-                hp = suggest(SearcherConfig(kind=kind), space, h, rng)
-                h.append(Observation(hp, (hp[0] - target) ** 2))
-            best = min(h, key=lambda o: o.loss)
-            good += abs(best.hp[0] - target) < tol
+                hp = suggest(SearcherConfig(kind=kind), space, history(hps, losses), rng)
+                hps.append(hp)
+                losses.append((hp[0] - target) ** 2)
+            best = hps[int(np.argmin(losses))]
+            good += abs(best[0] - target) < tol
         return good
 
     gp_good = convergence("gp_ucb", 0.5, 0.05)

@@ -183,9 +183,12 @@ class TestRunCommand:
              "methods[0].dynamic_c.initial_mena"),
             ("method", {"dynamic_c": {"initial_mean": 2.0}}, "methods[0].c"),
             ("method", {"c": 10**400}, "methods[0].c"),
+            ("trainer", {"timeout": -1}, "trainer.timeout"),
+            ("trainer", {"timeout": 0}, "trainer.timeout"),
+            ("trainer", {"timeout": 1e308}, "trainer.timeout"),
         ],
         ids=["pool", "window", "dim", "level3", "n", "dynamic_c_typo", "c_and_dynamic_c",
-             "c_overflows_float"],
+             "c_overflows_float", "timeout_negative", "timeout_zero", "timeout_huge"],
     )
     def test_mistyped_field_exits_2(self, tmp_path, capsys, section, fields, named):
         # A None value removes the field.

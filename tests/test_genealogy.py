@@ -4,7 +4,7 @@ import pytest
 from gpbt.baselines import PbtConfig, run_pbt
 from gpbt.genealogy import GenealogyTree
 from gpbt.orchestrator import EarlyStopConfig, FixedC, RunConfig, run
-from gpbt.searchers import Observation, SearcherConfig
+from gpbt.searchers import SearcherConfig
 from gpbt.space import Dimension, SearchSpace
 from gpbt.trainers import TrainerSpec, make_trainer
 
@@ -33,10 +33,6 @@ def build_two_by_two(generations=3, n=4):
                 new.append(cid)
         prev = new
     return tree
-
-
-def observations(tree, ids):
-    return [Observation(tree.get(i).hp, tree.get(i).val_loss) for i in ids]
 
 
 class TestRecordChild:
@@ -79,9 +75,9 @@ class TestRecordChild:
         tree = generation_zero(2)
         with pytest.raises(ValueError):
             record(tree, None, 0, val=float("nan"))
-        assert len(tree) == 2 and tree.lineage_history(None, "pooled", False) == observations(
-            tree, [0, 1]
-        )
+        with pytest.raises(ValueError, match="finite"):
+            record(tree, None, 0, val=float("inf"))
+        assert len(tree) == 2 and tree.lineage_history(None, "pooled", False) == [0, 1]
 
 
 class TestAncestry:
@@ -111,31 +107,31 @@ class TestLineageHistory:
         tree = generation_zero()
         assert tree.lineage_history(0, "sibling_only", False) == []
         a = record(tree, 0, 1, hp=(0.9,), val=0.5)
-        assert tree.lineage_history(0, "sibling_only", False) == observations(tree, [a])
+        assert tree.lineage_history(0, "sibling_only", False) == [a]
         assert tree.lineage_history(1, "sibling_only", False) == []
         b = record(tree, 1, 1, hp=(0.8,), val=0.4)
-        assert tree.lineage_history(0, "sibling_only", False) == observations(tree, [a])
-        assert tree.lineage_history(1, "sibling_only", False) == observations(tree, [b])
+        assert tree.lineage_history(0, "sibling_only", False) == [a]
+        assert tree.lineage_history(1, "sibling_only", False) == [b]
 
     def test_sibling_only_roots_prepends_generation_zero(self):
         tree = generation_zero()
         a = record(tree, 0, 1, hp=(0.9,), val=0.5)
         record(tree, 1, 1, hp=(0.8,), val=0.4)
         hist = tree.lineage_history(0, "sibling_only", True)
-        assert hist == observations(tree, [0, 1, 2, 3, a])
+        assert hist == [0, 1, 2, 3, a]
 
     def test_generation_zero_sees_every_record(self):
         tree = generation_zero(3)
         for mode in ("sibling_only", "time_enriched", "pooled"):
-            assert tree.lineage_history(None, mode, False) == observations(tree, [0, 1, 2])
+            assert tree.lineage_history(None, mode, False) == [0, 1, 2]
 
     def test_time_enriched_generation_one(self):
         # n=4 generation-0 children, then 1 evaluated sibling -> 5 observations
         tree = generation_zero()
-        assert tree.lineage_history(0, "time_enriched", False) == observations(tree, range(4))
+        assert tree.lineage_history(0, "time_enriched", False) == [0, 1, 2, 3]
         a = record(tree, 0, 1, hp=(0.7,), val=0.3)
         hist = tree.lineage_history(0, "time_enriched", False)
-        assert hist == observations(tree, [0, 1, 2, 3, a])
+        assert hist == [0, 1, 2, 3, a]
         record(tree, 1, 1, hp=(0.6,), val=0.2)  # the other lineage's child stays out
         assert tree.lineage_history(0, "time_enriched", False) == hist
 
@@ -144,26 +140,22 @@ class TestLineageHistory:
         # the lineage sees 4 gen-0 children + the 2 children of its gen-1 ancestor.
         tree = build_two_by_two(2)  # generation 1: ids 4, 5 under 0; ids 6, 7 under 1
         hist = tree.lineage_history(4, "time_enriched", False)
-        assert hist == observations(tree, [0, 1, 2, 3, 4, 5])
+        assert hist == [0, 1, 2, 3, 4, 5]
         record(tree, 4, 2, hp=(0.01,), val=0.5)
         record(tree, 6, 2, hp=(0.02,), val=0.5)
-        assert tree.lineage_history(6, "time_enriched", False) == observations(
-            tree, [0, 1, 2, 3, 6, 7, 9]
-        )
+        assert tree.lineage_history(6, "time_enriched", False) == [0, 1, 2, 3, 6, 7, 9]
 
     def test_time_enriched_excludes_other_branches(self):
         tree = build_two_by_two(3)
         chain = set(tree.ancestry(8))
         hist = tree.lineage_history(8, "time_enriched", False)
-        hp_to_record = {r.hp: r for r in tree.records}
-        for obs in hist:
-            rec = hp_to_record[obs.hp]
+        for rec in map(tree.get, hist):
             assert rec.parent is None or rec.parent in chain
 
     def test_pooled_sees_everything(self):
         tree = build_two_by_two(3)
         hist = tree.lineage_history(tree.parents_of(2)[0], "pooled", False)
-        assert hist == observations(tree, range(len(tree)))
+        assert hist == list(range(len(tree)))
 
     def test_unknown_parent_rejected(self):
         tree = build_two_by_two(2)

@@ -415,9 +415,7 @@ class TestHistoryModes:
         )
         result, calls = run_with_histories(config, small_space(), small_trainer())
         tree = result.tree
-        record_of = {(r.hp, r.val_loss): r for r in tree.records}
-        for rec, hist in calls:
-            seen = [record_of[(o.hp, o.loss)] for o in hist]
+        for rec, seen in calls:
             if rec.parent is None or mode == "pooled":
                 sources = None  # every earlier record
             elif mode == "sibling_only":

@@ -8,6 +8,10 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# The `all` line of scripts/digest.py: a change that moves any deterministic
+# output must update this pin and say in CHANGES.md which outputs moved and why.
+DIGEST_ALL = "2985588ef96d4f86049fbb53344561a652cb2600f6a286d59a30392f0ec758e2"
+
 
 def run_script(script, *args):
     env = dict(os.environ)
@@ -45,3 +49,4 @@ def test_digest_lists_files_and_result_keys():
                  "sweep_c/curves.csv", "sweep_c/c=0.5/1/genealogy.ndjson",
                  "sweep_c/c=2/0/result.json:run_config", "verbose/small_quadratic.stderr"):
         assert name in names
+    assert pairs[-1] == [DIGEST_ALL, "all"]

@@ -4,7 +4,7 @@ from scipy.stats import ks_2samp
 
 from gpbt.searchers import (
     CmaState,
-    Observation,
+    History,
     SearcherConfig,
     cma_update,
     gp_ucb_suggest,
@@ -22,23 +22,33 @@ def unit_space(d=1):
     return SearchSpace([Dimension(f"x{i}", 0.0, 1.0) for i in range(d)])
 
 
+def history(space, hps, losses):
+    """The History of native-unit `hps` and their losses in `space`."""
+    u = np.array([space.to_unit(hp) for hp in hps]).reshape(len(hps), space.dim)
+    return History(u, np.array(losses, dtype=float))
+
+
 def quad_history(n, target=0.2, seed=3):
-    rng = np.random.default_rng(seed)
-    hist = []
-    for _ in range(n):
-        x = float(rng.random())
-        hist.append(Observation((x,), (x - target) ** 2))
-    return hist
+    x = np.random.default_rng(seed).random(n)
+    return History(x[:, None], (x - target) ** 2)
+
+
+def searched(kind, space, rounds, loss, rng):
+    """Suggest `rounds` times, each from the history so far; return the hps and losses."""
+    hps, losses = [], []
+    for _ in range(rounds):
+        hp = suggest(SearcherConfig(kind=kind), space, history(space, hps, losses), rng)
+        hps.append(hp)
+        losses.append(loss(hp))
+    return hps, losses
 
 
 class TestSuggestContract:
     @pytest.mark.parametrize("kind", KINDS)
     def test_determinism(self, kind):
         space = unit_space(2)
-        hist = [
-            Observation((float(a), float(b)), float(l))
-            for a, b, l in np.random.default_rng(5).random((15, 3))
-        ]
+        points = np.random.default_rng(5).random((15, 3))
+        hist = History(points[:, :2], points[:, 2])
         s1 = suggest(SearcherConfig(kind=kind), space, hist, np.random.default_rng(9))
         s2 = suggest(SearcherConfig(kind=kind), space, hist, np.random.default_rng(9))
         assert s1 == s2
@@ -49,32 +59,37 @@ class TestSuggestContract:
             [Dimension("lr", 1e-4, 1.0, "log"), Dimension("b", 0.9, 0.9999, "reverse-log")]
         )
         rng = np.random.default_rng(0)
-        hist = []
+        hps, losses = [], []
         for i in range(25):
-            hp = suggest(SearcherConfig(kind=kind), space, hist, rng)
+            hp = suggest(SearcherConfig(kind=kind), space, history(space, hps, losses), rng)
             assert space.validate(hp) is None
-            hist.append(Observation(hp, float(i % 7)))
+            hps.append(hp)
+            losses.append(float(i % 7))
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_arity_mismatch_rejected(self, kind):
         space = unit_space(2)
-        hist = [Observation((0.5,), 1.0)]
+        hist = History(np.array([[0.5]]), np.array([1.0]))
         with pytest.raises(ValueError):
             suggest(SearcherConfig(kind=kind), space, hist, np.random.default_rng(0))
 
     def test_random_matches_sample_uniform(self):
         space = unit_space(3)
-        hist = quad_history(10)
-        a = suggest(SearcherConfig(kind="random"), unit_space(3), [], np.random.default_rng(4))
+        a = suggest(SearcherConfig(kind="random"), space, history(space, [], []),
+                    np.random.default_rng(4))
         b = space.sample_uniform(np.random.default_rng(4))
         assert a == b
 
     def test_random_ignores_history(self):
         # identical distribution whether the history is empty or adversarial
         space = unit_space(1)
-        adversarial = [Observation((0.999,), -1.0)] * 50
+        adversarial = History(np.full((50, 1), 0.999), np.full(50, -1.0))
+        empty_history = history(space, [], [])
         r1, r2 = np.random.default_rng(11), np.random.default_rng(12)
-        empty = [suggest(SearcherConfig(kind="random"), space, [], r1)[0] for _ in range(10**4)]
+        empty = [
+            suggest(SearcherConfig(kind="random"), space, empty_history, r1)[0]
+            for _ in range(10**4)
+        ]
         loaded = [
             suggest(SearcherConfig(kind="random"), space, adversarial, r2)[0]
             for _ in range(10**4)
@@ -94,31 +109,37 @@ class TestSuggestContract:
             SearcherConfig(beta_delta=1.5)
 
     def test_observation_loss_must_be_finite(self):
-        with pytest.raises(ValueError):
-            Observation((0.5,), float("nan"))
-        with pytest.raises(ValueError):
-            Observation((0.5,), float("inf"))
+        with pytest.raises(ValueError, match="finite"):
+            History(np.array([[0.5]]), np.array([float("nan")]))
+        with pytest.raises(ValueError, match="finite"):
+            History(np.array([[0.5]]), np.array([float("inf")]))
+
+    def test_history_shapes_must_agree(self):
+        with pytest.raises(ValueError, match="disagree in shape"):
+            History(np.zeros((2, 1)), np.zeros(3))
+        with pytest.raises(ValueError, match="disagree in shape"):
+            History(np.zeros(2), np.zeros(2))
 
 
 class TestTpeSplit:
     def test_forced_split(self):
-        hist = [Observation((0.1,), l) for l in (3.0, 1.0, 4.0, 2.0)]
-        good, bad = tpe_split(hist, 0.25)
-        assert [o.loss for o in good] == [1.0]
-        assert sorted(o.loss for o in bad) == [2.0, 3.0, 4.0]
+        loss = np.array([3.0, 1.0, 4.0, 2.0])
+        good = tpe_split(loss, 0.25)
+        assert loss[good].tolist() == [1.0]
+        assert sorted(loss[~good]) == [2.0, 3.0, 4.0]
 
     def test_ceiling(self):
-        good, bad = tpe_split(quad_history(10), 0.25)
-        assert len(good) == 3 and len(bad) == 7
+        good = tpe_split(quad_history(10).loss, 0.25)
+        assert good.sum() == 3 and (~good).sum() == 7
 
     def test_ties_favor_earlier_observations(self):
-        hist = [Observation((x,), 1.0) for x in (0.1, 0.2, 0.3, 0.4)]
-        good, _ = tpe_split(hist, 0.25)
-        assert good[0].hp == (0.1,)
+        assert tpe_split(np.ones(4), 0.25).tolist() == [True, False, False, False]
+        # ten tied zeros for five good places: an unstable sort picks others
+        assert np.flatnonzero(tpe_split(np.tile([1.0, 0.0], 10), 0.25)).tolist() == [1, 3, 5, 7, 9]
 
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError):
-            tpe_split([], 0.25)
+            tpe_split(np.empty(0), 0.25)
 
 
 class TestTpeScore:
@@ -149,7 +170,8 @@ class TestTpeScore:
 class TestTpeSuggest:
     def test_cold_start_is_uniform(self):
         space = unit_space(1)
-        a = suggest(SearcherConfig(kind="tpe"), space, [], np.random.default_rng(7))
+        a = suggest(SearcherConfig(kind="tpe"), space, history(space, [], []),
+                    np.random.default_rng(7))
         b = space.sample_uniform(np.random.default_rng(7))
         assert a == b
 
@@ -162,15 +184,13 @@ class TestTpeSuggest:
     def test_cluster_preference(self):
         # good cluster at 0.2, bad cluster at 0.8; >= 90/100 suggestions low
         rng = np.random.default_rng(7)
-        hist = []
+        hps, losses = [], []
         for _ in range(20):
-            hist.append(
-                Observation((float(np.clip(rng.normal(0.2, 0.02), 0, 1)),), float(rng.normal(0.1, 0.01)))
-            )
-            hist.append(
-                Observation((float(np.clip(rng.normal(0.8, 0.02), 0, 1)),), float(rng.normal(0.9, 0.01)))
-            )
+            for center, loss in ((0.2, 0.1), (0.8, 0.9)):
+                hps.append((float(np.clip(rng.normal(center, 0.02), 0, 1)),))
+                losses.append(float(rng.normal(loss, 0.01)))
         space = unit_space(1)
+        hist = history(space, hps, losses)
         hits = sum(
             suggest(SearcherConfig(kind="tpe"), space, hist, np.random.default_rng(s))[0] <= 0.5
             for s in range(100)
@@ -180,33 +200,30 @@ class TestTpeSuggest:
 
 class TestCma:
     def test_zero_variance_clamps_sigma(self):
-        space = unit_space(1)
-        tail = [Observation((0.3,), 1.0)] * 8
-        state = cma_update(tail, space)
+        state = cma_update(np.full((8, 1), 0.3), np.ones(8))
         assert state.mean[0] == pytest.approx(0.3)
         assert state.sigma[0] == pytest.approx(0.01)
 
     def test_small_window_falls_back_to_uniform(self):
         space = unit_space(1)
-        assert cma_update(quad_history(3), space) is None
+        tail = quad_history(3)
+        assert cma_update(tail.u, tail.loss) is None
         a = suggest(SearcherConfig(kind="cma"), space, quad_history(3), np.random.default_rng(2))
         b = space.sample_uniform(np.random.default_rng(2))
         assert a == b
 
     def test_sequential_convergence(self):
         space = unit_space(1)
-        cfg = SearcherConfig(kind="cma")
-        rng = np.random.default_rng(0)
-        hist = []
-        for _ in range(50):
-            hp = suggest(cfg, space, hist, rng)
-            hist.append(Observation(hp, (hp[0] - 0.7) ** 2))
-        state = cma_update(hist[-cfg.window:], space)
+        window = SearcherConfig(kind="cma").window
+        hps, losses = searched("cma", space, 50, lambda hp: (hp[0] - 0.7) ** 2,
+                               np.random.default_rng(0))
+        hist = history(space, hps, losses)
+        state = cma_update(hist.u[-window:], hist.loss[-window:])
         assert abs(state.mean[0] - 0.7) < 0.1
 
     def test_state_shapes(self):
-        space = unit_space(1)
-        state = cma_update(quad_history(12) + quad_history(12, seed=5), space)
+        a, b = quad_history(12), quad_history(12, seed=5)
+        state = cma_update(np.vstack([a.u, b.u]), np.concatenate([a.loss, b.loss]))
         assert isinstance(state, CmaState)
         assert state.mean.shape == (1,) and state.sigma.shape == (1,)
         assert (state.sigma >= 0.01).all() and (state.sigma <= 0.5).all()
@@ -215,23 +232,20 @@ class TestCma:
 class TestGpUcb:
     def test_empty_history_is_uniform(self):
         space = unit_space(1)
-        a = gp_ucb_suggest([], space, 2.0, np.random.default_rng(3))
+        a = gp_ucb_suggest(history(space, [], []), 1, 2.0, np.random.default_rng(3))
         b = space.sample_uniform(np.random.default_rng(3))
-        assert a == b
+        assert space.from_unit(a) == b
 
     def test_seeded_convergence(self):
         space = unit_space(1)
-        rng = np.random.default_rng(0)
-        hist = []
-        for _ in range(30):
-            hp = suggest(SearcherConfig(kind="gp_ucb"), space, hist, rng)
-            hist.append(Observation(hp, (hp[0] - 0.5) ** 2))
-        best = min(hist, key=lambda o: o.loss)
-        assert abs(best.hp[0] - 0.5) < 0.05
+        hps, losses = searched("gp_ucb", space, 30, lambda hp: (hp[0] - 0.5) ** 2,
+                               np.random.default_rng(0))
+        best = hps[int(np.argmin(losses))]
+        assert abs(best[0] - 0.5) < 0.05
 
     def test_duplicate_inputs_do_not_fail(self):
         space = unit_space(1)
-        hist = [Observation((0.5,), 1.0)] * 10
+        hist = History(np.full((10, 1), 0.5), np.ones(10))
         hp = suggest(SearcherConfig(kind="gp_ucb"), space, hist, np.random.default_rng(1))
         assert space.validate(hp) is None
 
@@ -242,12 +256,9 @@ def test_regret_beats_uniform_baseline(kind):
     space = unit_space(1)
     wins = 0
     for seed in range(10):
-        rng = np.random.default_rng(seed)
-        hist = []
-        for _ in range(30):
-            hp = suggest(SearcherConfig(kind=kind), space, hist, rng)
-            hist.append(Observation(hp, (hp[0] - 0.5) ** 2))
-        best = min(o.loss for o in hist)
+        _, losses = searched(kind, space, 30, lambda hp: (hp[0] - 0.5) ** 2,
+                             np.random.default_rng(seed))
+        best = min(losses)
         baseline_rng = np.random.default_rng([seed, 99])
         baseline = min((float(baseline_rng.random()) - 0.5) ** 2 for _ in range(30))
         wins += best < baseline
