@@ -3,8 +3,11 @@
 
 Runs the bundled configs and small configs covering pooled histories, dynamic
 c, all three early-stopping levels, Boltzmann selection, PBT and non-adaptive
-search through `gpbt.cli.main`, then prints one sha256 per output file and one
-per top-level key of every result.json. It also runs one `sweep-c` over a small
+search through `gpbt.cli.main`, on the synthetic trainers and on the external
+trainer double `tests/trainer_double.py`, then prints one sha256 per output
+file and one per top-level key of every result.json. The external config's
+result.json files echo the double's path, so their whole-file line and their
+"config" key are left out. It also runs one `sweep-c` over a small
 config the same way, and hashes the stderr of `run --verbose` on it (those
 lines hold no clock values). Everything goes through the CLI and
 the config files, so the same script runs against whichever gpbt package is
@@ -19,6 +22,7 @@ import contextlib
 import hashlib
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -56,7 +60,12 @@ SMALL_TRAINERS = {
                                "r_max": 1.0, "seed": 1},
     "small_phase": {"kind": "phase_surrogate", "dim": 2, "curvatures": [1.5, 0.5],
                     "noise": 0.1},
+    "small_external": {"kind": "external", "command": [
+        sys.executable, str(Path(__file__).resolve().parents[1] / "tests" / "trainer_double.py"),
+        "quad"]},
 }
+# Labels whose result.json echoes a path of this checkout in its "config" key.
+ECHOES_PATH = {"small_external"}
 
 
 def sha(data: bytes) -> str:
@@ -73,10 +82,13 @@ def digest_cli(label: str, argv: list[str], out: Path) -> list[str]:
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         rel = f"{label}/{path.relative_to(out).as_posix()}"
         data = path.read_bytes()
-        lines.append(f"{sha(data)}  {rel}")
+        echo = label in ECHOES_PATH and path.name == "result.json"
+        if not echo:
+            lines.append(f"{sha(data)}  {rel}")
         if path.name == "result.json":
             for key, value in sorted(json.loads(data).items()):
-                lines.append(f"{sha(json.dumps(value, sort_keys=True).encode())}  {rel}:{key}")
+                if not (echo and key == "config"):
+                    lines.append(f"{sha(json.dumps(value, sort_keys=True).encode())}  {rel}:{key}")
     return lines
 
 

@@ -14,15 +14,20 @@ copying is a "fork" message returning a fresh token.
     -> {"cmd": "fork", "state": TOKEN}
     <- {"ok": true, "state": TOKEN''}
     -> {"cmd": "shutdown"}
+
+The conversation runs in the caller's thread; no thread is used. Each reply
+line must arrive within `spec.timeout` seconds of its request, or the child is
+killed. Every bad reply, exit or timeout raises TrainerProtocolError. The wait
+uses select() on the pipe, so the bridge needs POSIX pipes.
 """
 
 from __future__ import annotations
 
 import json
-import queue
+import os
+import select
 import subprocess
-import threading
-from dataclasses import dataclass
+import time
 from typing import Mapping
 
 from .space import SearchSpace
@@ -33,9 +38,14 @@ class TrainerProtocolError(RuntimeError):
     """Raised on handshake failure, malformed replies, timeouts, or child errors."""
 
 
-@dataclass(frozen=True)
-class ExternalState:
-    token: str
+def _loss(value, field: str) -> float:
+    """An "eval" reply's `field`, which must be a JSON number (not a bool)."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an integer too large for a float
+            pass
+    raise TrainerProtocolError(f"trainer reply to 'eval': {field!r} must be a number, got {value!r}")
 
 
 class ExternalTrainer:
@@ -46,90 +56,93 @@ class ExternalTrainer:
         self.space = space
         try:
             self._proc = subprocess.Popen(
-                list(spec.command),
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                text=True,
-                bufsize=1,
+                list(spec.command), stdin=subprocess.PIPE, stdout=subprocess.PIPE
             )
         except OSError as exc:
             raise TrainerProtocolError(f"could not start trainer command: {exc}") from exc
-        self._lines: queue.Queue = queue.Queue()
-        self._reader = threading.Thread(target=self._pump, daemon=True)
-        self._reader.start()
-        self._closed = False
+        self._buffer = bytearray()  # stdout bytes read past the last reply line
 
-    def _pump(self):
-        for line in self._proc.stdout:
-            self._lines.put(line)
-        self._lines.put(None)  # EOF marker
-
-    def _request(self, msg: dict) -> dict:
-        if self._closed or self._proc.poll() is not None:
+    def _request(self, msg: dict, *fields: str) -> list:
+        """Send `msg` and return the reply's `fields`, each of which must be present."""
+        if self._proc.poll() is not None:
             raise TrainerProtocolError("trainer process is not running")
         try:
-            self._proc.stdin.write(json.dumps(msg) + "\n")
+            self._proc.stdin.write(json.dumps(msg).encode() + b"\n")
             self._proc.stdin.flush()
         except (BrokenPipeError, ValueError) as exc:
             raise TrainerProtocolError(f"trainer pipe closed: {exc}") from exc
-        try:
-            line = self._lines.get(timeout=self.spec.timeout)
-        except queue.Empty:
-            self._kill()
-            raise TrainerProtocolError(
-                f"trainer reply timed out after {self.spec.timeout}s"
-            ) from None
-        if line is None:
-            code = self._proc.wait()
-            raise TrainerProtocolError(f"trainer exited with code {code} mid-conversation")
+        line = self._read_line(time.monotonic() + self.spec.timeout)
         try:
             reply = json.loads(line)
-        except json.JSONDecodeError:
-            raise TrainerProtocolError(f"malformed trainer reply: {line.rstrip()!r}") from None
+        except ValueError:  # also bytes that are not UTF-8
+            reply = None
         if not isinstance(reply, dict) or "ok" not in reply:
             raise TrainerProtocolError(f"malformed trainer reply: {line.rstrip()!r}")
         if not reply["ok"]:
             raise TrainerProtocolError(f"trainer error: {reply.get('error', 'unspecified')}")
-        return reply
+        for field in fields:
+            if field not in reply:
+                raise TrainerProtocolError(f"trainer reply to {msg['cmd']!r} has no {field!r}")
+        return [reply[field] for field in fields]
+
+    def _read_line(self, deadline: float) -> bytes:
+        """The next newline-terminated line from the child's stdout, by `deadline`."""
+        fd = self._proc.stdout.fileno()
+        while (end := self._buffer.find(b"\n")) < 0:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
+                self._kill()
+                raise TrainerProtocolError(f"trainer reply timed out after {self.spec.timeout}s")
+            chunk = os.read(fd, 65536)
+            if not chunk:
+                try:
+                    code = self._proc.wait(timeout=max(0.0, deadline - time.monotonic()))
+                except subprocess.TimeoutExpired:
+                    self._kill()
+                    raise TrainerProtocolError(
+                        f"trainer closed its stdout, did not exit within {self.spec.timeout}s"
+                        " and was killed"
+                    ) from None
+                raise TrainerProtocolError(f"trainer exited with code {code} mid-conversation")
+            self._buffer += chunk
+        line = bytes(self._buffer[: end + 1])
+        del self._buffer[: end + 1]
+        return line
 
     # -- trainer contract ----------------------------------------------------
 
-    def init(self, seed: int) -> ExternalState:
-        reply = self._request(
-            {"cmd": "init", "seed": int(seed), "space": self.space.as_config()}
-        )
-        return ExternalState(token=str(reply["state"]))
+    def init(self, seed: int) -> str:
+        msg = {"cmd": "init", "seed": int(seed), "space": self.space.as_config()}
+        (token,) = self._request(msg, "state")
+        return str(token)
 
-    def step_many(self, state: ExternalState, hp: Mapping[str, float], iters: int) -> ExternalState:
+    def step_many(self, state: str, hp: Mapping[str, float], iters: int) -> str:
         if iters < 1:
             return state
-        reply = self._request(
-            {"cmd": "step", "state": state.token, "hp": dict(hp), "iters": int(iters)}
-        )
-        return ExternalState(token=str(reply["state"]))
+        msg = {"cmd": "step", "state": state, "hp": dict(hp), "iters": int(iters)}
+        (token,) = self._request(msg, "state")
+        return str(token)
 
-    def evaluate(self, state: ExternalState) -> tuple[float, float]:
-        reply = self._request({"cmd": "eval", "state": state.token})
-        return float(reply["val"]), float(reply["test"])
+    def evaluate(self, state: str) -> tuple[float, float]:
+        val, test = self._request({"cmd": "eval", "state": state}, "val", "test")
+        return _loss(val, "val"), _loss(test, "test")
 
-    def fork(self, state: ExternalState) -> ExternalState:
-        reply = self._request({"cmd": "fork", "state": state.token})
-        return ExternalState(token=str(reply["state"]))
+    def fork(self, state: str) -> str:
+        (token,) = self._request({"cmd": "fork", "state": state}, "state")
+        return str(token)
 
     # -- lifecycle -----------------------------------------------------------
 
     def close(self):
-        if self._closed:
-            return
-        self._closed = True
         try:
             if self._proc.poll() is None:
-                self._proc.stdin.write(json.dumps({"cmd": "shutdown"}) + "\n")
+                self._proc.stdin.write(json.dumps({"cmd": "shutdown"}).encode() + b"\n")
                 self._proc.stdin.flush()
                 self._proc.stdin.close()
                 self._proc.wait(timeout=10)
         except (OSError, ValueError, subprocess.TimeoutExpired):
             self._kill()
+        self._proc.stdout.close()
 
     def _kill(self):
         if self._proc.poll() is None:

@@ -25,6 +25,7 @@ from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
+LR_NAME = "lr"  # the one hyperparameter that drives the synthetic dynamics
 LOSS_CLAMP = 1e12
 THETA_CLIP = 1e9  # overflow guard for divergent rates; losses stay finite
 TEST_GAP_SCALE = 0.05
@@ -41,7 +42,6 @@ class TrainerSpec:
     curvatures: tuple[float, ...] | None = None  # default: 1.0 per coordinate
     noise: float = 0.0
     seed: int = 0
-    lr_name: str = "lr"
     r_max: float = 1.0  # weight_sensitive: inverted response is r_max - r
     command: tuple[str, ...] = ()  # external trainer process
     timeout: float = 300.0
@@ -123,7 +123,7 @@ class NoisyQuadraticTrainer:
         return QuadState(theta=theta, steps=0, rng=np.random.default_rng(seed))
 
     def _rate(self, state: QuadState, hp: Mapping[str, float]) -> float:
-        return float(hp.get(self.spec.lr_name, 0.0))
+        return float(hp.get(LR_NAME, 0.0))
 
     def step_many(self, state: QuadState, hp: Mapping[str, float], iters: int) -> QuadState:
         r = self._rate(state, hp)
@@ -162,7 +162,7 @@ class WeightSensitiveTrainer(NoisyQuadraticTrainer):
         return state
 
     def _rate(self, state: QuadState, hp: Mapping[str, float]) -> float:
-        r = float(hp.get(self.spec.lr_name, 0.0))
+        r = float(hp.get(LR_NAME, 0.0))
         return r if state.latent > 0 else self.spec.r_max - r
 
 
@@ -192,7 +192,7 @@ class PhaseSurrogateTrainer:
         return PhaseState(v=np.ones(self.spec.dim), steps=0)
 
     def step_many(self, state: PhaseState, hp: Mapping[str, float], iters: int) -> PhaseState:
-        r = float(hp.get(self.spec.lr_name, 0.0))
+        r = float(hp.get(LR_NAME, 0.0))
         decay = (1.0 - r * self.h) ** 2
         for _ in range(iters):
             state.v = np.minimum(decay * state.v + (r * self.spec.noise) ** 2, THETA_CLIP**2)
@@ -248,7 +248,7 @@ def expected_schedule_loss(
     """Expected loss of a per-generation hp schedule, each phase lasting t_g steps."""
     rates: list[float] = []
     for hp in schedule:
-        rates.extend([float(hp.get(spec.lr_name, 0.0))] * t_g)
+        rates.extend([float(hp.get(LR_NAME, 0.0))] * t_g)
     return expected_final_loss(spec, rates, v0=v0)
 
 

@@ -186,9 +186,11 @@ class TestRunCommand:
             ("trainer", {"timeout": -1}, "trainer.timeout"),
             ("trainer", {"timeout": 0}, "trainer.timeout"),
             ("trainer", {"timeout": 1e308}, "trainer.timeout"),
+            ("trainer", {"lr_name": "lr"}, "trainer.lr_name"),
         ],
         ids=["pool", "window", "dim", "level3", "n", "dynamic_c_typo", "c_and_dynamic_c",
-             "c_overflows_float", "timeout_negative", "timeout_zero", "timeout_huge"],
+             "c_overflows_float", "timeout_negative", "timeout_zero", "timeout_huge",
+             "lr_name"],
     )
     def test_mistyped_field_exits_2(self, tmp_path, capsys, section, fields, named):
         # A None value removes the field.

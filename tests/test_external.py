@@ -1,8 +1,13 @@
+import json
+import os
+import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
+from gpbt.cli import main
 from gpbt.external import ExternalTrainer, TrainerProtocolError
 from gpbt.orchestrator import EarlyStopConfig, FixedC, RunConfig, run
 from gpbt.searchers import SearcherConfig
@@ -10,6 +15,7 @@ from gpbt.space import Dimension, SearchSpace
 from gpbt.trainers import TrainerSpec, make_trainer
 
 DOUBLE = str(Path(__file__).with_name("trainer_double.py"))
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def external_spec(mode="quad", timeout=30.0):
@@ -58,11 +64,28 @@ class TestBridgeBasics:
             with pytest.raises(TrainerProtocolError, match="not json"):
                 trainer.step_many(s, {"lr": 0.5}, 1)
 
+    @pytest.mark.parametrize("val", ["true", "1" + "0" * 400], ids=["bool", "overflowing_int"])
+    def test_eval_needs_numbers(self, val):
+        spec = TrainerSpec(kind="external", command=(sys.executable, DOUBLE, "badval", val))
+        with ExternalTrainer(spec, space()) as trainer:
+            with pytest.raises(TrainerProtocolError, match="'val' must be a number"):
+                trainer.evaluate(trainer.init(0))
+
     def test_timeout(self):
         with ExternalTrainer(external_spec("sleep", timeout=0.5), space()) as trainer:
             s = trainer.init(0)
             with pytest.raises(TrainerProtocolError, match="timed out"):
                 trainer.step_many(s, {"lr": 0.5}, 1)
+            # the timed-out child was killed and reaped
+            with pytest.raises(TrainerProtocolError, match="not running"):
+                trainer.evaluate(s)
+
+    def test_no_thread_started(self):
+        before = threading.active_count()
+        with ExternalTrainer(external_spec(), space()) as trainer:
+            assert threading.active_count() == before
+            trainer.evaluate(trainer.init(0))
+            assert threading.active_count() == before
 
     def test_make_trainer_requires_space(self):
         with pytest.raises(ValueError):
@@ -112,3 +135,45 @@ class TestEndToEnd:
             result = run(config, space(), trainer)
             assert len(result.tree.records) == 36
             assert result.total_epochs == 72
+
+    def test_longest_timeout_completes_a_run(self):
+        # the wait on the pipe must accept any timeout that TrainerSpec accepts
+        with ExternalTrainer(external_spec(timeout=threading.TIMEOUT_MAX), space()) as trainer:
+            config = RunConfig(
+                n=4, t_max=2, t_g=1, c=FixedC(1.0),
+                searcher=SearcherConfig(kind="random"), seed=0,
+            )
+            result = run(config, space(), trainer)
+            assert len(result.tree.records) == 8
+
+
+def cli_config(tmp_path, mode, timeout):
+    cfg = {
+        "space": [{"name": "lr", "lower": 0.0, "upper": 1.0, "scale": "linear"}],
+        "trainer": {"kind": "external", "command": [sys.executable, DOUBLE, mode],
+                    "timeout": timeout},
+        "seeds": [0],
+        "methods": [{"method": "gpbt", "n": 4, "t_max": 3, "t_g": 1, "c": 1.0,
+                     "searcher": {"kind": "random"}}],
+    }
+    path = tmp_path / f"{mode}.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+class TestProcessFailures:
+    @pytest.mark.parametrize("mode", ["nostate", "badval", "notutf8", "closeout"])
+    def test_bad_reply_exits_3(self, tmp_path, mode):
+        # in a subprocess, so that a hang fails the test instead of the suite
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        argv = [sys.executable, "-m", "gpbt.cli", "run", str(cli_config(tmp_path, mode, 2.0)),
+                "--out", str(tmp_path / "out")]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("trainer failure:") and "Traceback" not in proc.stderr
+
+    def test_exit_mid_generation_exits_3(self, tmp_path, capsys):
+        path = cli_config(tmp_path, "exit", 30.0)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert "exited with code 7" in capsys.readouterr().err

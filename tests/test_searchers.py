@@ -119,6 +119,10 @@ class TestSuggestContract:
             History(np.zeros((2, 1)), np.zeros(3))
         with pytest.raises(ValueError, match="disagree in shape"):
             History(np.zeros(2), np.zeros(2))
+        with pytest.raises(ValueError, match="disagree in shape"):
+            History([0.5], [1.0])
+        history = History([[0.5]], [1.0])
+        assert history.u.shape == (1, 1) and history.loss.dtype == float and len(history) == 1
 
 
 class TestTpeSplit:

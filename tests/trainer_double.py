@@ -7,16 +7,24 @@ Modes (argv[1], default "quad"):
   malformed replies to the second message with a non-JSON line
   error     replies ok:false to "step"
   sleep     never replies to "step" (exercises the timeout path)
+  nostate   replies {"ok": true} without "state" to "step"
+  badval    replies to "eval" with "val": "abc", or with the JSON value in argv[2]
+  notutf8   replies to "step" with a line of bytes that are not UTF-8
+  closeout  closes its stdout on "step" and keeps running
+  exit      exits with code 7 on the second "fork"
 """
 
 import json
+import os
 import sys
 import time
 
 mode = sys.argv[1] if len(sys.argv) > 1 else "quad"
+bad_val = json.loads(sys.argv[2]) if len(sys.argv) > 2 else "abc"
 states = {}
 counter = 0
 eval_count = 0
+fork_count = 0
 msg_count = 0
 
 
@@ -51,6 +59,17 @@ for line in sys.stdin:
         if mode == "error":
             reply({"ok": False, "error": "scripted failure"})
             continue
+        if mode == "nostate":
+            reply({"ok": True})
+            continue
+        if mode == "notutf8":
+            sys.stdout.buffer.write(b'{"ok": true, "state": "\xff\xfe"}\n')
+            sys.stdout.buffer.flush()
+            continue
+        if mode == "closeout":
+            os.close(sys.stdout.fileno())
+            time.sleep(60)
+            break
         st = dict(states[msg["state"]])
         if mode != "echo":
             lr = float(msg["hp"].get("lr", 0.0))
@@ -65,8 +84,14 @@ for line in sys.stdin:
             val = 1.0 / eval_count
         else:
             val = st["x"] * st["x"]
+        if mode == "badval":
+            reply({"ok": True, "val": bad_val, "test": 1.0})
+            continue
         reply({"ok": True, "val": val, "test": val * 1.01})
     elif cmd == "fork":
+        fork_count += 1
+        if mode == "exit" and fork_count == 2:
+            sys.exit(7)
         reply({"ok": True, "state": fresh(dict(states[msg["state"]]))})
     else:
         reply({"ok": False, "error": f"unknown command {cmd!r}"})
