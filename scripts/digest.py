@@ -2,10 +2,11 @@
 """Hash what `gpbt run --deterministic` writes, to show what a change keeps.
 
 Runs the bundled configs and small configs covering pooled histories, dynamic
-c, all three early-stopping levels, Boltzmann selection, PBT and non-adaptive
-search through `gpbt.cli.main`, on the synthetic trainers and on the external
-trainer double `tests/trainer_double.py`, then prints one sha256 per output
-file and one per top-level key of every result.json. The external config's
+c, all three early-stopping levels, Boltzmann selection, PBT, non-adaptive
+search and a 9-dimension space under GP-UCB and TPE through `gpbt.cli.main`,
+on the synthetic trainers and on the external trainer double
+`tests/trainer_double.py`, then prints one sha256 per output file and one per
+top-level key of every result.json. The external config's
 result.json files echo the double's path, so their whole-file line and their
 "config" key are left out. It also runs one `sweep-c` over a small
 config the same way, and hashes the stderr of `run --verbose` on it (those
@@ -67,6 +68,26 @@ SMALL_TRAINERS = {
 # Labels whose result.json echoes a path of this checkout in its "config" key.
 ECHOES_PATH = {"small_external"}
 
+# A space wider than the bundled configs' (9 dimensions, every scale), searched
+# by GP-UCB on pooled histories and by TPE on time-enriched ones.
+WIDE_CONFIG = {
+    "space": [
+        {"name": "lr", "lower": 0.01, "upper": 1.0, "scale": "log"},
+        *({"name": f"lin{i}", "lower": -1.0, "upper": 2.0, "scale": "linear"} for i in range(3)),
+        *({"name": f"log{i}", "lower": 1e-5, "upper": 1e-1, "scale": "log"} for i in range(3)),
+        *({"name": f"rev{i}", "lower": 0.9, "upper": 0.9999, "scale": "reverse-log"}
+          for i in range(2)),
+    ],
+    "trainer": SMALL_TRAINERS["small_quadratic"],
+    "seeds": [0, 1],
+    "methods": [
+        {"name": "pooled_gp", "method": "pooled", "n": 8, "t_max": 4, "t_g": 2,
+         "searcher": {"kind": "gp_ucb"}},
+        {"name": "time_tpe", "method": "gpbt", "n": 8, "t_max": 4, "t_g": 2, "c": 1.0,
+         "searcher": {"kind": "tpe", "startup": 2}, "history_mode": "time_enriched"},
+    ],
+}
+
 
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -112,6 +133,9 @@ def main():
             cfg = {"space": SPACE, "trainer": trainer, "seeds": [0, 1], "methods": SMALL_METHODS}
             path.write_text(json.dumps(cfg), encoding="utf-8")
             configs.append((label, path))
+        wide = tmp / "wide_space.json"
+        wide.write_text(json.dumps(WIDE_CONFIG), encoding="utf-8")
+        configs.append(("wide_space", wide))
         lines = []
         for label, path in configs:
             lines += digest_cli(label, ["run", str(path)], tmp / "out" / label)

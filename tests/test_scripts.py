@@ -10,7 +10,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # The `all` line of scripts/digest.py: a change that moves any deterministic
 # output must update this pin and say in CHANGES.md which outputs moved and why.
-DIGEST_ALL = "70ccd28bccc6baed50c262b1b65757b1f687f122009e5d49fea5e4a659bafc52"
+DIGEST_ALL = "d3137f808ea41a3f1db63c34ee7861240d4fc899fca214dff28d8f6907045de7"
 
 
 def run_script(script, *args):
@@ -47,6 +47,7 @@ def test_digest_lists_files_and_result_keys():
                  "small_phase/nonadaptive/1/result.json",
                  "small_weight_sensitive/pbt/0/result.json:transfer_ledger",
                  "small_external/levels/1/genealogy.ndjson",
+                 "wide_space/pooled_gp/1/genealogy.ndjson",
                  "sweep_c/curves.csv", "sweep_c/c=0.5/1/genealogy.ndjson",
                  "sweep_c/c=2/0/result.json:run_config", "verbose/small_quadratic.stderr"):
         assert name in names

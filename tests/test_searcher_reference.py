@@ -33,14 +33,17 @@ def dimensions(draw, name):
 
 @st.composite
 def spaces(draw):
-    d = draw(st.integers(1, 5))
+    # From 8 dimensions on NumPy sums pairwise, so a kernel summed another way
+    # can round differently; d, n and pool reach beyond that and beyond the
+    # history lengths of the benchmark's pooled runs.
+    d = draw(st.integers(1, 12))
     return SearchSpace([draw(dimensions(f"x{i}")) for i in range(d)])
 
 
 SETTINGS = st.fixed_dictionaries({
     "kind": st.sampled_from(SEARCHER_KINDS),
     "gamma": st.sampled_from([0.1, 0.25, 0.5, 1.0]),
-    "pool": st.integers(1, 8),
+    "pool": st.integers(1, 48),
     "startup": st.integers(1, 6),
     "window": st.integers(1, 8),
     "beta_delta": st.floats(0.01, 0.99),
@@ -49,7 +52,7 @@ SETTINGS = st.fixed_dictionaries({
 
 @given(
     space=spaces(),
-    n=st.integers(0, 40),
+    n=st.integers(0, 300),
     levels=st.integers(1, 40),
     fields=SETTINGS,
     edges=st.booleans(),
