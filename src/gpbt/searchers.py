@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.stats import qmc
 
 from .space import HpVector, SearchSpace
@@ -128,33 +129,34 @@ def tpe_bandwidths(points: np.ndarray) -> np.ndarray:
     return np.maximum(1.06 * std * n ** (-0.2), TPE_BANDWIDTH_FLOOR)
 
 
-def _kde(x: np.ndarray, centers: np.ndarray, bw: np.ndarray) -> float:
-    """Kernel density with diagonal Gaussian kernels plus one uniform-prior
-    component weighted like an extra observation, so an estimate over zero
-    points is exactly the uniform density 1 on the cube."""
+def _kde(points: np.ndarray, centers: np.ndarray, bw: np.ndarray) -> np.ndarray:
+    """Kernel density at each of the (m, d) `points`, with diagonal Gaussian
+    kernels plus one uniform-prior component weighted like an extra
+    observation, so an estimate over zero centers is exactly the uniform
+    density 1 on the cube."""
     if centers.shape[0] == 0:
-        return 1.0
-    z = (x[None, :] - centers) / bw[None, :]
+        return np.ones(points.shape[0])
+    z = (points[:, None, :] - centers[None]) / bw
     norm = np.prod(bw) * (2.0 * math.pi) ** (centers.shape[1] / 2.0)
-    kernels = float(np.exp(-0.5 * (z * z).sum(axis=1)).sum() / norm)
+    kernels = np.exp(-0.5 * (z * z).sum(axis=2)).sum(axis=1) / norm
     return (1.0 + kernels) / (centers.shape[0] + 1)
 
 
 def tpe_score(
-    candidate: np.ndarray,
+    candidates: np.ndarray,
     good: np.ndarray,
     bad: np.ndarray,
     bandwidths: tuple[np.ndarray, np.ndarray | None],
-) -> float:
-    """Density ratio l(x)/g(x) over unit-space point sets.
+) -> np.ndarray:
+    """Density ratio l(x)/g(x) of each of the (m, d) unit-space `candidates`.
 
     `bandwidths` is the (good, bad) pair; the bad entry may be None when bad
     is empty, in which case g is the uniform density 1 on the cube.
     """
     good_bw, bad_bw = bandwidths
-    l = _kde(candidate, good, good_bw)
-    g = _kde(candidate, bad, bad_bw)
-    return l / max(g, TPE_DENSITY_FLOOR)
+    l = _kde(candidates, good, good_bw)
+    g = _kde(candidates, bad, bad_bw)
+    return l / np.maximum(g, TPE_DENSITY_FLOOR)
 
 
 def _tpe_suggest(
@@ -178,7 +180,7 @@ def _tpe_suggest(
         uniform,
     )
     candidates = np.clip(candidates, 0.0, 1.0)
-    scores = [tpe_score(c, good_u, bad_u, (good_bw, bad_bw)) for c in candidates]
+    scores = tpe_score(candidates, good_u, bad_u, (good_bw, bad_bw))
     return candidates[int(np.argmax(scores))]
 
 
@@ -238,7 +240,12 @@ def gp_ucb_beta(dim: int, t: int, delta: float) -> float:
 
 
 def _rbf(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+    # Squared distances summed one dimension at a time into an (m, n) array,
+    # instead of through an (m, n, d) difference array.
+    d2 = np.zeros((a.shape[0], b.shape[0]))
+    for j in range(a.shape[1]):
+        diff = a[:, j, None] - b[None, :, j]
+        d2 += diff * diff
     return np.exp(-0.5 * d2 / (GP_LENGTHSCALE * GP_LENGTHSCALE))
 
 
@@ -252,7 +259,8 @@ def gp_ucb_suggest(
 
     Losses are standardized before the fit; candidates are a scrambled Sobol
     pool plus the incumbent best. A singular kernel matrix gets one jitter
-    retry, then the call degrades to a uniform sample.
+    retry, then the call degrades to a uniform sample. The posterior comes
+    from the Cholesky factor by triangular solves (GPML, Alg. 2.1).
     """
     if not history:
         return rng.random(d)
@@ -261,15 +269,13 @@ def gp_ucb_suggest(
     y_s = (y - y.mean()) / (std if std > 0 else 1.0)
 
     k = _rbf(x, x) + GP_NOISE_VAR * np.eye(len(x))
-    chol = None
-    for attempt in range(2):
+    try:
+        chol = np.linalg.cholesky(k)
+    except np.linalg.LinAlgError:
         try:
-            chol = np.linalg.cholesky(k)
-            break
+            chol = np.linalg.cholesky(k + GP_JITTER * np.eye(len(x)))
         except np.linalg.LinAlgError:
-            k = k + GP_JITTER * np.eye(len(x))
-    if chol is None:
-        return rng.random(d)
+            return rng.random(d)
 
     sobol = qmc.Sobol(d, scramble=True, seed=int(rng.integers(2**31)))
     candidates = sobol.random(GP_POOL)
@@ -277,9 +283,9 @@ def gp_ucb_suggest(
     candidates = np.vstack([candidates, incumbent])
 
     k_star = _rbf(candidates, x)
-    alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, y_s))
+    alpha = solve_triangular(chol, solve_triangular(chol, y_s, lower=True), lower=True, trans="T")
     mu = k_star @ alpha
-    v = np.linalg.solve(chol, k_star.T)
+    v = solve_triangular(chol, k_star.T, lower=True)
     var = np.maximum(1.0 - (v * v).sum(axis=0), 0.0)  # prior variance is 1
     lcb = mu - math.sqrt(beta_t) * np.sqrt(var)
     return np.clip(candidates[int(np.argmin(lcb))], 0.0, 1.0)

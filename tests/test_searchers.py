@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from gpbt import searchers
 from gpbt.searchers import (
+    GP_JITTER,
     CmaState,
     History,
     SearcherConfig,
@@ -151,23 +153,25 @@ class TestTpeScore:
         good = np.array([[0.2]])
         bad = np.array([[0.8]])
         bw = (np.array([0.05]), np.array([0.05]))
-        assert tpe_score(np.array([0.2]), good, bad, bw) > tpe_score(np.array([0.8]), good, bad, bw)
+        at_good, at_bad = tpe_score(np.array([[0.2], [0.8]]), good, bad, bw)
+        assert at_good > at_bad
 
     def test_symmetry_for_mirrored_sets(self):
         good = np.array([[0.4], [0.6]])
         bad = np.array([[0.2], [0.8]])
         bw = (tpe_bandwidths(good), tpe_bandwidths(bad))
-        for delta in (0.05, 0.1, 0.3):
-            lo = tpe_score(np.array([0.5 - delta]), good, bad, bw)
-            hi = tpe_score(np.array([0.5 + delta]), good, bad, bw)
-            assert lo == pytest.approx(hi, abs=1e-9)
+        delta = np.array([0.05, 0.1, 0.3])
+        lo = tpe_score(0.5 - delta[:, None], good, bad, bw)
+        hi = tpe_score(0.5 + delta[:, None], good, bad, bw)
+        assert lo == pytest.approx(hi, abs=1e-9)
 
     def test_single_good_point_maximal_at_center(self):
         # grid-scan oracle over 101 points
         good = np.array([[0.37]])
         bad = np.empty((0, 1))
         bw = (tpe_bandwidths(good), None)
-        grid = [tpe_score(np.array([g]), good, bad, bw) for g in np.linspace(0, 1, 101)]
+        grid = tpe_score(np.linspace(0, 1, 101)[:, None], good, bad, bw)
+        assert grid.shape == (101,)
         assert int(np.argmax(grid)) == 37
 
 
@@ -252,6 +256,34 @@ class TestGpUcb:
         hist = History(np.full((10, 1), 0.5), np.ones(10))
         hp = suggest(SearcherConfig(kind="gp_ucb"), space, hist, np.random.default_rng(1))
         assert space.validate(hp) is None
+
+    def test_singular_kernel_retries_with_jitter(self, monkeypatch):
+        cholesky = np.linalg.cholesky
+        seen = []
+
+        def fails_once(k):
+            seen.append(k)
+            if len(seen) == 1:
+                raise np.linalg.LinAlgError("not positive definite")
+            return cholesky(k)
+
+        monkeypatch.setattr(searchers.np.linalg, "cholesky", fails_once)
+        hist = quad_history(6)
+        u = gp_ucb_suggest(hist, 1, 2.0, np.random.default_rng(4))
+        assert len(seen) == 2
+        np.testing.assert_array_equal(seen[1], seen[0] + GP_JITTER * np.eye(6))
+        assert u.shape == (1,) and 0.0 <= u[0] <= 1.0
+
+    def test_singular_kernel_falls_back_to_uniform(self, monkeypatch):
+        def fails(k):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(searchers.np.linalg, "cholesky", fails)
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        u = gp_ucb_suggest(History(np.full((4, 3), 0.5), np.ones(4)), 3, 2.0, rng)
+        np.testing.assert_array_equal(u, twin.random(3))
+        # the Sobol seed is drawn only after a factorisation succeeds
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 @pytest.mark.parametrize("kind", ["gp_ucb", "cma"])
