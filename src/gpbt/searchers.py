@@ -240,8 +240,8 @@ def gp_ucb_beta(dim: int, t: int, delta: float) -> float:
 
 
 def _rbf(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Squared distances summed one dimension at a time into an (m, n) array,
-    # instead of through an (m, n, d) difference array.
+    # Squared distances summed one dimension at a time into the (m, n)
+    # result, so no (m, n, d) temporary is built.
     d2 = np.zeros((a.shape[0], b.shape[0]))
     for j in range(a.shape[1]):
         diff = a[:, j, None] - b[None, :, j]
@@ -283,7 +283,8 @@ def gp_ucb_suggest(
     candidates = np.vstack([candidates, incumbent])
 
     k_star = _rbf(candidates, x)
-    alpha = solve_triangular(chol, solve_triangular(chol, y_s, lower=True), lower=True, trans="T")
+    w = solve_triangular(chol, y_s, lower=True)
+    alpha = solve_triangular(chol, w, lower=True, trans="T")
     mu = k_star @ alpha
     v = solve_triangular(chol, k_star.T, lower=True)
     var = np.maximum(1.0 - (v * v).sum(axis=0), 0.0)  # prior variance is 1
