@@ -10,12 +10,13 @@ units once, so every suggestion validates against the space.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.stats import qmc
+from scipy.spatial.distance import cdist
 
 from .space import HpVector, SearchSpace
 
@@ -36,6 +37,15 @@ GP_POOL = 256
 GP_LENGTHSCALE = 0.2
 GP_NOISE_VAR = 1e-4
 GP_JITTER = 1e-6
+
+# Bits per Sobol coordinate (scipy's default), and the number of direction
+# numbers that the first GP_POOL points use.
+SOBOL_BITS = 30
+SOBOL_DIRECTIONS = (GP_POOL - 1).bit_length()
+_SOBOL_WEIGHTS = 2 ** np.arange(SOBOL_BITS, dtype=np.uint32)
+# For each bit p, counted from the most significant end, the mask of the bits
+# before it: the strict lower triangle of row p of a scrambling matrix.
+_SOBOL_STRICT_LOWER = np.cumsum(_SOBOL_WEIGHTS[::-1], dtype=np.uint32) - _SOBOL_WEIGHTS[::-1]
 
 
 @dataclass(frozen=True)
@@ -239,14 +249,64 @@ def gp_ucb_beta(dim: int, t: int, delta: float) -> float:
     return 2.0 * math.log(dim * t * t * math.pi * math.pi / (6.0 * delta))
 
 
+@functools.cache
+def _sobol_directions(d: int) -> np.ndarray:
+    """The first SOBOL_DIRECTIONS unscrambled Sobol direction numbers of each
+    of `d` dimensions (scipy's Joe & Kuo 2008 table), as a read-only (d, n)
+    array of SOBOL_BITS-bit integers."""
+    # Imported on first use: scipy.stats takes longer to import than the rest
+    # of gpbt, and only GP-UCB needs it.
+    from scipy.stats import qmc
+
+    n = SOBOL_DIRECTIONS
+    points = qmc.Sobol(d, scramble=False).random(2**n)
+    # Point k XORs the directions of the set bits of its Gray code k ^ (k >> 1),
+    # and the Gray code of 2**(b+1) - 1 is 2**b: direction b alone.
+    rows = points[2 ** np.arange(1, n + 1) - 1] * 2.0**SOBOL_BITS
+    directions = rows.astype(np.uint32).T.copy()
+    directions.setflags(write=False)
+    return directions
+
+
+def sobol_pool(d: int, seed: int) -> np.ndarray:
+    """The first GP_POOL points of the Sobol sequence under a random linear
+    matrix scramble and digital shift: the same array, byte for byte, as
+    `scipy.stats.qmc.Sobol(d, scramble=True, seed=seed).random(GP_POOL)`.
+
+    The scramble is drawn from `np.random.default_rng(seed)` in scipy's order:
+    (d, SOBOL_BITS) shift bits, then (d, SOBOL_BITS, SOBOL_BITS) matrices whose
+    strict lower triangles are used, with unit diagonals. Only the directions
+    the pool uses are scrambled.
+    """
+    rng = np.random.default_rng(seed)
+    shift = rng.integers(0, 2, (d, SOBOL_BITS), np.uint32) @ _SOBOL_WEIGHTS
+    lms = rng.integers(0, 2, (d, SOBOL_BITS, SOBOL_BITS), np.uint32)
+    # Row p of a matrix, read as an integer with column 0 as its most
+    # significant bit, selects the bits of a direction whose parity is bit p
+    # of the scrambled direction, again counting from the most significant.
+    msb_first = _SOBOL_WEIGHTS[::-1]
+    rows = (lms @ msb_first & _SOBOL_STRICT_LOWER) | msb_first
+    parity = rows[:, None, :] & _sobol_directions(d)[:, :, None]
+    for s in (16, 8, 4, 2, 1):
+        parity ^= parity >> s
+    scrambled = (parity & 1) @ msb_first
+
+    # Gray-code order: point k is point 2**(b+1) - 1 - k XOR direction b for
+    # 2**b <= k < 2**(b+1), and point 0 is the shift.
+    points = np.empty((2**SOBOL_DIRECTIONS, d), np.uint32)
+    points[0] = shift
+    for b in range(SOBOL_DIRECTIONS):
+        half = 1 << b
+        np.bitwise_xor(points[half - 1 :: -1], scrambled[:, b], out=points[half : 2 * half])
+    return points[:GP_POOL] * 2.0**-SOBOL_BITS
+
+
 def _rbf(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Squared distances summed one dimension at a time into the (m, n)
-    # result, so no (m, n, d) temporary is built.
-    d2 = np.zeros((a.shape[0], b.shape[0]))
-    for j in range(a.shape[1]):
-        diff = a[:, j, None] - b[None, :, j]
-        d2 += diff * diff
-    return np.exp(-0.5 * d2 / (GP_LENGTHSCALE * GP_LENGTHSCALE))
+    # cdist sums the squared differences in dimension order, as a loop would.
+    k = cdist(a, b, "sqeuclidean")
+    k *= -0.5
+    k /= GP_LENGTHSCALE * GP_LENGTHSCALE
+    return np.exp(k, out=k)
 
 
 def gp_ucb_suggest(
@@ -268,7 +328,8 @@ def gp_ucb_suggest(
     std = y.std()
     y_s = (y - y.mean()) / (std if std > 0 else 1.0)
 
-    k = _rbf(x, x) + GP_NOISE_VAR * np.eye(len(x))
+    k = _rbf(x, x)
+    k.flat[:: len(x) + 1] += GP_NOISE_VAR
     try:
         chol = np.linalg.cholesky(k)
     except np.linalg.LinAlgError:
@@ -277,16 +338,19 @@ def gp_ucb_suggest(
         except np.linalg.LinAlgError:
             return rng.random(d)
 
-    sobol = qmc.Sobol(d, scramble=True, seed=int(rng.integers(2**31)))
-    candidates = sobol.random(GP_POOL)
+    candidates = sobol_pool(d, int(rng.integers(2**31)))
     incumbent = x[int(np.argmin(y))]
     candidates = np.vstack([candidates, incumbent])
 
+    # Every operand is finite, so the solves skip scipy's finiteness scan:
+    # History rejects non-finite losses, the factor comes from a Cholesky that
+    # succeeded, and k_star is the exp of finite squared distances.
     k_star = _rbf(candidates, x)
-    w = solve_triangular(chol, y_s, lower=True)
-    alpha = solve_triangular(chol, w, lower=True, trans="T")
+    w = solve_triangular(chol, y_s, lower=True, check_finite=False)
+    alpha = solve_triangular(chol, w, lower=True, trans="T", check_finite=False)
     mu = k_star @ alpha
-    v = solve_triangular(chol, k_star.T, lower=True)
-    var = np.maximum(1.0 - (v * v).sum(axis=0), 0.0)  # prior variance is 1
+    v = solve_triangular(chol, k_star.T, lower=True, check_finite=False)
+    v *= v
+    var = np.maximum(1.0 - v.sum(axis=0), 0.0)  # prior variance is 1
     lcb = mu - math.sqrt(beta_t) * np.sqrt(var)
     return np.clip(candidates[int(np.argmin(lcb))], 0.0, 1.0)

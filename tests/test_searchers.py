@@ -1,15 +1,25 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import ks_2samp, qmc
 
 from gpbt import searchers
 from gpbt.searchers import (
     GP_JITTER,
+    GP_LENGTHSCALE,
+    GP_POOL,
     CmaState,
     History,
     SearcherConfig,
     cma_update,
     gp_ucb_suggest,
+    sobol_pool,
     suggest,
     tpe_bandwidths,
     tpe_score,
@@ -18,6 +28,7 @@ from gpbt.searchers import (
 from gpbt.space import Dimension, SearchSpace
 
 KINDS = ("random", "tpe", "cma", "gp_ucb")
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def unit_space(d=1):
@@ -284,6 +295,65 @@ class TestGpUcb:
         np.testing.assert_array_equal(u, twin.random(3))
         # the Sobol seed is drawn only after a factorisation succeeds
         assert rng.bit_generator.state == twin.bit_generator.state
+
+    @given(d=st.integers(1, 40), seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_sobol_pool_matches_scipy(self, d, seed):
+        pool = sobol_pool(d, seed)
+        expected = qmc.Sobol(d, scramble=True, seed=seed).random(GP_POOL)
+        assert pool.shape == expected.shape and pool.dtype == expected.dtype
+        assert pool.tobytes() == expected.tobytes()
+
+    @given(
+        d=st.integers(1, 16),
+        m=st.integers(1, 300),
+        n=st.integers(1, 300),
+        edges=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rbf_matches_loop(self, d, m, n, edges, seed):
+        data = np.random.default_rng(seed)
+        a, b = data.random((m, d)), data.random((n, d))
+        if edges:  # coordinates at the bounds of the cube, and repeated rows
+            for x in (a, b):
+                x[x < 0.1] = 0.0
+                x[x > 0.9] = 1.0
+            b[: min(m, n) // 2] = a[: min(m, n) // 2]
+        assert searchers._rbf(a, b).tobytes() == rbf_loop(a, b).tobytes()
+        assert searchers._rbf(b, b).tobytes() == rbf_loop(b, b).tobytes()
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats is imported by the first GP-UCB suggestion, not by gpbt.
+        code = "\n".join([
+            "import sys",
+            "import numpy as np",
+            "import gpbt, gpbt.cli",
+            "assert 'scipy.stats' not in sys.modules, 'importing gpbt loaded scipy.stats'",
+            "from gpbt.searchers import History, SearcherConfig, suggest",
+            "from gpbt.space import Dimension, SearchSpace",
+            "space = SearchSpace([Dimension('lr', 1e-4, 1.0, 'log'), Dimension('wd', 0.0, 1.0)])",
+            "hist = History(np.random.default_rng(0).random((8, 2)), np.arange(8.0))",
+            "hp = suggest(SearcherConfig(kind='gp_ucb'), space, hist, np.random.default_rng(1))",
+            "assert space.validate(hp) is None, hp",
+            "print('ok')",
+        ])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "ok\n"
+
+
+def rbf_loop(a, b):
+    """The squared-exponential kernel summed one dimension at a time: the loop
+    that `_rbf` replaced, kept as its oracle."""
+    d2 = np.zeros((a.shape[0], b.shape[0]))
+    for j in range(a.shape[1]):
+        diff = a[:, j, None] - b[None, :, j]
+        d2 += diff * diff
+    return np.exp(-0.5 * d2 / (GP_LENGTHSCALE * GP_LENGTHSCALE))
 
 
 @pytest.mark.parametrize("kind", ["gp_ucb", "cma"])
