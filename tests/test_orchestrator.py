@@ -471,7 +471,8 @@ class TestTally:
     @pytest.mark.parametrize("method", ["gpbt", "pbt", "nonadaptive"])
     @given(
         n=st.integers(1, 10),
-        c=st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]),
+        c=st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0, "dynamic"]),
+        temperature=st.sampled_from([None, 0.5]),
         t_max=st.integers(1, 4),
         t_g=st.integers(1, 3),
         level2=st.one_of(st.none(), st.floats(0.0, 1.0)),
@@ -480,13 +481,20 @@ class TestTally:
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=25, deadline=None)
-    def test_epochs_curves_and_ledger(self, method, n, c, t_max, t_g, level2, level3, mode, seed):
+    def test_epochs_curves_and_ledger(self, method, n, c, temperature, t_max, t_g, level2,
+                                      level3, mode, seed):
         from gpbt.baselines import NonadaptiveConfig, PbtConfig, run_nonadaptive, run_pbt
 
         if method == "gpbt":
-            assume(valid_c(n, c))
+            if c == "dynamic":
+                assume(n >= 2)
+                c = DynamicC(initial_mean=1.5, initial_std=1.0)
+            else:
+                assume(valid_c(n, c))
+                c = FixedC(c)
             config = small_config(
-                n=n, t_max=t_max, t_g=t_g, c=FixedC(c), history_mode=mode, seed=seed,
+                n=n, t_max=t_max, t_g=t_g, c=c, history_mode=mode, seed=seed,
+                selection_temperature=temperature,
                 early_stop=EarlyStopConfig(level2_quantile=level2, level3=level3),
             )
             result = run(config, small_space(), small_trainer())
@@ -505,8 +513,11 @@ class TestTally:
         assert all(a >= b for a, b in zip(vals, vals[1:]))
         assert result.final_best_val == min(r.val_loss for r in records)
         if method == "gpbt":
-            for t in range(1, len(result.transfer_ledger)):
-                assert result.transfer_ledger[t] == len(result.tree.parents_of(t))
+            # The distinct parents of each generation, the root (None) included.
+            parents: dict[int, set] = {}
+            for r in records:
+                parents.setdefault(r.generation, set()).add(r.parent)
+            assert result.transfer_ledger == [len(parents[t]) for t in sorted(parents)]
 
 
     @pytest.mark.parametrize("seed", range(4))

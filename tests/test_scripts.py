@@ -10,7 +10,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # The `all` line of scripts/digest.py: a change that moves any deterministic
 # output must update this pin and say in CHANGES.md which outputs moved and why.
-DIGEST_ALL = "d3137f808ea41a3f1db63c34ee7861240d4fc899fca214dff28d8f6907045de7"
+DIGEST_ALL = "94ff9e8165b125091cee789578f1c3d8df919254830ac562a88efc5bf76649ab"
 
 
 def run_script(script, *args):
@@ -46,6 +46,8 @@ def test_digest_lists_files_and_result_keys():
                  "small_quadratic/levels/0/genealogy.ndjson",
                  "small_phase/nonadaptive/1/result.json",
                  "small_weight_sensitive/pbt/0/result.json:transfer_ledger",
+                 "small_phase/dynamic_boltzmann/1/result.json:dynamic_c_trace",
+                 "small_external/pbt_odd/0/genealogy.ndjson",
                  "small_external/levels/1/genealogy.ndjson",
                  "wide_space/pooled_gp/1/genealogy.ndjson",
                  "sweep_c/curves.csv", "sweep_c/c=0.5/1/genealogy.ndjson",
