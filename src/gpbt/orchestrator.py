@@ -140,10 +140,12 @@ class RunConfig:
 
 def valid_c(n: int, c: float) -> bool:
     """Whether c yields between 1 and n parents before any clamping."""
-    if not math.isfinite(c) or c <= 0:
-        return False
-    p = int(math.floor(math.sqrt(n / c) + 0.5))
-    return 1 <= p <= n
+    return math.isfinite(c) and c > 0 and 1 <= _parent_count(n, c) <= n
+
+
+def _parent_count(n: int, c: float) -> int:
+    """sqrt(n/c) rounded half up, before any clamping."""
+    return int(math.floor(math.sqrt(n / c) + 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +166,7 @@ def plan_generation(n: int, c: float) -> GenerationPlan:
         raise ValueError("n must be >= 1")
     if c <= 0:
         raise ValueError("c must be > 0")
-    p = int(math.floor(math.sqrt(n / c) + 0.5))
-    p = min(max(p, 1), n)
+    p = min(max(_parent_count(n, c), 1), n)
     return GenerationPlan(parents=p, children_per_parent=_split_children(n, p))
 
 
@@ -421,42 +422,35 @@ def run(
         prev_results = [(r.id, r.val_loss) for r in prev]
         prev_losses = [v for _, v in prev_results]
 
-        # Generation 0 has one parent, the virtual root (None). After it: one
-        # group under fixed c, two independently planned halves under dynamic
-        # c (each half selects its parents from the full ranking).
-        groups: list[tuple[str, int, list[int | None]]] = []
+        # The generation as (size, c) groups: at generation 0 one group under
+        # the virtual root (None), then the whole population under fixed c, or
+        # two halves under dynamic c, both c values drawn before either half
+        # selects its parents from the full ranking.
         if t == 0:
-            groups.append(("", config.n, [None]))
+            groups = [(config.n, None)]
         elif dyn_cfg is None:
-            plan = plan_generation(config.n, config.c.c)
-            ranked = select_parents(
-                prev_results, plan.parents, config.selection_temperature, rng_algo
-            )
-            groups.append(("", config.n, ranked))
+            groups = [(config.n, config.c.c)]
         else:
             n_a = config.n // 2
-            n_b = config.n - n_a
-            c_a, c_b = sample_dynamic_c(dyn_state, n_a, rng_algo)
-            for label, n_half, c_half in (("a", n_a, c_a), ("b", n_b, c_b)):
-                plan = plan_generation(n_half, c_half)
-                ranked = select_parents(
-                    prev_results, plan.parents, config.selection_temperature, rng_algo
-                )
-                groups.append((label, n_half, ranked))
+            groups = list(zip((n_a, config.n - n_a), sample_dynamic_c(dyn_state, n_a, rng_algo)))
 
         # Child slots in evaluation order: group by group, best parent first
         # (weaker parents' children then face a low level-3 median), each
         # parent's children in creation order. A level-2 halt ends them all.
-        slots = [
-            (label, pid)
-            for label, n_half, ranked in groups
-            for pid, count in zip(ranked, _split_children(n_half, len(ranked)))
-            for _ in range(count)
-        ]
+        # The split is over the parents actually selected: after a level-2
+        # halt the previous generation can hold fewer children than planned.
+        slots = []
+        for g, (size, c) in enumerate(groups):
+            ranked = [None] if t == 0 else select_parents(
+                prev_results, plan_generation(size, c).parents,
+                config.selection_temperature, rng_algo,
+            )
+            for pid, count in zip(ranked, _split_children(size, len(ranked))):
+                slots += [(g, pid)] * count
         early = [] if gate3 else None
         roots = t == 1 and config.seed_gen0_history
-        group_best: dict[str, float] = {}
-        for k, (label, pid) in enumerate(slots):
+        group_best = [math.inf] * len(groups)
+        for k, (g, pid) in enumerate(slots):
             history = tally.history(tree.lineage_history(pid, config.history_mode, roots))
             hp = suggest(config.searcher, space, history, rng_search)
             if pid is None:
@@ -466,16 +460,15 @@ def run(
             cid, child = tally.child(pid, t, hp, state, config.t_g, early)
             states[cid] = child
             val = tree.get(cid).val_loss
-            group_best[label] = min(group_best.get(label, math.inf), val)
+            group_best[g] = min(group_best[g], val)
             if es.level2_quantile is not None and satisfaction_gate(
                 val, prev_losses, es.level2_quantile
             ):
                 break
 
         if dyn_cfg is not None and t > 0:
-            best_a = group_best.get("a", math.inf)
-            best_b = group_best.get("b", math.inf)
-            winner = c_a if best_a <= best_b else c_b
+            (_, c_a), (_, c_b) = groups
+            winner = c_a if group_best[0] <= group_best[1] else c_b
             dyn_state = update_dynamic_c(dyn_state, winner, config.n)
             dyn_trace.append(
                 {
@@ -491,7 +484,7 @@ def run(
         for r in prev:
             del states[r.id]
         # The parent states actually forked; the root stands for the initial model.
-        ledger.append(len({r.parent for r in tree.generation_records(t)}))
+        ledger.append(len(tree.parents_of(t)) or 1)
         tally.end(t)
 
     return tally.result(ledger, dyn_trace)
