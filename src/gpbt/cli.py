@@ -172,9 +172,9 @@ def _curve_rows(name: str, seed: int, result: RunResult, deterministic: bool) ->
     return rows
 
 
-def _csv_text(rows: list[dict]) -> str:
+def _csv_text(rows: list[dict], fields: tuple[str, ...]) -> str:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CURVE_FIELDS, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
     return buf.getvalue()
@@ -202,7 +202,7 @@ def _write_cell(out: Path, name: str, seed: int, config, result: RunResult,
     _atomic_write(cell / "result.json", json.dumps(payload, sort_keys=True, indent=1) + "\n")
     result.tree.dump(cell / "genealogy.ndjson")
     rows = _curve_rows(name, seed, result, deterministic)
-    _atomic_write(cell / "curves.csv", _csv_text(rows))
+    _atomic_write(cell / "curves.csv", _csv_text(rows, CURVE_FIELDS))
     return rows
 
 
@@ -233,7 +233,7 @@ def _run_cells(args, cfg: dict, cells: list[tuple[str, object]]) -> tuple[Path, 
                 )
             result = _run_cell(config, space, trainer_spec, progress=progress)
             all_rows.extend(_write_cell(out, name, seed, config, result, echo, args.deterministic))
-    _atomic_write(out / "curves.csv", _csv_text(all_rows))
+    _atomic_write(out / "curves.csv", _csv_text(all_rows, CURVE_FIELDS))
     return out, len(cells) * len(seeds)
 
 
@@ -314,14 +314,9 @@ def cmd_compare(args) -> int:
             wins = sum(1.0 if va < vb else (0.5 if va == vb else 0.0) for va, vb in pairs)
             win_rates[a][b] = wins / len(pairs)
 
-    fields = ["method", "seeds", "median_val", "iqr_val", "median_test", "iqr_test",
-              "median_epochs", "median_transfers"]
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
-    writer.writeheader()
-    for row in summary:
-        writer.writerow({k: row[k] for k in fields})
-    _atomic_write(out / "summary.csv", buf.getvalue())
+    fields = ("method", "seeds", "median_val", "iqr_val", "median_test", "iqr_test",
+              "median_epochs", "median_transfers")
+    _atomic_write(out / "summary.csv", _csv_text(summary, fields))
     _atomic_write(
         out / "summary.json",
         json.dumps({"summary": summary, "win_rates": win_rates}, sort_keys=True, indent=1) + "\n",
@@ -406,14 +401,8 @@ def cmd_emit_plot_data(args) -> int:
                     "std_test": repr(std(tests)),
                 }
             )
-    buf = io.StringIO()
-    writer = csv.DictWriter(
-        buf, fieldnames=["method", "epochs", "mean_val", "std_val", "mean_test", "std_test"],
-        lineterminator="\n",
-    )
-    writer.writeheader()
-    writer.writerows(out_rows)
-    _atomic_write(results / "plot_data.csv", buf.getvalue())
+    fields = ("method", "epochs", "mean_val", "std_val", "mean_test", "std_test")
+    _atomic_write(results / "plot_data.csv", _csv_text(out_rows, fields))
     print(f"wrote {results / 'plot_data.csv'} ({len(out_rows)} rows)")
     return 0
 

@@ -8,7 +8,7 @@ scale logic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -17,7 +17,13 @@ from .config import ConfigError, typed_value
 
 HpVector = tuple[float, ...]
 
-SCALES = ("linear", "log", "reverse-log")
+# Per scale: the warp under which the scale is affine, and its inverse.
+_WARPS = {
+    "linear": (lambda x: x, lambda y: y),
+    "log": (math.log10, lambda y: 10.0 ** y),
+    "reverse-log": (lambda x: math.log10(1.0 - x), lambda y: 1.0 - 10.0 ** y),
+}
+SCALES = tuple(_WARPS)
 
 
 @dataclass(frozen=True)
@@ -52,13 +58,9 @@ class Dimension:
             raise ValueError(f"dimension {self.name!r}: reverse-log scale requires upper < 1")
 
     def to_unit(self, x: float) -> float:
-        if self.scale == "linear":
-            return (x - self.lower) / (self.upper - self.lower)
-        if self.scale == "log":
-            lo, hi = math.log10(self.lower), math.log10(self.upper)
-            return (math.log10(x) - lo) / (hi - lo)
-        lo, hi = math.log10(1.0 - self.lower), math.log10(1.0 - self.upper)
-        return (math.log10(1.0 - x) - lo) / (hi - lo)
+        warp, _ = _WARPS[self.scale]
+        lo, hi = warp(self.lower), warp(self.upper)
+        return (warp(x) - lo) / (hi - lo)
 
     def from_unit(self, u: float) -> float:
         # Endpoints map exactly; interior values are clamped into the bounds
@@ -67,18 +69,9 @@ class Dimension:
             return self.lower
         if u == 1.0:
             return self.upper
-        if self.scale == "linear":
-            x = self.lower + u * (self.upper - self.lower)
-        elif self.scale == "log":
-            lo, hi = math.log10(self.lower), math.log10(self.upper)
-            x = 10.0 ** (lo + u * (hi - lo))
-        else:
-            lo, hi = math.log10(1.0 - self.lower), math.log10(1.0 - self.upper)
-            x = 1.0 - 10.0 ** (lo + u * (hi - lo))
-        return min(max(x, self.lower), self.upper)
-
-    def as_dict(self) -> dict:
-        return {"name": self.name, "lower": self.lower, "upper": self.upper, "scale": self.scale}
+        warp, unwarp = _WARPS[self.scale]
+        lo, hi = warp(self.lower), warp(self.upper)
+        return min(max(unwarp(lo + u * (hi - lo)), self.lower), self.upper)
 
 
 class SearchSpace:
@@ -141,7 +134,7 @@ class SearchSpace:
         return dict(zip(self.names, hp))
 
     def as_config(self) -> list[dict]:
-        return [d.as_dict() for d in self.dims]
+        return [asdict(d) for d in self.dims]
 
     @classmethod
     def from_config(cls, entries: list[dict]) -> "SearchSpace":

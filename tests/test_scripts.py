@@ -26,9 +26,8 @@ def run_script(script, *args):
     "script,args",
     [
         ("benchmark_methods.py", ["--seeds", "1", "--n", "4", "--t-max", "2", "--t-g", "1"]),
-        ("earlystop_speedup.py", ["--seeds", "1", "--t-max", "2", "--t-g", "2"]),
     ],
-    ids=["benchmark_methods", "earlystop_speedup"],
+    ids=["benchmark_methods"],
 )
 def test_script_runs(script, args):
     proc = run_script(script, *args)
