@@ -79,8 +79,9 @@ def run_pbt(
     progress: ProgressFn | None = None,
 ) -> RunResult:
     """Truncation-selection PBT: every generation the bottom fraction copies
-    the state and hyperparameters of a random top-fraction member, explores,
-    and all n agents keep training. Transfer ledger counts the exploit copies."""
+    the state and hyperparameters of a random top-fraction member, as that
+    member was recorded, explores, and all n agents keep training. Transfer
+    ledger counts the exploit copies."""
     rng_search = search_stream(config.seed)
     rng_algo = np.random.default_rng(derive_seed(config.seed, STREAM_ALGO))
     tally = Tally(trainer, space, progress)
@@ -103,11 +104,15 @@ def run_pbt(
                 range(config.n), key=lambda i: (tree.get(last_record[i]).val_loss, i)
             )
             top, bottom = order[:k], order[-k:]
+            # Copy the generation as recorded: when the fractions overlap
+            # (2k > n), a source may itself be overwritten earlier in this pass.
+            recorded = list(zip(states, hps))
             for i in bottom:
                 src = top[int(rng_algo.integers(0, len(top)))]
                 parents[i] = last_record[src]
-                states[i] = trainer.fork(states[src])
-                hps[i] = _explore(hps[src], space, config, rng_algo)
+                src_state, src_hp = recorded[src]
+                states[i] = trainer.fork(src_state)
+                hps[i] = _explore(src_hp, space, config, rng_algo)
             ledger.append(k)
 
         for i in range(config.n):

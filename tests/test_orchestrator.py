@@ -1,9 +1,10 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gpbt.orchestrator import (
@@ -465,8 +466,73 @@ class TestManyParents:
         assert result.total_epochs == sum(r.epochs_trained for r in result.tree.records)
 
 
+class LineageTrainer:
+    """A trainer whose state is the log of (lr, iterations) it trained under.
+    Its loss is the exactly rounded sum of lr x iterations over the log, so a
+    record's loss is a function of the lineage that trained it."""
+
+    def init(self, seed):
+        return ()
+
+    def step_many(self, state, hp, iters):
+        return state + ((hp["lr"], iters),)
+
+    def evaluate(self, state):
+        loss = float(sum(Fraction(lr) * iters for lr, iters in state))
+        return loss, loss
+
+    def fork(self, state):
+        return state
+
+
 class TestTally:
     """The bookkeeping shared by run, run_pbt and run_nonadaptive."""
+
+    @pytest.mark.parametrize("method", ["gpbt", "pbt", "nonadaptive"])
+    @given(
+        n=st.integers(1, 12),
+        c=st.sampled_from([0.5, 1.0, 2.0, "dynamic"]),
+        temperature=st.sampled_from([None, 0.5]),
+        truncation=st.sampled_from([0.1, 0.25, 0.4, 0.5]),
+        t_max=st.integers(2, 4),
+        t_g=st.integers(1, 3),
+        level2=st.one_of(st.none(), st.floats(0.0, 1.0)),
+        level3=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    # PBT with n=5 at truncation 0.5: the top and bottom fractions overlap.
+    @example(n=5, c=1.0, temperature=None, truncation=0.5, t_max=3, t_g=1, level2=None,
+             level3=False, seed=0)
+    @settings(max_examples=40, deadline=None)
+    def test_records_replay_their_ancestry(self, method, n, c, temperature, truncation, t_max,
+                                           t_g, level2, level3, seed):
+        """Every record's loss is the replay of its recorded ancestry: the
+        model it trained was forked from the parent it names."""
+        from gpbt.baselines import NonadaptiveConfig, PbtConfig, run_nonadaptive, run_pbt
+
+        space = SearchSpace([Dimension("lr", -1.0, 1.0)])
+        if method == "gpbt":
+            if c == "dynamic":
+                assume(n >= 2)
+                c = DynamicC(initial_mean=1.5, initial_std=1.0)
+            else:
+                assume(valid_c(n, c))
+                c = FixedC(c)
+            config = small_config(
+                n=n, t_max=t_max, t_g=t_g, c=c, seed=seed, selection_temperature=temperature,
+                early_stop=EarlyStopConfig(level2_quantile=level2, level3=level3),
+            )
+            result = run(config, space, LineageTrainer())
+        elif method == "pbt":
+            config = PbtConfig(n=n, t_max=t_max, t_g=t_g, truncation=truncation, seed=seed)
+            result = run_pbt(config, space, LineageTrainer())
+        else:
+            config = NonadaptiveConfig(trials=n, t_total=t_g, seed=seed)
+            result = run_nonadaptive(config, space, LineageTrainer())
+        tree = result.tree
+        for r in tree.records:
+            lineage = [tree.get(a) for a in tree.ancestry(r.id)]
+            assert r.val_loss == float(sum(Fraction(a.hp[0]) * a.epochs_trained for a in lineage))
 
     @pytest.mark.parametrize("method", ["gpbt", "pbt", "nonadaptive"])
     @given(
