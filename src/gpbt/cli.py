@@ -39,6 +39,9 @@ CURVE_FIELDS = (
 )
 
 
+_REQUIRED = ("space", "trainer", "seeds", "methods")
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -51,9 +54,14 @@ def load_config(path: str) -> dict:
         raise ConfigError("config", f"invalid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config", "top level must be an object")
-    for field in ("space", "trainer", "seeds", "methods"):
+    for key in cfg:
+        if key not in (*_REQUIRED, "output_dir"):
+            raise ConfigError(f"config.{key}", "unknown field")
+    for field in _REQUIRED:
         if field not in cfg:
             raise ConfigError(f"config.{field}", "missing required field")
+    if "output_dir" in cfg:
+        typed_value(str, cfg["output_dir"], "config.output_dir")
 
     space = SearchSpace.from_config(cfg["space"])
     trainer_spec = build(TrainerSpec, cfg["trainer"], "trainer")

@@ -24,6 +24,7 @@ uses select() on the pipe, so the bridge needs POSIX pipes.
 from __future__ import annotations
 
 import json
+import math
 import os
 import select
 import subprocess
@@ -39,13 +40,18 @@ class TrainerProtocolError(RuntimeError):
 
 
 def _loss(value, field: str) -> float:
-    """An "eval" reply's `field`, which must be a JSON number (not a bool)."""
+    """An "eval" reply's `field`, which must be a finite JSON number: not a
+    bool, nor NaN or Infinity, which Python's json module reads."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
-            return float(value)
+            number = float(value)
         except OverflowError:  # an integer too large for a float
-            pass
-    raise TrainerProtocolError(f"trainer reply to 'eval': {field!r} must be a number, got {value!r}")
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise TrainerProtocolError(
+        f"trainer reply to 'eval': {field!r} must be a finite number, got {value!r}"
+    )
 
 
 class ExternalTrainer:

@@ -187,16 +187,19 @@ class TestRunCommand:
             ("trainer", {"timeout": 0}, "trainer.timeout"),
             ("trainer", {"timeout": 1e308}, "trainer.timeout"),
             ("trainer", {"lr_name": "lr"}, "trainer.lr_name"),
+            ("config", {"output_dri": "out"}, "config.output_dri"),
+            ("config", {"_space": []}, "config._space"),
+            ("config", {"output_dir": 5}, "config.output_dir"),
         ],
         ids=["pool", "window", "dim", "level3", "n", "dynamic_c_typo", "c_and_dynamic_c",
              "c_overflows_float", "timeout_negative", "timeout_zero", "timeout_huge",
-             "lr_name"],
+             "lr_name", "output_dir_typo", "underscore_key", "output_dir_not_string"],
     )
     def test_mistyped_field_exits_2(self, tmp_path, capsys, section, fields, named):
         # A None value removes the field.
         path = tmp_path / "bad.json"
         cfg = json.loads(tiny_config(tmp_path).read_text())
-        entry = cfg["trainer"] if section == "trainer" else cfg["methods"][0]
+        entry = {"config": cfg, "trainer": cfg["trainer"]}.get(section, cfg["methods"][0])
         entry.update(fields)
         for key in [k for k, v in fields.items() if v is None]:
             del entry[key]

@@ -64,11 +64,14 @@ class TestBridgeBasics:
             with pytest.raises(TrainerProtocolError, match="not json"):
                 trainer.step_many(s, {"lr": 0.5}, 1)
 
-    @pytest.mark.parametrize("val", ["true", "1" + "0" * 400], ids=["bool", "overflowing_int"])
+    @pytest.mark.parametrize(
+        "val", ["true", "1" + "0" * 400, "NaN", "Infinity", "-Infinity"],
+        ids=["bool", "overflowing_int", "nan", "infinity", "minus_infinity"],
+    )
     def test_eval_needs_numbers(self, val):
         spec = TrainerSpec(kind="external", command=(sys.executable, DOUBLE, "badval", val))
         with ExternalTrainer(spec, space()) as trainer:
-            with pytest.raises(TrainerProtocolError, match="'val' must be a number"):
+            with pytest.raises(TrainerProtocolError, match="'val' must be a finite number"):
                 trainer.evaluate(trainer.init(0))
 
     def test_timeout(self):
