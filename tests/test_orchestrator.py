@@ -491,54 +491,9 @@ class TestTally:
     @pytest.mark.parametrize("method", ["gpbt", "pbt", "nonadaptive"])
     @given(
         n=st.integers(1, 12),
-        c=st.sampled_from([0.5, 1.0, 2.0, "dynamic"]),
-        temperature=st.sampled_from([None, 0.5]),
-        truncation=st.sampled_from([0.1, 0.25, 0.4, 0.5]),
-        t_max=st.integers(2, 4),
-        t_g=st.integers(1, 3),
-        level2=st.one_of(st.none(), st.floats(0.0, 1.0)),
-        level3=st.booleans(),
-        seed=st.integers(0, 2**16),
-    )
-    # PBT with n=5 at truncation 0.5: the top and bottom fractions overlap.
-    @example(n=5, c=1.0, temperature=None, truncation=0.5, t_max=3, t_g=1, level2=None,
-             level3=False, seed=0)
-    @settings(max_examples=40, deadline=None)
-    def test_records_replay_their_ancestry(self, method, n, c, temperature, truncation, t_max,
-                                           t_g, level2, level3, seed):
-        """Every record's loss is the replay of its recorded ancestry: the
-        model it trained was forked from the parent it names."""
-        from gpbt.baselines import NonadaptiveConfig, PbtConfig, run_nonadaptive, run_pbt
-
-        space = SearchSpace([Dimension("lr", -1.0, 1.0)])
-        if method == "gpbt":
-            if c == "dynamic":
-                assume(n >= 2)
-                c = DynamicC(initial_mean=1.5, initial_std=1.0)
-            else:
-                assume(valid_c(n, c))
-                c = FixedC(c)
-            config = small_config(
-                n=n, t_max=t_max, t_g=t_g, c=c, seed=seed, selection_temperature=temperature,
-                early_stop=EarlyStopConfig(level2_quantile=level2, level3=level3),
-            )
-            result = run(config, space, LineageTrainer())
-        elif method == "pbt":
-            config = PbtConfig(n=n, t_max=t_max, t_g=t_g, truncation=truncation, seed=seed)
-            result = run_pbt(config, space, LineageTrainer())
-        else:
-            config = NonadaptiveConfig(trials=n, t_total=t_g, seed=seed)
-            result = run_nonadaptive(config, space, LineageTrainer())
-        tree = result.tree
-        for r in tree.records:
-            lineage = [tree.get(a) for a in tree.ancestry(r.id)]
-            assert r.val_loss == float(sum(Fraction(a.hp[0]) * a.epochs_trained for a in lineage))
-
-    @pytest.mark.parametrize("method", ["gpbt", "pbt", "nonadaptive"])
-    @given(
-        n=st.integers(1, 10),
         c=st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0, "dynamic"]),
         temperature=st.sampled_from([None, 0.5]),
+        truncation=st.sampled_from([0.1, 0.25, 0.4, 0.5]),
         t_max=st.integers(1, 4),
         t_g=st.integers(1, 3),
         level2=st.one_of(st.none(), st.floats(0.0, 1.0)),
@@ -546,11 +501,18 @@ class TestTally:
         mode=st.sampled_from(["sibling_only", "time_enriched", "pooled"]),
         seed=st.integers(0, 2**16),
     )
-    @settings(max_examples=25, deadline=None)
-    def test_epochs_curves_and_ledger(self, method, n, c, temperature, t_max, t_g, level2,
-                                      level3, mode, seed):
+    # PBT with n=5 at truncation 0.5: the top and bottom fractions overlap.
+    @example(n=5, c=1.0, temperature=None, truncation=0.5, t_max=3, t_g=1, level2=None,
+             level3=False, mode="sibling_only", seed=0)
+    @settings(max_examples=40, deadline=None)
+    def test_epochs_curves_and_ledger(self, method, n, c, temperature, truncation, t_max, t_g,
+                                      level2, level3, mode, seed):
+        """The epoch total, the best-seen curve and the ledger agree with the
+        records, and every record's loss is the replay of its recorded
+        ancestry: the model it trained was forked from the parent it names."""
         from gpbt.baselines import NonadaptiveConfig, PbtConfig, run_nonadaptive, run_pbt
 
+        space = SearchSpace([Dimension("lr", -1.0, 1.0)])
         if method == "gpbt":
             if c == "dynamic":
                 assume(n >= 2)
@@ -563,28 +525,31 @@ class TestTally:
                 selection_temperature=temperature,
                 early_stop=EarlyStopConfig(level2_quantile=level2, level3=level3),
             )
-            result = run(config, small_space(), small_trainer())
+            result = run(config, space, LineageTrainer())
         elif method == "pbt":
-            config = PbtConfig(n=n, t_max=t_max, t_g=t_g, seed=seed)
-            result = run_pbt(config, small_space(), small_trainer())
+            config = PbtConfig(n=n, t_max=t_max, t_g=t_g, truncation=truncation, seed=seed)
+            result = run_pbt(config, space, LineageTrainer())
         else:
             config = NonadaptiveConfig(
                 trials=n, t_total=t_g, searcher=SearcherConfig(kind="tpe"), seed=seed
             )
-            result = run_nonadaptive(config, small_space(), small_trainer())
-        records = result.tree.records
+            result = run_nonadaptive(config, space, LineageTrainer())
+        tree = result.tree
+        records = tree.records
         assert result.total_epochs == sum(r.epochs_trained for r in records)
         assert result.total_epochs == result.curves[-1].epochs_consumed
         vals = [p.best_seen_val for p in result.curves]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
         assert result.final_best_val == min(r.val_loss for r in records)
+        for r in records:
+            lineage = [tree.get(a) for a in tree.ancestry(r.id)]
+            assert r.val_loss == float(sum(Fraction(a.hp[0]) * a.epochs_trained for a in lineage))
         if method == "gpbt":
             # The distinct parents of each generation, the root (None) included.
             parents: dict[int, set] = {}
             for r in records:
                 parents.setdefault(r.generation, set()).add(r.parent)
             assert result.transfer_ledger == [len(parents[t]) for t in sorted(parents)]
-
 
     @pytest.mark.parametrize("seed", range(4))
     def test_boltzmann_run_keeps_invariants(self, seed):
