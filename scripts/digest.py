@@ -2,10 +2,10 @@
 """Hash what `gpbt run --deterministic` writes, to show what a change keeps.
 
 Runs the bundled configs and small configs covering pooled histories, dynamic
-c (also under Boltzmann selection with a level-2 halt), all three
-early-stopping levels, Boltzmann selection, PBT (also with overlapping top and
-bottom fractions), non-adaptive search and a 9-dimension space under GP-UCB
-and TPE through `gpbt.cli.main`,
+c (also under Boltzmann selection), the level-1 run halt with the level-3
+median gate, Boltzmann selection, PBT (also with overlapping top and bottom
+fractions), non-adaptive search and a 9-dimension space under GP-UCB and TPE
+through `gpbt.cli.main`,
 on the synthetic trainers and on the external trainer double
 `tests/trainer_double.py`, then prints one sha256 per output file and one per
 top-level key of every result.json. The external config's
@@ -45,14 +45,13 @@ SMALL_METHODS = [
      "searcher": {"kind": "cma", "window": 4}, "history_mode": "time_enriched"},
     {"name": "levels", "method": "gpbt", "n": 9, "t_max": 5, "t_g": 3, "c": 1.0,
      "searcher": {"kind": "gp_ucb"},
-     "early_stop": {"level1_threshold": 1e-4, "level1_window": 1,
-                    "level2_quantile": 0.5, "level3": True}},
+     "early_stop": {"level1_threshold": 1e-4, "level1_window": 1, "level3": True}},
     {"name": "boltzmann", "method": "gpbt", "n": 8, "t_max": 3, "t_g": 1, "c": 0.5,
      "searcher": {"kind": "random"}, "selection_temperature": 0.5,
      "seed_gen0_history": True},
     {"name": "dynamic_boltzmann", "method": "gpbt", "n": 9, "t_max": 4, "t_g": 2,
      "dynamic_c": {"initial_mean": 2.0, "initial_std": 1.0}, "selection_temperature": 0.5,
-     "searcher": {"kind": "random"}, "early_stop": {"level2_quantile": 0.5}},
+     "searcher": {"kind": "random"}},
     {"name": "pbt", "method": "pbt", "n": 6, "t_max": 3, "t_g": 2,
      "truncation": 0.5, "resample_prob": 0.5},
     {"name": "pbt_odd", "method": "pbt", "n": 5, "t_max": 4, "t_g": 2, "truncation": 0.5},

@@ -15,7 +15,6 @@ from .orchestrator import (
     median_gate,
     plan_generation,
     run,
-    satisfaction_gate,
     select_parents,
 )
 from .searchers import History, SearcherConfig, suggest
@@ -49,7 +48,6 @@ __all__ = [
     "run",
     "run_nonadaptive",
     "run_pbt",
-    "satisfaction_gate",
     "select_parents",
     "suggest",
 ]

@@ -68,6 +68,9 @@ def load_config(path: str) -> dict:
     seeds = typed_value(list[int], cfg["seeds"], "seeds")
     if not seeds or min(seeds) < 0:
         raise ConfigError("seeds", "must be a non-empty list of integers >= 0")
+    repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]]
+    if repeated:  # each seed writes one cell directory
+        raise ConfigError("seeds", f"duplicate seed {repeated[0]}")
     methods = cfg["methods"]
     if not isinstance(methods, list) or not methods:
         raise ConfigError("methods", "must be a non-empty list")
@@ -255,6 +258,9 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 # Aggregation
 
+# What reading a truncated, mistyped or unreadable results file can raise.
+_MALFORMED = (OSError, ValueError, KeyError, TypeError, csv.Error)
+
 
 def _load_finals(out: Path, cfg: dict, seeds: list[int]):
     """Per-method final stats from the written cells; raises on missing ones."""
@@ -267,11 +273,14 @@ def _load_finals(out: Path, cfg: dict, seeds: list[int]):
             if not path.exists():
                 missing.append(f"{name}/{seed}")
                 continue
-            data = json.loads(path.read_text())
-            finals_val.append(data["final_best_val"])
-            finals_test.append(data["final_best_test"])
-            epochs.append(data["total_epochs"])
-            transfers.append(sum(data["transfer_ledger"]))
+            try:
+                data = json.loads(path.read_text(encoding="utf-8"))
+                finals_val.append(data["final_best_val"])
+                finals_test.append(data["final_best_test"])
+                epochs.append(data["total_epochs"])
+                transfers.append(sum(data["transfer_ledger"]))
+            except _MALFORMED as exc:
+                raise ConfigError("results", f"malformed {path}: {exc!r}") from None
         per_method[name] = {
             "val": finals_val,
             "test": finals_test,
@@ -374,16 +383,17 @@ def cmd_emit_plot_data(args) -> int:
     curves_path = results / "curves.csv"
     if not curves_path.exists():
         raise ConfigError("results", f"no curves.csv under {results}")
-    with open(curves_path, encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows:
-        raise ConfigError("results", "curves.csv is empty")
-
     by_method: dict[str, dict[int, list[tuple[int, float, float]]]] = {}
-    for r in rows:
-        by_method.setdefault(r["method"], {}).setdefault(int(r["seed"]), []).append(
-            (int(r["epochs_consumed"]), float(r["best_seen_val"]), float(r["best_seen_test"]))
-        )
+    try:
+        with open(curves_path, encoding="utf-8") as fh:
+            for r in csv.DictReader(fh):
+                point = (int(r["epochs_consumed"]), float(r["best_seen_val"]),
+                         float(r["best_seen_test"]))
+                by_method.setdefault(r["method"], {}).setdefault(int(r["seed"]), []).append(point)
+    except _MALFORMED as exc:
+        raise ConfigError("results", f"malformed {curves_path}: {exc!r}") from None
+    if not by_method:
+        raise ConfigError("results", "curves.csv is empty")
 
     out_rows = []
     for method in sorted(by_method):

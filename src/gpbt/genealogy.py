@@ -74,8 +74,9 @@ class GenealogyTree:
                 )
         if epochs_trained < 1:
             raise ValueError("epochs_trained must be >= 1")
-        if not math.isfinite(val_loss):
-            raise ValueError("val_loss must be finite")
+        for name, loss in (("val_loss", val_loss), ("test_loss", test_loss)):
+            if not math.isfinite(loss):
+                raise ValueError(f"{name} must be finite")
         new_id = len(self._records)
         self._children.setdefault(parent, []).append(new_id)
         record = AgentRecord(

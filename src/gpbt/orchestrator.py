@@ -87,7 +87,6 @@ class DynamicC:
 class EarlyStopConfig:
     level1_threshold: float | None = None  # run halt: best-seen improvement per generation
     level1_window: int = 2
-    level2_quantile: float | None = None  # generation halt: satisfaction quantile
     level3: bool = False  # per-child median gate after one iteration
 
     def __post_init__(self):
@@ -95,8 +94,6 @@ class EarlyStopConfig:
             raise ValueError("level1_threshold must be positive")
         if self.level1_window < 1:
             raise ValueError("level1_window must be >= 1")
-        if self.level2_quantile is not None and not 0.0 <= self.level2_quantile <= 1.0:
-            raise ValueError("level2_quantile must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -221,17 +218,6 @@ def convergence_gate(best_seen: Sequence[float], threshold: float, window: int) 
         return False
     diffs = np.diff(np.asarray(best_seen[-(window + 1):], dtype=float))
     return bool(diffs.mean() > -threshold)
-
-
-def satisfaction_gate(
-    child_val: float, previous_losses: Sequence[float], quantile: float
-) -> bool:
-    """Level 2: True to end the generation once a child reaches the given
-    quantile of the previous generation's losses. Inert at generation 0."""
-    if len(previous_losses) == 0:
-        return False
-    threshold = float(np.quantile(np.asarray(previous_losses, dtype=float), quantile, method="lower"))
-    return child_val <= threshold
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +406,6 @@ def run(
         tally.start()
         prev = tree.generation_records(t - 1)
         prev_results = [(r.id, r.val_loss) for r in prev]
-        prev_losses = [v for _, v in prev_results]
 
         # The generation as (size, c) groups: at generation 0 one group under
         # the virtual root (None), then the whole population under fixed c, or
@@ -436,9 +421,7 @@ def run(
 
         # Child slots in evaluation order: group by group, best parent first
         # (weaker parents' children then face a low level-3 median), each
-        # parent's children in creation order. A level-2 halt ends them all.
-        # The split is over the parents actually selected: after a level-2
-        # halt the previous generation can hold fewer children than planned.
+        # parent's children in creation order.
         slots = []
         for g, (size, c) in enumerate(groups):
             ranked = [None] if t == 0 else select_parents(
@@ -459,12 +442,7 @@ def run(
                 state = trainer.fork(states[pid])
             cid, child = tally.child(pid, t, hp, state, config.t_g, early)
             states[cid] = child
-            val = tree.get(cid).val_loss
-            group_best[g] = min(group_best[g], val)
-            if es.level2_quantile is not None and satisfaction_gate(
-                val, prev_losses, es.level2_quantile
-            ):
-                break
+            group_best[g] = min(group_best[g], tree.get(cid).val_loss)
 
         if dyn_cfg is not None and t > 0:
             (_, c_a), (_, c_b) = groups
@@ -483,7 +461,8 @@ def run(
 
         for r in prev:
             del states[r.id]
-        # The parent states actually forked; the root stands for the initial model.
+        # The distinct parent states forked (the two dynamic-c halves may share
+        # one); the root stands for the initial model.
         ledger.append(len(tree.parents_of(t)) or 1)
         tally.end(t)
 

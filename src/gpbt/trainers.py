@@ -170,6 +170,16 @@ class WeightSensitiveTrainer(NoisyQuadraticTrainer):
 # Phase surrogate: the expected-loss form, deterministic
 
 
+def _expected_variance(v: np.ndarray, h: np.ndarray, r: float, noise: float,
+                       iters: int) -> np.ndarray:
+    """`iters` clamped steps of v <- (1 - r*h)^2 * v + (r*sigma)^2; the phase
+    surrogate and the schedule oracle share it, so they agree bit for bit."""
+    decay = (1.0 - r * h) ** 2
+    for _ in range(iters):
+        v = np.minimum(decay * v + (r * noise) ** 2, THETA_CLIP**2)
+    return v
+
+
 @dataclass
 class PhaseState:
     v: np.ndarray  # per-coordinate expected squared parameter
@@ -193,10 +203,8 @@ class PhaseSurrogateTrainer:
 
     def step_many(self, state: PhaseState, hp: Mapping[str, float], iters: int) -> PhaseState:
         r = float(hp.get(LR_NAME, 0.0))
-        decay = (1.0 - r * self.h) ** 2
-        for _ in range(iters):
-            state.v = np.minimum(decay * state.v + (r * self.spec.noise) ** 2, THETA_CLIP**2)
-            state.steps += 1
+        state.v = _expected_variance(state.v, self.h, r, self.spec.noise, iters)
+        state.steps += iters
         return state
 
     def evaluate(self, state: PhaseState) -> tuple[float, float]:
@@ -234,8 +242,7 @@ def expected_final_loss(
     h = spec.h
     v = np.ones(spec.dim) if v0 is None else np.asarray(v0, dtype=float).copy()
     for r in rates:
-        v = (1.0 - r * h) ** 2 * v + (r * spec.noise) ** 2
-        v = np.minimum(v, THETA_CLIP**2)
+        v = _expected_variance(v, h, r, spec.noise, 1)
     return float(min(np.sum(h * v), LOSS_CLAMP))
 
 

@@ -156,11 +156,11 @@ class TestRunCommand:
         [
             (0, {"history_mode": "lineage"}, "history_mode"),
             (0, {"c": 100, "n": 4}, "c=100"),
-            (0, {"early_stop": {"level2_quantile": 2.0}}, "level2_quantile"),
+            (0, {"early_stop": {"level1_window": 0}}, "methods[0].early_stop.level1_window"),
             (2, {"trials": 0}, "methods[2].trials"),
             (2, {"t_total": 0}, "methods[2].t_total"),
         ],
-        ids=["history_mode", "c", "level2_quantile", "trials", "t_total"],
+        ids=["history_mode", "c", "level1_window", "trials", "t_total"],
     )
     def test_invalid_method_value_exits_2(self, tmp_path, capsys, index, fields, named):
         path = tmp_path / "bad.json"
@@ -190,10 +190,12 @@ class TestRunCommand:
             ("config", {"output_dri": "out"}, "config.output_dri"),
             ("config", {"_space": []}, "config._space"),
             ("config", {"output_dir": 5}, "config.output_dir"),
+            ("config", {"seeds": [0, 0, 1]}, "seeds: duplicate seed 0"),
         ],
         ids=["pool", "window", "dim", "level3", "n", "dynamic_c_typo", "c_and_dynamic_c",
              "c_overflows_float", "timeout_negative", "timeout_zero", "timeout_huge",
-             "lr_name", "output_dir_typo", "underscore_key", "output_dir_not_string"],
+             "lr_name", "output_dir_typo", "underscore_key", "output_dir_not_string",
+             "duplicate_seeds"],
     )
     def test_mistyped_field_exits_2(self, tmp_path, capsys, section, fields, named):
         # A None value removes the field.
@@ -312,6 +314,16 @@ class TestCompareCommand:
         assert main(["compare", str(cfg), "--out", str(out)]) == 2
         assert "pbt/1" in capsys.readouterr().err
 
+    def test_malformed_result_exits_2(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path)
+        out = tmp_path / "out"
+        main(["run", str(cfg), "--deterministic", "--out", str(out)])
+        path = out / "pbt" / "1" / "result.json"
+        path.write_text(path.read_text()[:40])  # truncated
+        assert main(["compare", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: results: malformed") and str(path) in err
+
 
 class TestSweepC:
     def test_runs_per_value_and_skips_invalid(self, tmp_path, capsys):
@@ -383,6 +395,23 @@ class TestEmitPlotData:
         first = (out / "plot_data.csv").read_bytes()
         main(["emit-plot-data", str(out)])
         assert (out / "plot_data.csv").read_bytes() == first
+
+    @pytest.mark.parametrize("edit", ["non_numeric", "missing_column"])
+    def test_malformed_curves_exit_2(self, tmp_path, capsys, edit):
+        cfg = tiny_config(tmp_path)
+        out = tmp_path / "out"
+        main(["run", str(cfg), "--deterministic", "--out", str(out)])
+        path = out / "curves.csv"
+        text = path.read_text()
+        if edit == "non_numeric":
+            text = text.replace(",0.0\n", ",0.0\n" + "pbt,0,3,x,0.5,0.5,0.0\n", 1)
+        else:
+            text = text.replace(",best_seen_test,", ",best_seen_tset,", 1)
+        path.write_text(text)
+        assert main(["emit-plot-data", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: results: malformed") and str(path) in err
+        assert not (out / "plot_data.csv").exists()
 
 
 class TestBundledConfigs:
