@@ -11,7 +11,8 @@ on the synthetic trainers and on the external trainer double
 top-level key of every result.json. The external config's
 result.json files echo the double's path, so their whole-file line and their
 "config" key are left out. It also runs one `sweep-c` over a small
-config the same way, and hashes the stderr of `run --verbose` on it (those
+config the same way, hashes what `compare` and `emit-plot-data` write over
+that config's cells, and hashes the stderr of `run --verbose` on it (those
 lines hold no clock values). Everything goes through the CLI and
 the config files, so the same script runs against whichever gpbt package is
 on the path; diff its output between two checkouts:
@@ -118,6 +119,18 @@ def digest_cli(label: str, argv: list[str], out: Path) -> list[str]:
     return lines
 
 
+def digest_aggregate(label: str, config: Path, out: Path) -> list[str]:
+    """The digest lines of what `compare` and `emit-plot-data` write over the
+    cells already run under `out`."""
+    for argv in (["compare", str(config), "--out", str(out)], ["emit-plot-data", str(out)]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = gpbt_main(argv)
+        if code != 0:
+            raise SystemExit(f"{label}: gpbt {argv[0]} exited with {code}")
+    return [f"{sha((out / name).read_bytes())}  {label}/{name}"
+            for name in ("summary.csv", "summary.json", "plot_data.csv")]
+
+
 def digest_verbose(label: str, config: Path, out: Path) -> str:
     """The digest line of the stderr of `run --verbose` on one config."""
     err = io.StringIO()
@@ -145,6 +158,8 @@ def main():
         for label, path in configs:
             lines += digest_cli(label, ["run", str(path)], tmp / "out" / label)
         small = tmp / "small_quadratic.json"
+        lines += digest_aggregate("aggregate/small_quadratic", small,
+                                  tmp / "out" / "small_quadratic")
         sweep = ["sweep-c", str(small), "--values", "0.5,1,2"]
         lines += digest_cli("sweep_c", sweep, tmp / "out" / "sweep_c")
         verbose_out = tmp / "out" / "verbose"

@@ -10,7 +10,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # The `all` line of scripts/digest.py: a change that moves any deterministic
 # output must update this pin and say in CHANGES.md which outputs moved and why.
-DIGEST_ALL = "668d0aff7bf18f6b47b8f46e9395206b6149770d01a8541546f2d3cda8715429"
+DIGEST_ALL = "ab81e7b17acdc24d90c8713e2576ef0e9947b636e2a5407272698628d1e5de3e"
 
 
 def run_script(script, *args):
@@ -50,6 +50,9 @@ def test_digest_lists_files_and_result_keys():
                  "small_external/levels/1/genealogy.ndjson",
                  "wide_space/pooled_gp/1/genealogy.ndjson",
                  "sweep_c/curves.csv", "sweep_c/c=0.5/1/genealogy.ndjson",
-                 "sweep_c/c=2/0/result.json:run_config", "verbose/small_quadratic.stderr"):
+                 "sweep_c/c=2/0/result.json:run_config", "verbose/small_quadratic.stderr",
+                 "aggregate/small_quadratic/summary.csv",
+                 "aggregate/small_quadratic/summary.json",
+                 "aggregate/small_quadratic/plot_data.csv"):
         assert name in names
     assert pairs[-1] == [DIGEST_ALL, "all"]
