@@ -105,7 +105,6 @@ class RunConfig:
     c: FixedC | DynamicC = FixedC(1.0)
     history_mode: str = "sibling_only"
     early_stop: EarlyStopConfig = EarlyStopConfig()
-    selection_temperature: float | None = None  # Boltzmann T; None = argmin selection
     seed: int = 0
     seed_gen0_history: bool = False
 
@@ -126,8 +125,6 @@ class RunConfig:
                 raise ValueError(f"c={self.c.c} is not usable with n={self.n}")
         elif self.n < 2:
             raise ValueError("dynamic c needs n >= 2")
-        if self.selection_temperature is not None and self.selection_temperature <= 0:
-            raise ValueError("selection_temperature must be positive")
 
     def as_dict(self) -> dict:
         d = asdict(self)
@@ -164,35 +161,15 @@ def plan_generation(n: int, c: float) -> GenerationPlan:
     if c <= 0:
         raise ValueError("c must be > 0")
     p = min(max(_parent_count(n, c), 1), n)
-    return GenerationPlan(parents=p, children_per_parent=_split_children(n, p))
+    base, extra = divmod(n, p)
+    return GenerationPlan(p, tuple(base + 1 if i < extra else base for i in range(p)))
 
 
-def _split_children(n: int, parents: int) -> tuple[int, ...]:
-    base, extra = divmod(n, parents)
-    return tuple(base + 1 if i < extra else base for i in range(parents))
-
-
-def select_parents(
-    results: Sequence[tuple[int, float]],
-    p: int,
-    temperature: float | None,
-    rng: np.random.Generator,
-) -> list[int]:
-    """Pick p parents from (id, val_loss) pairs, best first.
-
-    temperature=None is pure truncation (ties to the lower id); otherwise p
-    distinct children are drawn without replacement with weight
-    exp(-loss / temperature). Fewer than p candidates selects all of them.
-    """
-    k = min(p, len(results))
-    if temperature is None:
-        ranked = sorted(results, key=lambda r: (r[1], r[0]))
-        return [i for i, _ in ranked[:k]]
-    ids = np.array([i for i, _ in results])
-    losses = np.array([l for _, l in results], dtype=float)
-    w = np.exp(-(losses - losses.min()) / temperature) + 1e-300
-    picks = rng.choice(len(ids), size=k, replace=False, p=w / w.sum())
-    return [int(ids[j]) for j in picks]
+def select_parents(results: Sequence[tuple[int, float]], p: int) -> list[int]:
+    """The ids of the p lowest (val_loss, id) of the (id, val_loss) pairs, best
+    first (ties to the lower id). Fewer than p candidates selects all of them."""
+    ranked = sorted(results, key=lambda r: (r[1], r[0]))
+    return [i for i, _ in ranked[:p]]
 
 
 # ---------------------------------------------------------------------------
@@ -424,11 +401,12 @@ def run(
         # parent's children in creation order.
         slots = []
         for g, (size, c) in enumerate(groups):
-            ranked = [None] if t == 0 else select_parents(
-                prev_results, plan_generation(size, c).parents,
-                config.selection_temperature, rng_algo,
-            )
-            for pid, count in zip(ranked, _split_children(size, len(ranked))):
+            if t == 0:
+                slots += [(g, None)] * size
+                continue
+            plan = plan_generation(size, c)
+            for pid, count in zip(select_parents(prev_results, plan.parents),
+                                  plan.children_per_parent):
                 slots += [(g, pid)] * count
         early = [] if gate3 else None
         roots = t == 1 and config.seed_gen0_history

@@ -191,11 +191,13 @@ class TestRunCommand:
             ("config", {"_space": []}, "config._space"),
             ("config", {"output_dir": 5}, "config.output_dir"),
             ("config", {"seeds": [0, 0, 1]}, "seeds: duplicate seed 0"),
+            ("method", {"selection_temperature": 0.5},
+             "methods[0].selection_temperature: unknown field"),
         ],
         ids=["pool", "window", "dim", "level3", "n", "dynamic_c_typo", "c_and_dynamic_c",
              "c_overflows_float", "timeout_negative", "timeout_zero", "timeout_huge",
              "lr_name", "output_dir_typo", "underscore_key", "output_dir_not_string",
-             "duplicate_seeds"],
+             "duplicate_seeds", "selection_temperature"],
     )
     def test_mistyped_field_exits_2(self, tmp_path, capsys, section, fields, named):
         # A None value removes the field.
@@ -221,17 +223,6 @@ class TestRunCommand:
             path.write_bytes(b'{"name": "\xff"}')
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("config error: config:")
-
-    def test_selection_temperature_parses(self, tmp_path):
-        from gpbt.cli import load_config
-
-        cfg = json.loads(tiny_config(tmp_path).read_text())
-        cfg["methods"][0]["selection_temperature"] = 0.5
-        path = tmp_path / "boltzmann.json"
-        path.write_text(json.dumps(cfg))
-        name, _, config = load_config(str(path))["_methods"][0]
-        assert name == "gpbt_tpe" and config.selection_temperature == 0.5
-        assert main(["run", str(path), "--deterministic", "--out", str(tmp_path / "o")]) == 0
 
     def test_trainer_failure_exits_3(self, tmp_path):
         cfg = tiny_config(

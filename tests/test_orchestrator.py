@@ -91,54 +91,26 @@ class TestPlanGeneration:
 class TestSelectParents:
     def test_truncation(self):
         results = [(0, 0.3), (1, 0.1), (2, 0.2), (3, 0.4)]
-        assert select_parents(results, 2, None, np.random.default_rng(0)) == [1, 2]
+        assert select_parents(results, 2) == [1, 2]
 
     def test_everyone_when_p_is_population(self):
         results = [(i, float(i)) for i in range(4)]
-        assert select_parents(results, 4, None, np.random.default_rng(0)) == [0, 1, 2, 3]
+        assert select_parents(results, 4) == [0, 1, 2, 3]
 
     def test_fewer_than_p_selects_all(self):
         results = [(7, 0.5), (9, 0.1)]
-        assert select_parents(results, 5, None, np.random.default_rng(0)) == [9, 7]
+        assert select_parents(results, 5) == [9, 7]
 
     def test_ties_by_id(self):
         results = [(9, 0.2), (7, 0.2), (1, 0.9)]
-        assert select_parents(results, 2, None, np.random.default_rng(0)) == [7, 9]
-
-    def test_boltzmann_limit_matches_truncation(self):
-        results = [(0, 0.3), (1, 0.1), (2, 0.2), (3, 0.4)]
-        expected = select_parents(results, 2, None, np.random.default_rng(0))
-        agree = 0
-        for seed in range(100):
-            picked = select_parents(results, 2, 1e-3, np.random.default_rng(seed))
-            agree += picked == expected
-        assert agree >= 99
-
-    @pytest.mark.parametrize("p", [1, 2, 4, 5, 8])
-    def test_boltzmann_returns_distinct_ids(self, p):
-        results = [(10 + i, l) for i, l in enumerate([0.3, 0.1, 0.2, 0.4, 0.25])]
-        picked = select_parents(results, p, 0.5, np.random.default_rng(p))
-        assert len(picked) == len(set(picked)) == min(p, len(results))
-        assert set(picked) <= {i for i, _ in results}
-
-    def test_boltzmann_reproducible_for_seed(self):
-        results = [(i, float(l)) for i, l in enumerate(np.random.default_rng(1).random(10))]
-        draws = [select_parents(results, 3, 0.5, np.random.default_rng(7)) for _ in range(2)]
-        assert draws[0] == draws[1]
-        others = {tuple(select_parents(results, 3, 0.5, np.random.default_rng(s))) for s in range(20)}
-        assert len(others) > 1  # the draw depends on the rng
-
-    def test_boltzmann_tiny_temperature_picks_argmin(self):
-        results = [(0, 0.3), (1, 0.1), (2, 0.2), (3, 0.4)]
-        for seed in range(20):
-            assert select_parents(results, 1, 1e-6, np.random.default_rng(seed)) == [1]
+        assert select_parents(results, 2) == [7, 9]
 
     def test_scale_invariance_of_truncation(self):
         rng = np.random.default_rng(3)
         losses = rng.random(12)
         results = [(i, float(l)) for i, l in enumerate(losses)]
         scaled = [(i, float(l) * 1234.5) for i, l in enumerate(losses)]
-        assert select_parents(results, 4, None, rng) == select_parents(scaled, 4, None, rng)
+        assert select_parents(results, 4) == select_parents(scaled, 4)
 
 
 class TestMedianGate:
@@ -470,7 +442,6 @@ class TestTally:
     @given(
         n=st.integers(1, 12),
         c=st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0, "dynamic"]),
-        temperature=st.sampled_from([None, 0.5]),
         truncation=st.sampled_from([0.1, 0.25, 0.4, 0.5]),
         t_max=st.integers(1, 4),
         t_g=st.integers(1, 3),
@@ -481,10 +452,10 @@ class TestTally:
         seed=st.integers(0, 2**16),
     )
     # PBT with n=5 at truncation 0.5: the top and bottom fractions overlap.
-    @example(n=5, c=1.0, temperature=None, truncation=0.5, t_max=3, t_g=1, level1=None,
+    @example(n=5, c=1.0, truncation=0.5, t_max=3, t_g=1, level1=None,
              window=2, level3=False, mode="sibling_only", seed=0)
     @settings(max_examples=40, deadline=None)
-    def test_epochs_curves_and_ledger(self, method, n, c, temperature, truncation, t_max, t_g,
+    def test_epochs_curves_and_ledger(self, method, n, c, truncation, t_max, t_g,
                                       level1, window, level3, mode, seed):
         """The epoch total, the best-seen curve and the ledger agree with the
         records, every record's loss is the replay of its recorded ancestry
@@ -502,7 +473,6 @@ class TestTally:
                 c = FixedC(c)
             config = small_config(
                 n=n, t_max=t_max, t_g=t_g, c=c, history_mode=mode, seed=seed,
-                selection_temperature=temperature,
                 early_stop=EarlyStopConfig(
                     level1_threshold=level1, level1_window=window, level3=level3
                 ),
@@ -542,23 +512,6 @@ class TestTally:
         assert loaded.records == records
         for g in {r.generation for r in records}:
             assert loaded.parents_of(g) == tree.parents_of(g)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_boltzmann_run_keeps_invariants(self, seed):
-        config = small_config(
-            n=12, t_max=5, t_g=3, c=FixedC(0.5), selection_temperature=0.5, seed=seed,
-            early_stop=EarlyStopConfig(level3=True),
-        )
-        result = run(config, small_space(), small_trainer())
-        tree = result.tree
-        assert result.total_epochs == sum(r.epochs_trained for r in tree.records)
-        assert result.transfer_ledger[0] == 1
-        for t in range(1, 5):
-            parents = tree.parents_of(t)
-            assert result.transfer_ledger[t] == len(parents) == plan_generation(12, 0.5).parents
-            assert all(tree.get(p).generation == t - 1 for p in parents)
-        again = run(config, small_space(), small_trainer())
-        assert [r.hp for r in again.tree.records] == [r.hp for r in tree.records]
 
 
 class FourCallTrainer:
