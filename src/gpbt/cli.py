@@ -5,7 +5,8 @@ under the output directory (flag --out, config output_dir, or the
 GPBT_OUT_DIR environment variable, in that order).
 
 Results layout: <out>/<method>/<seed>/{result.json, genealogy.ndjson,
-curves.csv} plus a combined <out>/curves.csv.
+curves.csv} plus a combined <out>/curves.csv of the last invocation;
+`compare` and `emit-plot-data` read the cells.
 """
 
 from __future__ import annotations
@@ -380,35 +381,36 @@ def cmd_sweep_c(args) -> int:
 
 def cmd_emit_plot_data(args) -> int:
     results = Path(args.results_dir)
-    curves_path = results / "curves.csv"
-    if not curves_path.exists():
-        raise ConfigError("results", f"no curves.csv under {results}")
+    # Each cell's own curves.csv: the combined one holds only the last invocation.
+    paths = sorted(results.glob("*/*/curves.csv"))
+    if not paths:
+        raise ConfigError("results", f"no <method>/<seed>/curves.csv under {results}")
     by_method: dict[str, dict[int, list[tuple[int, float, float]]]] = {}
-    try:
-        with open(curves_path, encoding="utf-8") as fh:
-            for r in csv.DictReader(fh):
-                point = (int(r["epochs_consumed"]), float(r["best_seen_val"]),
-                         float(r["best_seen_test"]))
-                by_method.setdefault(r["method"], {}).setdefault(int(r["seed"]), []).append(point)
-    except _MALFORMED as exc:
-        raise ConfigError("results", f"malformed {curves_path}: {exc!r}") from None
+    for path in paths:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                for r in csv.DictReader(fh):
+                    point = (int(r["epochs_consumed"]), float(r["best_seen_val"]),
+                             float(r["best_seen_test"]))
+                    by_method.setdefault(r["method"], {}).setdefault(int(r["seed"]), []).append(point)
+        except _MALFORMED as exc:
+            raise ConfigError("results", f"malformed {path}: {exc!r}") from None
     if not by_method:
-        raise ConfigError("results", "curves.csv is empty")
+        raise ConfigError("results", "every curves.csv is empty")
 
+    std = (lambda xs: float(np.std(xs, ddof=1)) if len(xs) > 1 else 0.0)
     out_rows = []
     for method in sorted(by_method):
-        seeds = by_method[method]
-        grid = sorted({e for pts in seeds.values() for e, _, _ in pts})
+        curves = [sorted(pts) for _, pts in sorted(by_method[method].items())]
+        grid = sorted({e for pts in curves for e, _, _ in pts})
         for e in grid:
             vals, tests = [], []
-            for pts in seeds.values():
-                pts = sorted(pts)
+            for pts in curves:
                 reached = [p for p in pts if p[0] <= e]
                 if not reached:
                     continue  # this seed has no curve point yet at e
                 vals.append(reached[-1][1])
                 tests.append(reached[-1][2])
-            std = (lambda xs: float(np.std(xs, ddof=1)) if len(xs) > 1 else 0.0)
             out_rows.append(
                 {
                     "method": method,

@@ -387,12 +387,24 @@ class TestEmitPlotData:
         main(["emit-plot-data", str(out)])
         assert (out / "plot_data.csv").read_bytes() == first
 
+    def test_reads_every_invocation(self, tmp_path):
+        # One seed per invocation: the combined curves.csv then holds seed 1 alone.
+        cfg = tiny_config(tmp_path, seeds=[2, 10, 1])
+        split = tmp_path / "split"
+        for seed in ("10", "2", "1"):
+            main(["run", str(cfg), "--seed", seed, "--deterministic", "--out", str(split)])
+        assert main(["emit-plot-data", str(split)]) == 0
+        whole = tmp_path / "whole"
+        main(["run", str(cfg), "--deterministic", "--out", str(whole)])
+        assert main(["emit-plot-data", str(whole)]) == 0
+        assert (split / "plot_data.csv").read_bytes() == (whole / "plot_data.csv").read_bytes()
+
     @pytest.mark.parametrize("edit", ["non_numeric", "missing_column"])
     def test_malformed_curves_exit_2(self, tmp_path, capsys, edit):
         cfg = tiny_config(tmp_path)
         out = tmp_path / "out"
         main(["run", str(cfg), "--deterministic", "--out", str(out)])
-        path = out / "curves.csv"
+        path = out / "pbt" / "0" / "curves.csv"
         text = path.read_text()
         if edit == "non_numeric":
             text = text.replace(",0.0\n", ",0.0\n" + "pbt,0,3,x,0.5,0.5,0.0\n", 1)
