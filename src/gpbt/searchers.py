@@ -86,8 +86,8 @@ class SearcherConfig:
             raise ValueError("pool must be >= 1")
         if self.startup < 1:
             raise ValueError("startup must be >= 1")
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
+        if self.window < 4:  # cma_update needs four points
+            raise ValueError("window must be >= 4")
         if not 0.0 < self.beta_delta < 1.0:
             raise ValueError("beta_delta must be in (0, 1)")
 
@@ -208,8 +208,8 @@ def cma_update(u: np.ndarray, loss: np.ndarray) -> CmaState | None:
     """Recompute the sampling state from the most recent window of points and losses.
 
     The state is derived purely from the window (no carried momentum) so that
-    histories remain the single source of truth. Windows smaller than 4
-    return None, meaning: fall back to uniform sampling.
+    histories remain the single source of truth. Fewer than 4 points return
+    None; a searcher window is at least 4, so `_cma_suggest` never sees it.
     """
     if len(loss) < 4:
         return None
@@ -234,8 +234,6 @@ def _cma_suggest(
     if len(history) < config.window:
         return rng.random(d)
     state = cma_update(history.u[-config.window:], history.loss[-config.window:])
-    if state is None:
-        return rng.random(d)
     u = state.mean + state.sigma * rng.standard_normal(d)
     return np.clip(u, 0.0, 1.0)
 

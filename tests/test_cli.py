@@ -157,10 +157,11 @@ class TestRunCommand:
             (0, {"history_mode": "lineage"}, "history_mode"),
             (0, {"c": 100, "n": 4}, "c=100"),
             (0, {"early_stop": {"level1_window": 0}}, "methods[0].early_stop.level1_window"),
+            (0, {"searcher": {"kind": "cma", "window": 3}}, "methods[0].searcher.window"),
             (2, {"trials": 0}, "methods[2].trials"),
             (2, {"t_total": 0}, "methods[2].t_total"),
         ],
-        ids=["history_mode", "c", "level1_window", "trials", "t_total"],
+        ids=["history_mode", "c", "level1_window", "cma_window", "trials", "t_total"],
     )
     def test_invalid_method_value_exits_2(self, tmp_path, capsys, index, fields, named):
         path = tmp_path / "bad.json"

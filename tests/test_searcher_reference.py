@@ -45,7 +45,7 @@ SETTINGS = st.fixed_dictionaries({
     "gamma": st.sampled_from([0.1, 0.25, 0.5, 1.0]),
     "pool": st.integers(1, 48),
     "startup": st.integers(1, 6),
-    "window": st.integers(1, 8),
+    "window": st.integers(4, 8),
     "beta_delta": st.floats(0.01, 0.99),
 })
 
