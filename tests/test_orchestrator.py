@@ -503,9 +503,19 @@ class TestTally:
                 parents.setdefault(r.generation, set()).add(r.parent)
             assert result.transfer_ledger == [len(parents[t]) for t in sorted(parents)]
             assert all(len(tree.generation_records(t)) == n for t in parents)
-            if isinstance(config.c, FixedC):
-                p = plan_generation(n, config.c.c).parents
-                assert result.transfer_ledger[1:] == [p] * (len(parents) - 1)
+            # The parents are the previous generation's top p by (val_loss, id):
+            # p is the plan's under fixed c, and under dynamic c the larger
+            # half's, because both halves rank the same records.
+            trace = {d["generation"]: d for d in result.dynamic_c_trace or []}
+            for t in sorted(parents)[1:]:
+                if isinstance(config.c, FixedC):
+                    p = plan_generation(n, config.c.c).parents
+                else:
+                    p = max(plan_generation(n // 2, trace[t]["c_a"]).parents,
+                            plan_generation(n - n // 2, trace[t]["c_b"]).parents)
+                ranked = sorted(tree.generation_records(t - 1), key=lambda r: (r.val_loss, r.id))
+                assert tree.parents_of(t) == tuple(sorted(r.id for r in ranked[:p]))
+                assert result.transfer_ledger[t] == p
         with tempfile.TemporaryDirectory() as tmp:
             tree.dump(f"{tmp}/tree.ndjson")
             loaded = GenealogyTree.load(f"{tmp}/tree.ndjson")
