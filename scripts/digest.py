@@ -39,21 +39,21 @@ SPACE = [
 
 SMALL_METHODS = [
     {"name": "pooled", "method": "pooled", "n": 6, "t_max": 3, "t_g": 2,
-     "searcher": {"kind": "tpe", "startup": 2}},
+     "searcher": {"kind": "tpe"}},
     {"name": "dynamic_c", "method": "gpbt", "n": 8, "t_max": 4, "t_g": 2,
      "dynamic_c": {"initial_mean": 2.0, "initial_std": 1.0},
-     "searcher": {"kind": "cma", "window": 4}, "history_mode": "time_enriched"},
+     "searcher": {"kind": "cma"}, "history_mode": "time_enriched"},
     {"name": "levels", "method": "gpbt", "n": 9, "t_max": 5, "t_g": 3, "c": 1.0,
      "searcher": {"kind": "gp_ucb"},
-     "early_stop": {"level1_threshold": 1e-4, "level1_window": 1, "level3": True}},
+     "early_stop": {"level1_threshold": 1e-4, "level3": True}},
     {"name": "gen0_history", "method": "gpbt", "n": 8, "t_max": 3, "t_g": 1, "c": 0.5,
      "searcher": {"kind": "random"}, "seed_gen0_history": True},
     {"name": "dynamic_odd", "method": "gpbt", "n": 9, "t_max": 4, "t_g": 2,
      "dynamic_c": {"initial_mean": 2.0, "initial_std": 1.0}, "searcher": {"kind": "random"}},
     {"name": "pbt", "method": "pbt", "n": 6, "t_max": 3, "t_g": 2,
-     "truncation": 0.5, "resample_prob": 0.5},
+     "truncation": 0.5},
     {"name": "pbt_odd", "method": "pbt", "n": 5, "t_max": 4, "t_g": 2, "truncation": 0.5},
-    {"name": "nonadaptive", "method": "nonadaptive", "searcher": {"kind": "tpe", "startup": 2},
+    {"name": "nonadaptive", "method": "nonadaptive", "searcher": {"kind": "tpe"},
      "trials": 6, "t_total": 4},
 ]
 
@@ -87,7 +87,7 @@ WIDE_CONFIG = {
         {"name": "pooled_gp", "method": "pooled", "n": 8, "t_max": 4, "t_g": 2,
          "searcher": {"kind": "gp_ucb"}},
         {"name": "time_tpe", "method": "gpbt", "n": 8, "t_max": 4, "t_g": 2, "c": 1.0,
-         "searcher": {"kind": "tpe", "startup": 2}, "history_mode": "time_enriched"},
+         "searcher": {"kind": "tpe"}, "history_mode": "time_enriched"},
     ],
 }
 
