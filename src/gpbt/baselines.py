@@ -21,7 +21,9 @@ from .searchers import SearcherConfig, suggest
 from .space import SearchSpace
 from .trainers import Trainer
 
-# PBT explore: each dimension is multiplied by one of these, picked uniformly.
+# PBT explore: resample uniformly with this probability, otherwise multiply
+# each dimension by one of the factors, picked uniformly.
+PBT_RESAMPLE_PROB = 0.25
 PERTURB_FACTORS = (0.8, 1.2)
 
 
@@ -31,7 +33,6 @@ class PbtConfig:
     t_max: int
     t_g: int = 1
     truncation: float = 0.25          # fraction exploited at both ends
-    resample_prob: float = 0.25       # explore: probability of full resample
     seed: int = 0
 
     def __post_init__(self):
@@ -40,8 +41,6 @@ class PbtConfig:
                 raise ValueError(f"{name} must be >= 1")
         if not 0.0 < self.truncation <= 0.5:
             raise ValueError("truncation must be in (0, 0.5]")
-        if not 0.0 <= self.resample_prob <= 1.0:
-            raise ValueError("resample_prob must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -57,12 +56,10 @@ class NonadaptiveConfig:
                 raise ValueError(f"{name} must be >= 1")
 
 
-def _explore(
-    hp: Sequence[float], space: SearchSpace, cfg: PbtConfig, rng: np.random.Generator
-):
+def _explore(hp: Sequence[float], space: SearchSpace, rng: np.random.Generator):
     """Canonical PBT explore: resample uniformly with some probability,
     otherwise perturb every dimension by a random factor, clipped to bounds."""
-    if rng.random() < cfg.resample_prob:
+    if rng.random() < PBT_RESAMPLE_PROB:
         return space.sample_uniform(rng)
     out = []
     for d, v in zip(space.dims, hp):
@@ -112,7 +109,7 @@ def run_pbt(
                 parents[i] = last_record[src]
                 src_state, src_hp = recorded[src]
                 states[i] = trainer.fork(src_state)
-                hps[i] = _explore(src_hp, space, config, rng_algo)
+                hps[i] = _explore(src_hp, space, rng_algo)
             ledger.append(k)
 
         for i in range(config.n):

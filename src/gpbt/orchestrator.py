@@ -83,17 +83,17 @@ class DynamicC:
             raise ValueError("initial_std must be positive")
 
 
+LEVEL1_WINDOW = 2  # generations over which level 1 averages the best-seen improvement
+
+
 @dataclass(frozen=True)
 class EarlyStopConfig:
     level1_threshold: float | None = None  # run halt: best-seen improvement per generation
-    level1_window: int = 2
     level3: bool = False  # per-child median gate after one iteration
 
     def __post_init__(self):
         if self.level1_threshold is not None and self.level1_threshold <= 0:
             raise ValueError("level1_threshold must be positive")
-        if self.level1_window < 1:
-            raise ValueError("level1_window must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -377,7 +377,7 @@ def run(
 
     for t in range(config.t_max):
         if es.level1_threshold is not None and convergence_gate(
-            [p.best_seen_val for p in tally.curves], es.level1_threshold, es.level1_window
+            [p.best_seen_val for p in tally.curves], es.level1_threshold, LEVEL1_WINDOW
         ):
             break
         tally.start()

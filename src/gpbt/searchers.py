@@ -3,9 +3,10 @@
 Four kinds are provided: random, TPE (kernel density ratio), a diagonal CMA
 simplification, and GP-UCB (lower confidence bound, losses are minimized).
 A history is a pair of arrays: the evaluated points in the unit cube [0, 1]^d
-and their losses. Every searcher is a pure function of (config, d, history,
-rng) returning a point in the unit cube; `suggest` maps that point to native
-units once, so every suggestion validates against the space.
+and their losses. Every searcher is a pure function of (d, history, rng)
+returning a point in the unit cube; `suggest` picks it by the config's kind and
+maps that point to native units once, so every suggestion validates against
+the space.
 """
 
 from __future__ import annotations
@@ -22,17 +23,26 @@ from .space import HpVector, SearchSpace
 
 SEARCHER_KINDS = ("random", "tpe", "cma", "gp_ucb")
 
-# TPE bandwidth floor (unit space) and density floor for the ratio.
+# TPE: the share of the history routed to the good density, the candidates
+# drawn from it, the observations required before modelling, the bandwidth
+# floor (unit space) and the density floor for the ratio.
+TPE_GAMMA = 0.25
+TPE_POOL = 24
+TPE_STARTUP = 4
 TPE_BANDWIDTH_FLOOR = 0.05
 TPE_DENSITY_FLOOR = 1e-12
 
-# Diagonal-CMA std clamp in unit space.
+# Diagonal CMA: the most recent observations used for the update, and the std
+# clamp in unit space.
+CMA_WINDOW = 12
 CMA_SIGMA_MIN = 0.01
 CMA_SIGMA_MAX = 0.5
 
-# GP-UCB internals: candidate pool size, squared-exponential lengthscale in
-# unit space, observation-noise variance relative to (standardized) loss
-# variance, and the jitter used on a singular kernel matrix.
+# GP-UCB internals: the confidence parameter delta, candidate pool size,
+# squared-exponential lengthscale in unit space, observation-noise variance
+# relative to (standardized) loss variance, and the jitter used on a singular
+# kernel matrix.
+GP_BETA_DELTA = 0.1
 GP_POOL = 256
 GP_LENGTHSCALE = 0.2
 GP_NOISE_VAR = 1e-4
@@ -71,25 +81,10 @@ class History:
 @dataclass(frozen=True)
 class SearcherConfig:
     kind: str = "tpe"
-    gamma: float = 0.25   # tpe: fraction of history routed to the good density
-    pool: int = 24        # tpe: candidates drawn from the good density
-    startup: int = 4      # tpe: observations required before modelling
-    window: int = 12      # cma: most-recent observations used for the update
-    beta_delta: float = 0.1  # gp_ucb: confidence parameter delta
 
     def __post_init__(self):
         if self.kind not in SEARCHER_KINDS:
             raise ValueError(f"kind must be one of {', '.join(SEARCHER_KINDS)}, not {self.kind!r}")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError("gamma must be in (0, 1]")
-        if self.pool < 1:
-            raise ValueError("pool must be >= 1")
-        if self.startup < 1:
-            raise ValueError("startup must be >= 1")
-        if self.window < 4:  # cma_update needs four points
-            raise ValueError("window must be >= 4")
-        if not 0.0 < self.beta_delta < 1.0:
-            raise ValueError("beta_delta must be in (0, 1)")
 
 
 def suggest(
@@ -105,11 +100,11 @@ def suggest(
     if config.kind == "random":
         u = rng.random(d)
     elif config.kind == "tpe":
-        u = _tpe_suggest(config, d, history, rng)
+        u = _tpe_suggest(d, history, rng)
     elif config.kind == "cma":
-        u = _cma_suggest(config, d, history, rng)
+        u = _cma_suggest(d, history, rng)
     else:
-        beta_t = gp_ucb_beta(d, len(history) + 1, config.beta_delta)
+        beta_t = gp_ucb_beta(d, len(history) + 1, GP_BETA_DELTA)
         u = gp_ucb_suggest(history, d, beta_t, rng)
     return space.from_unit(u)
 
@@ -169,21 +164,19 @@ def tpe_score(
     return l / np.maximum(g, TPE_DENSITY_FLOOR)
 
 
-def _tpe_suggest(
-    config: SearcherConfig, d: int, history: History, rng: np.random.Generator
-) -> np.ndarray:
-    if len(history) < config.startup:
+def _tpe_suggest(d: int, history: History, rng: np.random.Generator) -> np.ndarray:
+    if len(history) < TPE_STARTUP:
         return rng.random(d)
-    mask = tpe_split(history.loss, config.gamma)
+    mask = tpe_split(history.loss, TPE_GAMMA)
     good_u, bad_u = history.u[mask], history.u[~mask]
     good_bw = tpe_bandwidths(good_u)
     bad_bw = tpe_bandwidths(bad_u) if len(bad_u) else None
 
     # Draw candidates from l itself: each of the good kernels and the uniform
     # prior component are equally likely sources.
-    component = rng.integers(0, len(good_u) + 1, size=config.pool)
-    jitter = rng.standard_normal((config.pool, d)) * good_bw
-    uniform = rng.random((config.pool, d))
+    component = rng.integers(0, len(good_u) + 1, size=TPE_POOL)
+    jitter = rng.standard_normal((TPE_POOL, d)) * good_bw
+    uniform = rng.random((TPE_POOL, d))
     candidates = np.where(
         (component < len(good_u))[:, None],
         good_u[np.minimum(component, len(good_u) - 1)] + jitter,
@@ -204,15 +197,12 @@ class CmaState:
     sigma: np.ndarray  # per-dimension std, unit space
 
 
-def cma_update(u: np.ndarray, loss: np.ndarray) -> CmaState | None:
+def cma_update(u: np.ndarray, loss: np.ndarray) -> CmaState:
     """Recompute the sampling state from the most recent window of points and losses.
 
     The state is derived purely from the window (no carried momentum) so that
-    histories remain the single source of truth. Fewer than 4 points return
-    None; a searcher window is at least 4, so `_cma_suggest` never sees it.
+    histories remain the single source of truth.
     """
-    if len(loss) < 4:
-        return None
     # At least two observations: the std of a single point is degenerate and
     # would pin sigma to the clamp floor before any search has happened.
     k = max(2, math.ceil(len(loss) / 4))
@@ -225,15 +215,13 @@ def cma_update(u: np.ndarray, loss: np.ndarray) -> CmaState | None:
     return CmaState(mean=mean, sigma=sigma)
 
 
-def _cma_suggest(
-    config: SearcherConfig, d: int, history: History, rng: np.random.Generator
-) -> np.ndarray:
+def _cma_suggest(d: int, history: History, rng: np.random.Generator) -> np.ndarray:
     # Sample uniformly until a full window exists: the window size doubles as
     # the exploration budget, preventing premature convergence on the first
     # few draws.
-    if len(history) < config.window:
+    if len(history) < CMA_WINDOW:
         return rng.random(d)
-    state = cma_update(history.u[-config.window:], history.loss[-config.window:])
+    state = cma_update(history.u[-CMA_WINDOW:], history.loss[-CMA_WINDOW:])
     u = state.mean + state.sigma * rng.standard_normal(d)
     return np.clip(u, 0.0, 1.0)
 

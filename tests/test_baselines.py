@@ -46,15 +46,15 @@ class TestPbt:
         with pytest.raises(ValueError, match="finite"):
             run_pbt(PbtConfig(n=4, t_max=2, seed=0), space(), Diverging(trainer()))
 
-    def test_perturb_clips_to_bounds(self):
+    def test_perturb_clips_to_bounds(self, monkeypatch):
         # all mass at the upper bound stays in bounds after x1.2 perturbation
-        from gpbt.baselines import _explore
+        from gpbt import baselines
 
-        cfg = PbtConfig(n=4, t_max=2, resample_prob=0.0, seed=0)
+        monkeypatch.setattr(baselines, "PBT_RESAMPLE_PROB", 0.0)
         sp = space(upper=0.5)
         rng = np.random.default_rng(0)
         for _ in range(50):
-            hp = _explore((0.5,), sp, cfg, rng)
+            hp = baselines._explore((0.5,), sp, rng)
             assert sp.validate(hp) is None
             assert hp[0] in (0.4, 0.5)  # x0.8 or clipped x1.2
 

@@ -156,12 +156,10 @@ class TestRunCommand:
         [
             (0, {"history_mode": "lineage"}, "history_mode"),
             (0, {"c": 100, "n": 4}, "c=100"),
-            (0, {"early_stop": {"level1_window": 0}}, "methods[0].early_stop.level1_window"),
-            (0, {"searcher": {"kind": "cma", "window": 3}}, "methods[0].searcher.window"),
             (2, {"trials": 0}, "methods[2].trials"),
             (2, {"t_total": 0}, "methods[2].t_total"),
         ],
-        ids=["history_mode", "c", "level1_window", "cma_window", "trials", "t_total"],
+        ids=["history_mode", "c", "trials", "t_total"],
     )
     def test_invalid_method_value_exits_2(self, tmp_path, capsys, index, fields, named):
         path = tmp_path / "bad.json"
@@ -175,8 +173,6 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "section,fields,named",
         [
-            ("method", {"searcher": {"kind": "tpe", "pool": 2.5}}, "methods[0].searcher.pool"),
-            ("method", {"searcher": {"kind": "cma", "window": 4.5}}, "methods[0].searcher.window"),
             ("trainer", {"dim": 2.5, "curvatures": None}, "trainer.dim"),
             ("method", {"early_stop": {"level3": "false"}}, "methods[0].early_stop.level3"),
             ("method", {"n": 6.9}, "methods[0].n"),
@@ -194,17 +190,33 @@ class TestRunCommand:
             ("config", {"seeds": [0, 0, 1]}, "seeds: duplicate seed 0"),
             ("method", {"selection_temperature": 0.5},
              "methods[0].selection_temperature: unknown field"),
+            ("method", {"searcher": {"kind": "tpe", "gamma": 0.25}},
+             "methods[0].searcher.gamma: unknown field"),
+            ("method", {"searcher": {"kind": "tpe", "pool": 24}},
+             "methods[0].searcher.pool: unknown field"),
+            ("method", {"searcher": {"kind": "tpe", "startup": 4}},
+             "methods[0].searcher.startup: unknown field"),
+            ("method", {"searcher": {"kind": "cma", "window": 12}},
+             "methods[0].searcher.window: unknown field"),
+            ("method", {"searcher": {"kind": "gp_ucb", "beta_delta": 0.1}},
+             "methods[0].searcher.beta_delta: unknown field"),
+            ("method", {"early_stop": {"level1_window": 2}},
+             "methods[0].early_stop.level1_window: unknown field"),
+            ("pbt", {"resample_prob": 0.25}, "methods[1].resample_prob: unknown field"),
         ],
-        ids=["pool", "window", "dim", "level3", "n", "dynamic_c_typo", "c_and_dynamic_c",
+        ids=["dim", "level3", "n", "dynamic_c_typo", "c_and_dynamic_c",
              "c_overflows_float", "timeout_negative", "timeout_zero", "timeout_huge",
              "lr_name", "output_dir_typo", "underscore_key", "output_dir_not_string",
-             "duplicate_seeds", "selection_temperature"],
+             "duplicate_seeds", "selection_temperature", "gamma", "pool", "startup",
+             "window", "beta_delta", "level1_window", "resample_prob"],
     )
     def test_mistyped_field_exits_2(self, tmp_path, capsys, section, fields, named):
         # A None value removes the field.
         path = tmp_path / "bad.json"
         cfg = json.loads(tiny_config(tmp_path).read_text())
-        entry = {"config": cfg, "trainer": cfg["trainer"]}.get(section, cfg["methods"][0])
+        entry = {"config": cfg, "trainer": cfg["trainer"], "pbt": cfg["methods"][1]}.get(
+            section, cfg["methods"][0]
+        )
         entry.update(fields)
         for key in [k for k, v in fields.items() if v is None]:
             del entry[key]

@@ -303,9 +303,7 @@ class TestEarlyStopLevels:
         assert on.total_epochs < off.total_epochs
 
     def test_level1_halts_run(self):
-        config = small_config(
-            t_max=6, early_stop=EarlyStopConfig(level1_threshold=1e9, level1_window=1)
-        )
+        config = small_config(t_max=6, early_stop=EarlyStopConfig(level1_threshold=1e9))
         result = run(config, small_space(), small_trainer())
         generations = {r.generation for r in result.tree.records}
         assert max(generations) < 5  # halted before exhausting t_max
@@ -446,17 +444,16 @@ class TestTally:
         t_max=st.integers(1, 4),
         t_g=st.integers(1, 3),
         level1=st.sampled_from([None, 1e-3, 0.1, 1.0]),
-        window=st.integers(1, 2),
         level3=st.booleans(),
         mode=st.sampled_from(["sibling_only", "time_enriched", "pooled"]),
         seed=st.integers(0, 2**16),
     )
     # PBT with n=5 at truncation 0.5: the top and bottom fractions overlap.
     @example(n=5, c=1.0, truncation=0.5, t_max=3, t_g=1, level1=None,
-             window=2, level3=False, mode="sibling_only", seed=0)
+             level3=False, mode="sibling_only", seed=0)
     @settings(max_examples=40, deadline=None)
     def test_epochs_curves_and_ledger(self, method, n, c, truncation, t_max, t_g,
-                                      level1, window, level3, mode, seed):
+                                      level1, level3, mode, seed):
         """The epoch total, the best-seen curve and the ledger agree with the
         records, every record's loss is the replay of its recorded ancestry
         (the model it trained was forked from the parent it names), and the
@@ -473,9 +470,7 @@ class TestTally:
                 c = FixedC(c)
             config = small_config(
                 n=n, t_max=t_max, t_g=t_g, c=c, history_mode=mode, seed=seed,
-                early_stop=EarlyStopConfig(
-                    level1_threshold=level1, level1_window=window, level3=level3
-                ),
+                early_stop=EarlyStopConfig(level1_threshold=level1, level3=level3),
             )
             result = run(config, space, LineageTrainer())
         elif method == "pbt":

@@ -11,6 +11,7 @@ from scipy.stats import ks_2samp, qmc
 
 from gpbt import searchers
 from gpbt.searchers import (
+    CMA_WINDOW,
     GP_JITTER,
     GP_LENGTHSCALE,
     GP_POOL,
@@ -112,14 +113,6 @@ class TestSuggestContract:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             SearcherConfig(kind="simulated_annealing")
-
-    def test_parameter_ranges_enforced(self):
-        with pytest.raises(ValueError):
-            SearcherConfig(gamma=0.0)
-        with pytest.raises(ValueError):
-            SearcherConfig(pool=0)
-        with pytest.raises(ValueError):
-            SearcherConfig(beta_delta=1.5)
 
     def test_observation_loss_must_be_finite(self):
         with pytest.raises(ValueError, match="finite"):
@@ -225,19 +218,16 @@ class TestCma:
 
     def test_small_window_falls_back_to_uniform(self):
         space = unit_space(1)
-        tail = quad_history(3)
-        assert cma_update(tail.u, tail.loss) is None
         a = suggest(SearcherConfig(kind="cma"), space, quad_history(3), np.random.default_rng(2))
         b = space.sample_uniform(np.random.default_rng(2))
         assert a == b
 
     def test_sequential_convergence(self):
         space = unit_space(1)
-        window = SearcherConfig(kind="cma").window
         hps, losses = searched("cma", space, 50, lambda hp: (hp[0] - 0.7) ** 2,
                                np.random.default_rng(0))
         hist = history(space, hps, losses)
-        state = cma_update(hist.u[-window:], hist.loss[-window:])
+        state = cma_update(hist.u[-CMA_WINDOW:], hist.loss[-CMA_WINDOW:])
         assert abs(state.mean[0] - 0.7) < 0.1
 
     def test_state_shapes(self):
