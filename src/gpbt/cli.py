@@ -6,7 +6,7 @@ GPBT_OUT_DIR environment variable, in that order).
 
 Results layout: <out>/<method>/<seed>/{result.json, genealogy.ndjson,
 curves.csv} plus a combined <out>/curves.csv of the last invocation;
-`compare` and `emit-plot-data` read the cells.
+`compare` and `emit-plot-data` read every seed cell on disk.
 """
 
 from __future__ import annotations
@@ -41,6 +41,11 @@ CURVE_FIELDS = (
 
 
 _REQUIRED = ("space", "trainer", "seeds", "methods")
+
+# A method's cell directory is <out>/<name>, so a name cannot leave <out> or take
+# the name of a file that the CLI writes there, each through a ".tmp" sibling.
+_TOP_FILES = ("curves.csv", "summary.csv", "summary.json", "plot_data.csv")
+_RESERVED_NAMES = {".", "..", *_TOP_FILES, *(f"{f}.tmp" for f in _TOP_FILES)}
 
 
 def load_config(path: str) -> dict:
@@ -115,6 +120,8 @@ def _parse_method(entry, index: int, seed: int):
         raise ConfigError(f"{context}.method", f"unknown method {kind!r}")
     if not isinstance(name, str) or not name:
         raise ConfigError(f"{context}.name", "expected a non-empty string")
+    if name in _RESERVED_NAMES or any(ch in name for ch in "/\\\0"):
+        raise ConfigError(f"{context}.name", f"{name!r} cannot name a cell directory")
     given = {"seed": seed}
     if _METHOD_CONFIGS[kind] is RunConfig:
         if "c" in fields and "dynamic_c" in fields:
@@ -263,31 +270,33 @@ def cmd_run(args) -> int:
 _MALFORMED = (OSError, ValueError, KeyError, TypeError, csv.Error)
 
 
-def _load_finals(out: Path, cfg: dict, seeds: list[int]):
-    """Per-method final stats from the written cells; raises on missing ones."""
+def _seed_cells(method_dir: Path, filename: str) -> dict[int, Path]:
+    """By seed in numeric order, `filename` in each cell `<method_dir>/<seed>/`."""
+    paths = method_dir.glob(f"*/{filename}")
+    seeds = [(p.parent.name, p) for p in paths]
+    return dict(sorted((int(s), p) for s, p in seeds if s.isdecimal() and s == str(int(s))))
+
+
+def _load_finals(out: Path, cfg: dict, seeds: list[int]) -> dict[str, dict[int, dict]]:
+    """By method and seed, the final stats of every written cell; raises when a
+    cell of `seeds` is missing."""
     missing = []
-    per_method: dict[str, dict] = {}
+    per_method: dict[str, dict[int, dict]] = {}
     for name, _, _ in cfg["_methods"]:
-        finals_val, finals_test, epochs, transfers = [], [], [], []
-        for seed in seeds:
-            path = out / name / str(seed) / "result.json"
-            if not path.exists():
-                missing.append(f"{name}/{seed}")
-                continue
+        cells = _seed_cells(out / name, "result.json")
+        missing += [f"{name}/{seed}" for seed in seeds if seed not in cells]
+        finals = per_method[name] = {}
+        for seed, path in cells.items():
             try:
                 data = json.loads(path.read_text(encoding="utf-8"))
-                finals_val.append(data["final_best_val"])
-                finals_test.append(data["final_best_test"])
-                epochs.append(data["total_epochs"])
-                transfers.append(sum(data["transfer_ledger"]))
+                finals[seed] = {
+                    "val": data["final_best_val"],
+                    "test": data["final_best_test"],
+                    "epochs": data["total_epochs"],
+                    "transfers": sum(data["transfer_ledger"]),
+                }
             except _MALFORMED as exc:
                 raise ConfigError("results", f"malformed {path}: {exc!r}") from None
-        per_method[name] = {
-            "val": finals_val,
-            "test": finals_test,
-            "epochs": epochs,
-            "transfers": transfers,
-        }
     if missing:
         raise ConfigError("results", "missing cells: " + ", ".join(missing))
     return per_method
@@ -296,9 +305,8 @@ def _load_finals(out: Path, cfg: dict, seeds: list[int]):
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
     out = _resolve_out(args, cfg)
-    seeds = cfg["seeds"]
-    per_method = _load_finals(out, cfg, seeds)
-    if len(seeds) == 1:
+    per_method = _load_finals(out, cfg, cfg["seeds"])
+    if any(len(finals) == 1 for finals in per_method.values()):
         print("warning: single seed, IQRs reported as 0", file=sys.stderr)
 
     def iqr(xs):
@@ -307,11 +315,13 @@ def cmd_compare(args) -> int:
         return float(np.percentile(xs, 75) - np.percentile(xs, 25))
 
     summary = []
-    for name, stats in per_method.items():
+    for name, finals in per_method.items():
+        stats = {key: [f[key] for f in finals.values()]
+                 for key in ("val", "test", "epochs", "transfers")}
         summary.append(
             {
                 "method": name,
-                "seeds": len(stats["val"]),
+                "seeds": len(finals),
                 "median_val": float(np.median(stats["val"])),
                 "iqr_val": iqr(stats["val"]),
                 "median_test": float(np.median(stats["test"])),
@@ -323,12 +333,13 @@ def cmd_compare(args) -> int:
     summary.sort(key=lambda r: r["median_val"])
 
     win_rates: dict[str, dict[str, float]] = {}
-    for a, sa in per_method.items():
+    for a, fa in per_method.items():
         win_rates[a] = {}
-        for b, sb in per_method.items():
+        for b, fb in per_method.items():
             if a == b:
                 continue
-            pairs = list(zip(sa["val"], sb["val"]))
+            # Paired by seed, over the seeds both methods have.
+            pairs = [(fa[s]["val"], fb[s]["val"]) for s in fa if s in fb]
             wins = sum(1.0 if va < vb else (0.5 if va == vb else 0.0) for va, vb in pairs)
             win_rates[a][b] = wins / len(pairs)
 
@@ -374,6 +385,8 @@ def cmd_sweep_c(args) -> int:
             print(f"warning: c={c:g} invalid for n={template.n}, skipped", file=sys.stderr)
             continue
         cells.append((name, dataclasses.replace(template, c=FixedC(c))))
+    if not cells:
+        raise ConfigError("--values", f"no value is usable with n={template.n}")
     out, runs = _run_cells(args, cfg, cells)
     print(f"sweep complete: {runs} runs under {out}")
     return 0
@@ -382,7 +395,8 @@ def cmd_sweep_c(args) -> int:
 def cmd_emit_plot_data(args) -> int:
     results = Path(args.results_dir)
     # Each cell's own curves.csv: the combined one holds only the last invocation.
-    paths = sorted(results.glob("*/*/curves.csv"))
+    paths = [path for method_dir in sorted(results.glob("*"))
+             for path in _seed_cells(method_dir, "curves.csv").values()]
     if not paths:
         raise ConfigError("results", f"no <method>/<seed>/curves.csv under {results}")
     by_method: dict[str, dict[int, list[tuple[int, float, float]]]] = {}

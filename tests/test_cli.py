@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -225,6 +226,23 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and named in err
 
+    @pytest.mark.parametrize(
+        "name",
+        ["../escaped", "a/b", "a\\b", "nul\0", ".", "..", "curves.csv", "summary.csv",
+         "summary.json", "plot_data.csv", "curves.csv.tmp"],
+    )
+    def test_method_name_outside_its_cell_exits_2(self, tmp_path, capsys, name):
+        # A cell is <out>/<name>/<seed>: the name must be one path component
+        # that is not a file of <out> itself.
+        cfg = json.loads(tiny_config(tmp_path).read_text())
+        cfg["methods"][1]["name"] = name
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "runs" / "out"
+        assert main(["run", str(path), "--deterministic", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: methods[1].name:")
+        assert not (tmp_path / "runs").exists()
+
     @pytest.mark.parametrize("kind", ["directory", "huge_integer", "not_utf8"])
     def test_unreadable_config_exits_2(self, tmp_path, capsys, kind):
         path = tmp_path / "cfg"
@@ -312,11 +330,36 @@ class TestCompareCommand:
         cfg = tiny_config(tmp_path)
         out = tmp_path / "out"
         main(["run", str(cfg), "--deterministic", "--out", str(out)])
-        import shutil
-
         shutil.rmtree(out / "pbt" / "1")
         assert main(["compare", str(cfg), "--out", str(out)]) == 2
         assert "pbt/1" in capsys.readouterr().err
+
+    def test_reads_every_seed_cell(self, tmp_path):
+        # The config names seed 1; seeds 0 and 5 come from --seed runs into the
+        # same directory. compare and emit-plot-data read the same cells, and
+        # a win rate pairs two methods by seed, over the seeds both have.
+        cfg = tiny_config(tmp_path, seeds=[1])
+        out = tmp_path / "out"
+        for seed in ("1", "0", "5"):
+            main(["run", str(cfg), "--seed", seed, "--deterministic", "--out", str(out)])
+        shutil.rmtree(out / "gpbt_tpe" / "0")
+        shutil.rmtree(out / "pbt" / "5")
+        assert main(["compare", str(cfg), "--out", str(out)]) == 0
+        assert main(["emit-plot-data", str(out)]) == 0
+        finals = {
+            (p.parts[-3], int(p.parts[-2])): json.loads(p.read_text())["final_best_val"]
+            for p in out.glob("*/*/result.json")
+        }
+        summary = json.loads((out / "summary.json").read_text())
+        plot = read_csv(out / "plot_data.csv")
+        for row in summary["summary"]:
+            vals = [v for (m, _), v in finals.items() if m == row["method"]]
+            assert row["seeds"] == len(vals) == (2 if row["method"] != "random_search" else 3)
+            assert row["median_val"] == pytest.approx(float(np.median(vals)))
+            last = [r for r in plot if r["method"] == row["method"]][-1]
+            assert float(last["mean_val"]) == pytest.approx(float(np.mean(vals)))
+        g, p = finals["gpbt_tpe", 1], finals["pbt", 1]  # seed 1 alone is shared
+        assert summary["win_rates"]["gpbt_tpe"]["pbt"] == (g < p) + 0.5 * (g == p)
 
     def test_malformed_result_exits_2(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path)
@@ -352,6 +395,13 @@ class TestSweepC:
         assert code == 0
         assert "warning: c=nan invalid for n=6, skipped" in capsys.readouterr().err
         assert {r["method"] for r in read_csv(out / "curves.csv")} == {"c=1"}
+
+    def test_no_usable_value_exits_2(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path, seeds=[0])
+        out = tmp_path / "out"
+        assert main(["sweep-c", str(cfg), "--values", "100,200", "--out", str(out)]) == 2
+        assert "config error: --values: no value is usable with n=6" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("values", ["1,1.0", "2,0.5,2.0000001"])
     def test_duplicate_value_exits_2(self, tmp_path, capsys, values):
