@@ -31,6 +31,8 @@ TPE_POOL = 24
 TPE_STARTUP = 4
 TPE_BANDWIDTH_FLOOR = 0.05
 TPE_DENSITY_FLOOR = 1e-12
+# NumPy's `pairwise_sum` adds at most this many terms before splitting in two.
+_PAIRWISE_BLOCK = 128
 
 # Diagonal CMA: the most recent observations used for the update, and the std
 # clamp in unit space.
@@ -134,6 +136,32 @@ def tpe_bandwidths(points: np.ndarray) -> np.ndarray:
     return np.maximum(1.06 * std * n ** (-0.2), TPE_BANDWIDTH_FLOOR)
 
 
+def _pairwise_sum(term, lo: int, hi: int) -> np.ndarray:
+    """The sum of the arrays `term(k)` for k in [lo, hi), added in the order of
+    NumPy's `pairwise_sum`, which reduces a contiguous last axis: fewer than 8
+    terms in sequence; up to `_PAIRWISE_BLOCK` terms through 8 partial sums over
+    the full blocks of 8, combined pairwise, then the rest in sequence; more
+    than that as two halves split at a multiple of 8."""
+    n = hi - lo
+    if n < 8:
+        total = term(lo)
+        for k in range(lo + 1, hi):
+            total += term(k)
+        return total
+    if n <= _PAIRWISE_BLOCK:
+        r = [term(lo + j) for j in range(8)]
+        full = hi - n % 8
+        for i in range(lo + 8, full, 8):
+            for j in range(8):
+                r[j] += term(i + j)
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for k in range(full, hi):
+            total += term(k)
+        return total
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(term, lo, lo + half) + _pairwise_sum(term, lo + half, hi)
+
+
 def _kde(points: np.ndarray, centers: np.ndarray, bw: np.ndarray) -> np.ndarray:
     """Kernel density at each of the (m, d) `points`, with diagonal Gaussian
     kernels plus one uniform-prior component weighted like an extra
@@ -141,9 +169,15 @@ def _kde(points: np.ndarray, centers: np.ndarray, bw: np.ndarray) -> np.ndarray:
     density 1 on the cube."""
     if centers.shape[0] == 0:
         return np.ones(points.shape[0])
-    z = (points[:, None, :] - centers[None]) / bw
+
+    def squared(k: int) -> np.ndarray:  # (m, H) squared scaled distances along dimension k
+        return np.square((points[:, None, k] - centers[None, :, k]) / bw[k])
+
+    # Summed one dimension at a time in NumPy's own order, so the result equals
+    # `(z * z).sum(axis=2)` over the (m, H, d) array z bit for bit.
+    dist = _pairwise_sum(squared, 0, centers.shape[1])
     norm = np.prod(bw) * (2.0 * math.pi) ** (centers.shape[1] / 2.0)
-    kernels = np.exp(-0.5 * (z * z).sum(axis=2)).sum(axis=1) / norm
+    kernels = np.exp(-0.5 * dist).sum(axis=1) / norm
     return (1.0 + kernels) / (centers.shape[0] + 1)
 
 

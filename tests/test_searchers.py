@@ -178,6 +178,34 @@ class TestTpeScore:
         assert grid.shape == (101,)
         assert int(np.argmax(grid)) == 37
 
+    @given(
+        d=st.integers(1, 17) | st.integers(129, 300),  # past 128 NumPy sums in halves
+        h=st.integers(0, 300),
+        m=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_kde_sums_in_numpy_order(self, d, h, m, seed):
+        # `_kde` sums its squared distances one dimension at a time in the
+        # order of NumPy's pairwise reduction over a last axis; if a NumPy
+        # release reduces in another order, this test fails first.
+        rng = np.random.default_rng(seed)
+        points, centers = rng.random((m, d)), rng.random((h, d))
+        bw = rng.uniform(searchers.TPE_BANDWIDTH_FLOOR, 0.5, d)
+        if h == 0:
+            expected = np.ones(m)
+        else:
+            # Half the points sit near a center, where a kernel outweighs the
+            # uniform component even in hundreds of dimensions, so a sum
+            # rounded another way changes the density's bits.
+            near = centers[rng.integers(0, h, m // 2)] + 0.02 * rng.standard_normal((m // 2, d))
+            points[: m // 2] = np.clip(near, 0.0, 1.0)
+            z = (points[:, None, :] - centers[None]) / bw
+            norm = np.prod(bw) * (2.0 * np.pi) ** (d / 2.0)
+            kernels = np.exp(-0.5 * (z * z).sum(axis=2)).sum(axis=1) / norm
+            expected = (1.0 + kernels) / (h + 1)
+        assert searchers._kde(points, centers, bw).tobytes() == expected.tobytes()
+
 
 class TestTpeSuggest:
     def test_cold_start_is_uniform(self):
