@@ -80,18 +80,22 @@ class Trainer(Protocol):
     def fork(self, state): ...
 
 
-def _copy_generator(rng: np.random.Generator) -> np.random.Generator:
-    fresh = np.random.Generator(type(rng.bit_generator)())
-    fresh.bit_generator.state = rng.bit_generator.state
-    return fresh
+class _TestGap:
+    """Test loss from val loss by a fixed-seed multiplicative perturbation that
+    models the val/test gap. Its factor depends only on (spec seed, steps), so
+    each is drawn once from its own generator and kept; evaluate advances no
+    stream and stays pure."""
 
+    def __init__(self, spec_seed: int):
+        self.spec_seed = spec_seed
+        self._z: dict[int, float] = {}  # by steps: at most t_max * t_g entries in a run
 
-def _test_gap(spec_seed: int, steps: int, val: float) -> float:
-    # Fixed-seed multiplicative perturbation modelling the val/test gap;
-    # a fresh generator keeps evaluate pure (no stream is advanced).
-    z = np.random.default_rng([spec_seed, _TEST_GAP_TAG, steps]).standard_normal()
-    z = float(np.clip(z, -3.0, 3.0))
-    return min(val * (1.0 + TEST_GAP_SCALE * z), LOSS_CLAMP)
+    def __call__(self, steps: int, val: float) -> float:
+        z = self._z.get(steps)
+        if z is None:
+            z = np.random.default_rng([self.spec_seed, _TEST_GAP_TAG, steps]).standard_normal()
+            z = self._z[steps] = float(np.clip(z, -3.0, 3.0))
+        return min(val * (1.0 + TEST_GAP_SCALE * z), LOSS_CLAMP)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +106,7 @@ def _test_gap(spec_seed: int, steps: int, val: float) -> float:
 class QuadState:
     theta: np.ndarray
     steps: int
-    rng: np.random.Generator
+    rng_state: dict  # PCG64 state of the private noise stream; replaced, never mutated
     latent: int = 1  # hidden response regime, only meaningful for weight_sensitive
 
 
@@ -112,39 +116,45 @@ class NoisyQuadraticTrainer:
     All lineages start from the same initial parameter draw (fixed by the
     trainer-spec seed, the desk-scale analog of one shared initial model);
     the per-init seed only feeds the state's private noise stream.
+
+    A state holds its stream as a PCG64 state dict, which forks share; the
+    trainer draws through one scratch generator loaded with that state.
     """
 
     def __init__(self, spec: TrainerSpec):
         self.spec = spec
         self.h = spec.h
+        self._theta0 = np.random.default_rng([spec.seed, _THETA_TAG]).standard_normal(spec.dim)
+        self._rng = np.random.Generator(np.random.PCG64())
+        self._test_gap = _TestGap(spec.seed)
 
     def init(self, seed: int) -> QuadState:
-        theta = np.random.default_rng([self.spec.seed, _THETA_TAG]).standard_normal(self.spec.dim)
-        return QuadState(theta=theta, steps=0, rng=np.random.default_rng(seed))
+        return QuadState(theta=self._theta0.copy(), steps=0,
+                         rng_state=np.random.PCG64(seed).state)
 
     def _rate(self, state: QuadState, hp: Mapping[str, float]) -> float:
         return float(hp.get(LR_NAME, 0.0))
 
     def step_many(self, state: QuadState, hp: Mapping[str, float], iters: int) -> QuadState:
         r = self._rate(state, hp)
-        for _ in range(iters):
-            xi = state.rng.standard_normal(self.spec.dim)
-            theta = (1.0 - r * self.h) * state.theta + r * self.spec.noise * xi
-            state.theta = np.clip(theta, -THETA_CLIP, THETA_CLIP)
-            state.steps += 1
+        # One block of draws takes the same values, and leaves the same state,
+        # as `iters` draws of one row each.
+        self._rng.bit_generator.state = state.rng_state
+        noise = self._rng.standard_normal((iters, self.spec.dim))
+        state.rng_state = self._rng.bit_generator.state
+        decay, scale = 1.0 - r * self.h, r * self.spec.noise
+        for xi in noise:
+            state.theta = np.clip(decay * state.theta + scale * xi, -THETA_CLIP, THETA_CLIP)
+        state.steps += iters
         return state
 
     def evaluate(self, state: QuadState) -> tuple[float, float]:
         val = float(min(np.sum(self.h * state.theta * state.theta), LOSS_CLAMP))
-        return val, _test_gap(self.spec.seed, state.steps, val)
+        return val, self._test_gap(state.steps, val)
 
     def fork(self, state: QuadState) -> QuadState:
-        return QuadState(
-            theta=state.theta.copy(),
-            steps=state.steps,
-            rng=_copy_generator(state.rng),
-            latent=state.latent,
-        )
+        return QuadState(theta=state.theta.copy(), steps=state.steps,
+                         rng_state=state.rng_state, latent=state.latent)
 
 
 class WeightSensitiveTrainer(NoisyQuadraticTrainer):
@@ -158,7 +168,9 @@ class WeightSensitiveTrainer(NoisyQuadraticTrainer):
 
     def init(self, seed: int) -> QuadState:
         state = super().init(seed)
-        state.latent = 1 if state.rng.random() < 0.5 else -1
+        self._rng.bit_generator.state = state.rng_state
+        state.latent = 1 if self._rng.random() < 0.5 else -1
+        state.rng_state = self._rng.bit_generator.state
         return state
 
     def _rate(self, state: QuadState, hp: Mapping[str, float]) -> float:
@@ -197,6 +209,7 @@ class PhaseSurrogateTrainer:
     def __init__(self, spec: TrainerSpec):
         self.spec = spec
         self.h = spec.h
+        self._test_gap = _TestGap(spec.seed)
 
     def init(self, seed: int) -> PhaseState:
         return PhaseState(v=np.ones(self.spec.dim), steps=0)
@@ -209,7 +222,7 @@ class PhaseSurrogateTrainer:
 
     def evaluate(self, state: PhaseState) -> tuple[float, float]:
         val = float(min(np.sum(self.h * state.v), LOSS_CLAMP))
-        return val, _test_gap(self.spec.seed, state.steps, val)
+        return val, self._test_gap(state.steps, val)
 
     def fork(self, state: PhaseState) -> PhaseState:
         return PhaseState(v=state.v.copy(), steps=state.steps)
