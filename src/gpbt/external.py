@@ -34,6 +34,8 @@ from typing import Mapping
 from .space import SearchSpace
 from .trainers import TrainerSpec
 
+SHUTDOWN_TIMEOUT = 10.0  # seconds a child has to exit after "shutdown" before it is killed
+
 
 class TrainerProtocolError(RuntimeError):
     """Raised on handshake failure, malformed replies, timeouts, or child errors."""
@@ -140,12 +142,21 @@ class ExternalTrainer:
     # -- lifecycle -----------------------------------------------------------
 
     def close(self):
+        """Ask the child to shut down, wait for the end of its stdout and reap
+        it; kill it when it has not exited within SHUTDOWN_TIMEOUT seconds."""
         try:
             if self._proc.poll() is None:
                 self._proc.stdin.write(json.dumps({"cmd": "shutdown"}).encode() + b"\n")
                 self._proc.stdin.flush()
                 self._proc.stdin.close()
-                self._proc.wait(timeout=10)
+                deadline = time.monotonic() + SHUTDOWN_TIMEOUT
+                # Wait for EOF on stdout, dropping any late output: select()
+                # wakes at once, where Popen.wait(timeout) polls in sleeps.
+                fd = self._proc.stdout.fileno()
+                while (remaining := deadline - time.monotonic()) > 0:
+                    if select.select([fd], [], [], remaining)[0] and not os.read(fd, 65536):
+                        break
+                self._proc.wait(timeout=max(0.0, deadline - time.monotonic()))
         except (OSError, ValueError, subprocess.TimeoutExpired):
             self._kill()
         self._proc.stdout.close()

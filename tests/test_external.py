@@ -2,12 +2,15 @@ import json
 import os
 import subprocess
 import sys
+import signal
 import threading
+import time
 from pathlib import Path
 
 import pytest
 
 from gpbt.cli import main
+from gpbt import external
 from gpbt.external import ExternalTrainer, TrainerProtocolError
 from gpbt.orchestrator import EarlyStopConfig, FixedC, RunConfig, run
 from gpbt.searchers import SearcherConfig
@@ -89,6 +92,21 @@ class TestBridgeBasics:
             assert threading.active_count() == before
             trainer.evaluate(trainer.init(0))
             assert threading.active_count() == before
+
+    def test_close_reaps_a_child_that_exits(self):
+        trainer = ExternalTrainer(external_spec(), space())
+        trainer.evaluate(trainer.init(0))
+        trainer.close()
+        assert trainer._proc.returncode == 0
+
+    def test_close_kills_a_child_that_ignores_shutdown(self, monkeypatch):
+        monkeypatch.setattr(external, "SHUTDOWN_TIMEOUT", 0.3)
+        trainer = ExternalTrainer(external_spec("noexit"), space())
+        trainer.evaluate(trainer.init(0))
+        started = time.monotonic()
+        trainer.close()
+        assert 0.3 <= time.monotonic() - started < 5.0
+        assert trainer._proc.returncode == -signal.SIGKILL  # killed and reaped
 
     def test_make_trainer_requires_space(self):
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ Modes (argv[1], default "quad"):
   notutf8   replies to "step" with a line of bytes that are not UTF-8
   closeout  closes its stdout on "step" and keeps running
   exit      exits with code 7 on the second "fork"
+  noexit    ignores "shutdown" and keeps running (exercises the kill in close)
 """
 
 import json
@@ -50,6 +51,8 @@ for line in sys.stdin:
     msg = json.loads(line)
     cmd = msg["cmd"]
     if cmd == "shutdown":
+        if mode == "noexit":
+            time.sleep(3600)
         break
     if cmd == "init":
         reply({"ok": True, "state": fresh({"x": 1.0 + (msg["seed"] % 7) * 0.1, "steps": 0})})
