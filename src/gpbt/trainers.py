@@ -144,7 +144,9 @@ class NoisyQuadraticTrainer:
         state.rng_state = self._rng.bit_generator.state
         decay, scale = 1.0 - r * self.h, r * self.spec.noise
         for xi in noise:
-            state.theta = np.clip(decay * state.theta + scale * xi, -THETA_CLIP, THETA_CLIP)
+            # np.clip's values, without the Python wrappers it goes through per call
+            theta = np.maximum(decay * state.theta + scale * xi, -THETA_CLIP)
+            state.theta = np.minimum(theta, THETA_CLIP)
         state.steps += iters
         return state
 
