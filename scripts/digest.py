@@ -9,12 +9,13 @@ GP-UCB and TPE through `gpbt.cli.main`, on the synthetic trainers and on the
 external trainer double `tests/trainer_double.py`, then prints one sha256 per
 output file and one per top-level key of every result.json. The external
 config's result.json files echo the double's path, so their whole-file line
-and their "config" key are left out. It also runs one `sweep-c` over a small
-config the same way, hashes what `compare` and `emit-plot-data` write over
-that config's cells, and hashes the stderr of `run --verbose` on it (those
-lines hold no clock values). Everything goes through the CLI and the config
-files, so the same script runs against whichever gpbt package is
-on the path; diff its output between two checkouts:
+and their "config" key are left out. It also runs a fixed-c sweep, a config
+of three gpbt entries that differ only in c, the same way, hashes what
+`compare` writes over one small config's cells, and hashes the stderr of
+`run --verbose` on that config (those lines hold no clock values).
+Everything goes through the CLI and the config files, so the same script
+runs against whichever gpbt package is on the path; diff its output between
+two checkouts:
 
     PYTHONPATH=src python scripts/digest.py > after.txt
     PYTHONPATH=../other-checkout/src python scripts/digest.py > before.txt
@@ -71,6 +72,17 @@ SMALL_TRAINERS = {
 # Labels whose result.json echoes a path of this checkout in its "config" key.
 ECHOES_PATH = {"small_external"}
 
+# A fixed-c sweep: the first gpbt entry of SMALL_METHODS, its dynamic_c
+# replaced by each fixed c in turn.
+SWEEP_TEMPLATE = dict(next(m for m in SMALL_METHODS if m["method"] == "gpbt"))
+SWEEP_TEMPLATE.pop("dynamic_c")
+SWEEP_CONFIG = {
+    "space": SPACE,
+    "trainer": SMALL_TRAINERS["small_quadratic"],
+    "seeds": [0, 1],
+    "methods": [{**SWEEP_TEMPLATE, "name": f"c={c:g}", "c": c} for c in (0.5, 1.0, 2.0)],
+}
+
 # A space wider than the bundled configs' (9 dimensions, every scale), searched
 # by GP-UCB on pooled histories and by TPE on time-enriched ones.
 WIDE_CONFIG = {
@@ -117,13 +129,12 @@ def digest_cli(label: str, argv: list[str], out: Path) -> list[str]:
 
 
 def digest_aggregate(label: str, config: Path, out: Path) -> list[str]:
-    """The digest lines of what `compare` and `emit-plot-data` write over the
-    cells already run under `out`."""
-    for argv in (["compare", str(config), "--out", str(out)], ["emit-plot-data", str(out)]):
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = gpbt_main(argv)
-        if code != 0:
-            raise SystemExit(f"{label}: gpbt {argv[0]} exited with {code}")
+    """The digest lines of what `compare` writes over the cells already run
+    under `out`."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = gpbt_main(["compare", str(config), "--out", str(out)])
+    if code != 0:
+        raise SystemExit(f"{label}: gpbt compare exited with {code}")
     return [f"{sha((out / name).read_bytes())}  {label}/{name}"
             for name in ("summary.csv", "summary.json", "plot_data.csv")]
 
@@ -157,8 +168,9 @@ def main():
         small = tmp / "small_quadratic.json"
         lines += digest_aggregate("aggregate/small_quadratic", small,
                                   tmp / "out" / "small_quadratic")
-        sweep = ["sweep-c", str(small), "--values", "0.5,1,2"]
-        lines += digest_cli("sweep_c", sweep, tmp / "out" / "sweep_c")
+        sweep = tmp / "sweep_c.json"
+        sweep.write_text(json.dumps(SWEEP_CONFIG), encoding="utf-8")
+        lines += digest_cli("sweep_c", ["run", str(sweep)], tmp / "out" / "sweep_c")
         verbose_out = tmp / "out" / "verbose"
         lines.append(digest_verbose("verbose/small_quadratic.stderr", small, verbose_out))
     text = "\n".join(lines)

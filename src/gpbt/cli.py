@@ -1,12 +1,13 @@
 """Command-line front end: config ingestion, multi-seed runs, persistence, aggregation.
 
-Batch tool; every command reads a JSON experiment config and writes files
-under the output directory (flag --out, config output_dir, or the
-GPBT_OUT_DIR environment variable, in that order).
+Batch tool with two commands, each reading a JSON experiment config whose
+methods name the result cells under the output directory (flag --out, config
+output_dir, or the GPBT_OUT_DIR environment variable, in that order).
 
-Results layout: <out>/<method>/<seed>/{result.json, genealogy.ndjson,
-curves.csv} plus a combined <out>/curves.csv of the last invocation;
-`compare` and `emit-plot-data` read every seed cell on disk.
+Results layout: `run` writes <out>/<method>/<seed>/{result.json,
+genealogy.ndjson, curves.csv} plus a combined <out>/curves.csv of the last
+invocation; `compare` reads every seed cell on disk of the config's methods
+and writes <out>/{summary.csv, summary.json, plot_data.csv}.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from .baselines import NonadaptiveConfig, PbtConfig, run_nonadaptive, run_pbt
 from .config import ConfigError, build, typed_value
 from .external import TrainerProtocolError
-from .orchestrator import DynamicC, FixedC, RunConfig, RunResult, run, valid_c
+from .orchestrator import DynamicC, FixedC, RunConfig, RunResult, run
 from .space import SearchSpace
 from .trainers import TrainerSpec, make_trainer
 
@@ -225,26 +226,20 @@ def _write_cell(out: Path, name: str, seed: int, config, result: RunResult,
     return rows
 
 
-def _echo_config(cfg: dict) -> dict:
-    return {k: v for k, v in cfg.items() if not k.startswith("_")}
-
-
-def _run_cells(args, cfg: dict, cells: list[tuple[str, object]]) -> tuple[Path, int]:
-    """Run every (name, config) cell once per seed, writing each cell's files
-    and the combined curves.csv; return the output directory and the run count."""
+def cmd_run(args) -> int:
+    cfg = load_config(args.config)
     out = _resolve_out(args, cfg)
     _check_writable(out)
     space, trainer_spec = cfg["_space"], cfg["_trainer_spec"]
     seeds = [args.seed] if args.seed is not None else cfg["seeds"]
-    echo = _echo_config(cfg)
-    verbose = getattr(args, "verbose", False)
+    echo = {k: v for k, v in cfg.items() if not k.startswith("_")}
 
     all_rows: list[dict] = []
-    for name, cell_config in cells:
+    for name, _, method_config in cfg["_methods"]:
         for seed in seeds:
-            config = dataclasses.replace(cell_config, seed=seed)
+            config = dataclasses.replace(method_config, seed=seed)
             progress = None
-            if verbose:
+            if args.verbose:
                 progress = lambda p: print(
                     f"{name}/{seed} generation {p.generation}: best val {p.best_seen_val:.6g} "
                     f"(test {p.best_seen_test:.6g}) after {p.epochs_consumed} epochs",
@@ -253,13 +248,7 @@ def _run_cells(args, cfg: dict, cells: list[tuple[str, object]]) -> tuple[Path, 
             result = _run_cell(config, space, trainer_spec, progress=progress)
             all_rows.extend(_write_cell(out, name, seed, config, result, echo, args.deterministic))
     _atomic_write(out / "curves.csv", _csv_text(all_rows, CURVE_FIELDS))
-    return out, len(cells) * len(seeds)
-
-
-def cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    out, runs = _run_cells(args, cfg, [(name, config) for name, _, config in cfg["_methods"]])
-    print(f"wrote {runs} runs under {out}")
+    print(f"wrote {len(cfg['_methods']) * len(seeds)} runs under {out}")
     return 0
 
 
@@ -270,31 +259,39 @@ def cmd_run(args) -> int:
 _MALFORMED = (OSError, ValueError, KeyError, TypeError, csv.Error)
 
 
-def _seed_cells(method_dir: Path, filename: str) -> dict[int, Path]:
-    """By seed in numeric order, `filename` in each cell `<method_dir>/<seed>/`."""
-    paths = method_dir.glob(f"*/{filename}")
-    seeds = [(p.parent.name, p) for p in paths]
-    return dict(sorted((int(s), p) for s, p in seeds if s.isdecimal() and s == str(int(s))))
+def _seed_cells(method_dir: Path) -> dict[int, Path]:
+    """By seed in numeric order, each cell `<method_dir>/<seed>/` holding a result.json."""
+    cells = [p.parent for p in method_dir.glob("*/result.json")]
+    seeds = [(c.name, c) for c in cells]
+    return dict(sorted((int(s), c) for s, c in seeds if s.isdecimal() and s == str(int(s))))
 
 
-def _load_finals(out: Path, cfg: dict, seeds: list[int]) -> dict[str, dict[int, dict]]:
-    """By method and seed, the final stats of every written cell; raises when a
-    cell of `seeds` is missing."""
+def _load_cells(out: Path, cfg: dict, seeds: list[int]) -> dict[str, dict[int, dict]]:
+    """By method and seed, the final stats and sorted (epochs, val, test) curve
+    points of every written cell; raises when a cell of `seeds` is missing."""
     missing = []
     per_method: dict[str, dict[int, dict]] = {}
     for name, _, _ in cfg["_methods"]:
-        cells = _seed_cells(out / name, "result.json")
+        cells = _seed_cells(out / name)
         missing += [f"{name}/{seed}" for seed in seeds if seed not in cells]
         finals = per_method[name] = {}
-        for seed, path in cells.items():
+        for seed, cell in cells.items():
+            path = cell / "result.json"
             try:
                 data = json.loads(path.read_text(encoding="utf-8"))
                 finals[seed] = {
-                    "val": data["final_best_val"],
-                    "test": data["final_best_test"],
-                    "epochs": data["total_epochs"],
-                    "transfers": sum(data["transfer_ledger"]),
+                    "val": float(data["final_best_val"]),
+                    "test": float(data["final_best_test"]),
+                    "epochs": int(data["total_epochs"]),
+                    "transfers": sum(map(int, data["transfer_ledger"])),
                 }
+                path = cell / "curves.csv"  # the file an error names
+                with open(path, encoding="utf-8") as fh:
+                    finals[seed]["curve"] = sorted(
+                        (int(r["epochs_consumed"]), float(r["best_seen_val"]),
+                         float(r["best_seen_test"]))
+                        for r in csv.DictReader(fh)
+                    )
             except _MALFORMED as exc:
                 raise ConfigError("results", f"malformed {path}: {exc!r}") from None
     if missing:
@@ -302,10 +299,35 @@ def _load_finals(out: Path, cfg: dict, seeds: list[int]) -> dict[str, dict[int, 
     return per_method
 
 
+def _plot_rows(per_method: dict[str, dict[int, dict]]) -> list[dict]:
+    """Mean/std bands per method over epochs: at each epoch count any seed
+    reached, each seed's last curve point at or before it."""
+    std = (lambda xs: float(np.std(xs, ddof=1)) if len(xs) > 1 else 0.0)
+    rows = []
+    for method in sorted(per_method):
+        curves = [cell["curve"] for cell in per_method[method].values()]
+        for e in sorted({e for pts in curves for e, _, _ in pts}):
+            reached = [[p for p in pts if p[0] <= e] for pts in curves]
+            # A seed with no curve point yet at e is left out.
+            vals = [r[-1][1] for r in reached if r]
+            tests = [r[-1][2] for r in reached if r]
+            rows.append(
+                {
+                    "method": method,
+                    "epochs": e,
+                    "mean_val": repr(float(np.mean(vals))),
+                    "std_val": repr(std(vals)),
+                    "mean_test": repr(float(np.mean(tests))),
+                    "std_test": repr(std(tests)),
+                }
+            )
+    return rows
+
+
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
     out = _resolve_out(args, cfg)
-    per_method = _load_finals(out, cfg, cfg["seeds"])
+    per_method = _load_cells(out, cfg, cfg["seeds"])
     if any(len(finals) == 1 for finals in per_method.values()):
         print("warning: single seed, IQRs reported as 0", file=sys.stderr)
 
@@ -350,6 +372,8 @@ def cmd_compare(args) -> int:
         out / "summary.json",
         json.dumps({"summary": summary, "win_rates": win_rates}, sort_keys=True, indent=1) + "\n",
     )
+    plot_fields = ("method", "epochs", "mean_val", "std_val", "mean_test", "std_test")
+    _atomic_write(out / "plot_data.csv", _csv_text(_plot_rows(per_method), plot_fields))
 
     width = max(len(r["method"]) for r in summary)
     print(f"{'method':<{width}}  median_val    iqr_val       epochs   transfers")
@@ -358,86 +382,6 @@ def cmd_compare(args) -> int:
             f"{r['method']:<{width}}  {r['median_val']:<12.6g}  {r['iqr_val']:<12.6g}"
             f"  {r['median_epochs']:<8.6g} {r['median_transfers']:<8.6g}"
         )
-    return 0
-
-
-def cmd_sweep_c(args) -> int:
-    cfg = load_config(args.config)
-    template = next((config for _, kind, config in cfg["_methods"] if kind == "gpbt"), None)
-    if template is None:
-        raise ConfigError("methods", "sweep-c needs at least one gpbt method entry")
-
-    try:
-        values = [float(v) for v in args.values.split(",") if v.strip()]
-    except ValueError:
-        raise ConfigError("--values", "must be a comma-separated list of numbers") from None
-    if not values:
-        raise ConfigError("--values", "empty list")
-
-    cells: list[tuple[str, RunConfig]] = []
-    names: set[str] = set()
-    for c in values:
-        name = f"c={c:g}"  # two values with one name would share a cell directory
-        if name in names:
-            raise ConfigError("--values", f"duplicate value {c:g}")
-        names.add(name)
-        if not valid_c(template.n, c):
-            print(f"warning: c={c:g} invalid for n={template.n}, skipped", file=sys.stderr)
-            continue
-        cells.append((name, dataclasses.replace(template, c=FixedC(c))))
-    if not cells:
-        raise ConfigError("--values", f"no value is usable with n={template.n}")
-    out, runs = _run_cells(args, cfg, cells)
-    print(f"sweep complete: {runs} runs under {out}")
-    return 0
-
-
-def cmd_emit_plot_data(args) -> int:
-    results = Path(args.results_dir)
-    # Each cell's own curves.csv: the combined one holds only the last invocation.
-    paths = [path for method_dir in sorted(results.glob("*"))
-             for path in _seed_cells(method_dir, "curves.csv").values()]
-    if not paths:
-        raise ConfigError("results", f"no <method>/<seed>/curves.csv under {results}")
-    by_method: dict[str, dict[int, list[tuple[int, float, float]]]] = {}
-    for path in paths:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                for r in csv.DictReader(fh):
-                    point = (int(r["epochs_consumed"]), float(r["best_seen_val"]),
-                             float(r["best_seen_test"]))
-                    by_method.setdefault(r["method"], {}).setdefault(int(r["seed"]), []).append(point)
-        except _MALFORMED as exc:
-            raise ConfigError("results", f"malformed {path}: {exc!r}") from None
-    if not by_method:
-        raise ConfigError("results", "every curves.csv is empty")
-
-    std = (lambda xs: float(np.std(xs, ddof=1)) if len(xs) > 1 else 0.0)
-    out_rows = []
-    for method in sorted(by_method):
-        curves = [sorted(pts) for _, pts in sorted(by_method[method].items())]
-        grid = sorted({e for pts in curves for e, _, _ in pts})
-        for e in grid:
-            vals, tests = [], []
-            for pts in curves:
-                reached = [p for p in pts if p[0] <= e]
-                if not reached:
-                    continue  # this seed has no curve point yet at e
-                vals.append(reached[-1][1])
-                tests.append(reached[-1][2])
-            out_rows.append(
-                {
-                    "method": method,
-                    "epochs": e,
-                    "mean_val": repr(float(np.mean(vals))),
-                    "std_val": repr(std(vals)),
-                    "mean_test": repr(float(np.mean(tests))),
-                    "std_test": repr(std(tests)),
-                }
-            )
-    fields = ("method", "epochs", "mean_val", "std_val", "mean_test", "std_test")
-    _atomic_write(results / "plot_data.csv", _csv_text(out_rows, fields))
-    print(f"wrote {results / 'plot_data.csv'} ({len(out_rows)} rows)")
     return 0
 
 
@@ -466,22 +410,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default=None)
     p_run.set_defaults(fn=cmd_run)
 
-    p_cmp = sub.add_parser("compare", help="aggregate existing results into summary.csv/json")
+    p_cmp = sub.add_parser(
+        "compare", help="aggregate written cells into summary.csv/json and plot_data.csv"
+    )
     p_cmp.add_argument("config")
     p_cmp.add_argument("--out", default=None)
     p_cmp.set_defaults(fn=cmd_compare)
 
-    p_sweep = sub.add_parser("sweep-c", help="fixed-c sweep over the first gpbt method entry")
-    p_sweep.add_argument("config")
-    p_sweep.add_argument("--values", required=True, help="comma-separated c values")
-    p_sweep.add_argument("--seed", type=_seed, default=None)
-    p_sweep.add_argument("--deterministic", action="store_true")
-    p_sweep.add_argument("--out", default=None)
-    p_sweep.set_defaults(fn=cmd_sweep_c)
-
-    p_plot = sub.add_parser("emit-plot-data", help="mean/std bands per method over epochs")
-    p_plot.add_argument("results_dir")
-    p_plot.set_defaults(fn=cmd_emit_plot_data)
     return parser
 
 

@@ -204,12 +204,15 @@ class TestRunCommand:
             ("method", {"early_stop": {"level1_window": 2}},
              "methods[0].early_stop.level1_window: unknown field"),
             ("pbt", {"resample_prob": 0.25}, "methods[1].resample_prob: unknown field"),
+            ("method", {"c": 100.0}, "methods[0]: c=100.0 is not usable with n=6"),
+            ("pbt", {"name": "gpbt_tpe"}, "methods[1].name: duplicate method name 'gpbt_tpe'"),
         ],
         ids=["dim", "level3", "n", "dynamic_c_typo", "c_and_dynamic_c",
              "c_overflows_float", "timeout_negative", "timeout_zero", "timeout_huge",
              "lr_name", "output_dir_typo", "underscore_key", "output_dir_not_string",
              "duplicate_seeds", "selection_temperature", "gamma", "pool", "startup",
-             "window", "beta_delta", "level1_window", "resample_prob"],
+             "window", "beta_delta", "level1_window", "resample_prob", "c_unusable",
+             "duplicate_name"],
     )
     def test_mistyped_field_exits_2(self, tmp_path, capsys, section, fields, named):
         # A None value removes the field.
@@ -336,8 +339,8 @@ class TestCompareCommand:
 
     def test_reads_every_seed_cell(self, tmp_path):
         # The config names seed 1; seeds 0 and 5 come from --seed runs into the
-        # same directory. compare and emit-plot-data read the same cells, and
-        # a win rate pairs two methods by seed, over the seeds both have.
+        # same directory. The summary and the plot data read the same cells,
+        # and a win rate pairs two methods by seed, over the seeds both have.
         cfg = tiny_config(tmp_path, seeds=[1])
         out = tmp_path / "out"
         for seed in ("1", "0", "5"):
@@ -345,7 +348,6 @@ class TestCompareCommand:
         shutil.rmtree(out / "gpbt_tpe" / "0")
         shutil.rmtree(out / "pbt" / "5")
         assert main(["compare", str(cfg), "--out", str(out)]) == 0
-        assert main(["emit-plot-data", str(out)]) == 0
         finals = {
             (p.parts[-3], int(p.parts[-2])): json.loads(p.read_text())["final_best_val"]
             for p in out.glob("*/*/result.json")
@@ -361,63 +363,52 @@ class TestCompareCommand:
         g, p = finals["gpbt_tpe", 1], finals["pbt", 1]  # seed 1 alone is shared
         assert summary["win_rates"]["gpbt_tpe"]["pbt"] == (g < p) + 0.5 * (g == p)
 
+    def test_renamed_method_leaves_no_stale_cells_in_outputs(self, tmp_path):
+        # A method renamed between two runs into one directory leaves its old
+        # cells on disk; the summary and the plot data both list the config's.
+        cfg = tiny_config(tmp_path)
+        out = tmp_path / "out"
+        main(["run", str(cfg), "--deterministic", "--out", str(out)])
+        renamed = json.loads(cfg.read_text())
+        renamed["methods"][0]["name"] = "gpbt_renamed"
+        cfg.write_text(json.dumps(renamed))
+        main(["run", str(cfg), "--deterministic", "--out", str(out)])
+        assert (out / "gpbt_tpe" / "0" / "result.json").exists()
+        assert main(["compare", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        methods = {"gpbt_renamed", "pbt", "random_search"}
+        assert {r["method"] for r in summary["summary"]} == methods
+        assert {r["method"] for r in read_csv(out / "plot_data.csv")} == methods
+
+    def test_removed_commands_exit_2(self, tmp_path):
+        cfg = tiny_config(tmp_path)
+        for argv in (["sweep-c", str(cfg), "--values", "1"], ["emit-plot-data", str(tmp_path)]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+
     def test_malformed_result_exits_2(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path)
         out = tmp_path / "out"
         main(["run", str(cfg), "--deterministic", "--out", str(out)])
         path = out / "pbt" / "1" / "result.json"
-        path.write_text(path.read_text()[:40])  # truncated
-        assert main(["compare", str(cfg), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: results: malformed") and str(path) in err
-
-
-class TestSweepC:
-    def test_runs_per_value_and_skips_invalid(self, tmp_path, capsys):
-        cfg = tiny_config(tmp_path, seeds=[0])
-        out = tmp_path / "out"
-        code = main([
-            "sweep-c", str(cfg), "--values", "0.01,1,4", "--deterministic", "--out", str(out)
-        ])
-        assert code == 0
-        err = capsys.readouterr().err
-        assert "c=0.01" in err and "skipped" in err
-        assert (out / "c=1" / "0" / "result.json").exists()
-        assert (out / "c=4" / "0" / "result.json").exists()
-        assert not (out / "c=0.01").exists()
-        rows = read_csv(out / "curves.csv")
-        assert {r["method"] for r in rows} == {"c=1", "c=4"}
-
-    def test_nan_value_is_skipped(self, tmp_path, capsys):
-        cfg = tiny_config(tmp_path, seeds=[0])
-        out = tmp_path / "out"
-        code = main(["sweep-c", str(cfg), "--values", "nan,1", "--deterministic", "--out", str(out)])
-        assert code == 0
-        assert "warning: c=nan invalid for n=6, skipped" in capsys.readouterr().err
-        assert {r["method"] for r in read_csv(out / "curves.csv")} == {"c=1"}
-
-    def test_no_usable_value_exits_2(self, tmp_path, capsys):
-        cfg = tiny_config(tmp_path, seeds=[0])
-        out = tmp_path / "out"
-        assert main(["sweep-c", str(cfg), "--values", "100,200", "--out", str(out)]) == 2
-        assert "config error: --values: no value is usable with n=6" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("values", ["1,1.0", "2,0.5,2.0000001"])
-    def test_duplicate_value_exits_2(self, tmp_path, capsys, values):
-        cfg = tiny_config(tmp_path, seeds=[0])
-        out = tmp_path / "out"
-        assert main(["sweep-c", str(cfg), "--values", values, "--out", str(out)]) == 2
-        assert "config error: --values: duplicate value" in capsys.readouterr().err
-        assert not (out / "curves.csv").exists()
+        text = path.read_text()
+        truncated, mistyped = text[:40], json.dumps({**json.loads(text), "final_best_val": "x"})
+        for bad in (truncated, mistyped):
+            path.write_text(bad)
+            assert main(["compare", str(cfg), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: results: malformed") and str(path) in err
+        assert not (out / "summary.json").exists()
 
 
 class TestEmitPlotData:
+    # compare writes plot_data.csv beside the summary.
     def test_band_math_matches_recomputation(self, tmp_path):
         cfg = tiny_config(tmp_path)
         out = tmp_path / "out"
         main(["run", str(cfg), "--deterministic", "--out", str(out)])
-        assert main(["emit-plot-data", str(out)]) == 0
+        assert main(["compare", str(cfg), "--out", str(out)]) == 0
         plot = read_csv(out / "plot_data.csv")
         assert list(plot[0]) == ["method", "epochs", "mean_val", "std_val", "mean_test", "std_test"]
         assert {r["method"] for r in plot} == {"gpbt_tpe", "pbt", "random_search"}
@@ -445,9 +436,9 @@ class TestEmitPlotData:
         cfg = tiny_config(tmp_path)
         out = tmp_path / "out"
         main(["run", str(cfg), "--deterministic", "--out", str(out)])
-        main(["emit-plot-data", str(out)])
+        main(["compare", str(cfg), "--out", str(out)])
         first = (out / "plot_data.csv").read_bytes()
-        main(["emit-plot-data", str(out)])
+        main(["compare", str(cfg), "--out", str(out)])
         assert (out / "plot_data.csv").read_bytes() == first
 
     def test_reads_every_invocation(self, tmp_path):
@@ -456,10 +447,10 @@ class TestEmitPlotData:
         split = tmp_path / "split"
         for seed in ("10", "2", "1"):
             main(["run", str(cfg), "--seed", seed, "--deterministic", "--out", str(split)])
-        assert main(["emit-plot-data", str(split)]) == 0
+        assert main(["compare", str(cfg), "--out", str(split)]) == 0
         whole = tmp_path / "whole"
         main(["run", str(cfg), "--deterministic", "--out", str(whole)])
-        assert main(["emit-plot-data", str(whole)]) == 0
+        assert main(["compare", str(cfg), "--out", str(whole)]) == 0
         assert (split / "plot_data.csv").read_bytes() == (whole / "plot_data.csv").read_bytes()
 
     @pytest.mark.parametrize("edit", ["non_numeric", "missing_column"])
@@ -474,10 +465,11 @@ class TestEmitPlotData:
         else:
             text = text.replace(",best_seen_test,", ",best_seen_tset,", 1)
         path.write_text(text)
-        assert main(["emit-plot-data", str(out)]) == 2
+        assert main(["compare", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: results: malformed") and str(path) in err
         assert not (out / "plot_data.csv").exists()
+        assert not (out / "summary.json").exists()
 
 
 class TestBundledConfigs:
