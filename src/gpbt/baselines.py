@@ -1,4 +1,8 @@
-"""Reference methods: PBT and non-adaptive constant-HP search."""
+"""Reference methods: PBT and non-adaptive constant-HP search.
+
+Both train their children through `Tally.grow`, the child path of `run`; they
+differ from GPBT only in how each child's parent and hps are chosen.
+"""
 
 from __future__ import annotations
 
@@ -14,7 +18,6 @@ from .orchestrator import (
     RunResult,
     Tally,
     derive_seed,
-    init_seed,
     search_stream,
 )
 from .searchers import SearcherConfig, suggest
@@ -76,50 +79,35 @@ def run_pbt(
     progress: ProgressFn | None = None,
 ) -> RunResult:
     """Truncation-selection PBT: every generation the bottom fraction copies
-    the state and hyperparameters of a random top-fraction member, as that
-    member was recorded, explores, and all n agents keep training. Transfer
-    ledger counts the exploit copies."""
+    the state and hyperparameters of a random top-fraction member's record,
+    explores, and all n agents keep training. Copies are made from records by
+    id, so an agent in both fractions (2k > n) is still copied as recorded.
+    Transfer ledger counts the exploit copies."""
     rng_search = search_stream(config.seed)
     rng_algo = np.random.default_rng(derive_seed(config.seed, STREAM_ALGO))
-    tally = Tally(trainer, space, progress)
+    tally = Tally(trainer, space, config.seed, progress)
     tree = tally.tree
-    ledger: list[int] = []
-
-    # Per agent: latest record (None: the virtual root), model state, hps.
-    last_record: list[int | None] = [None] * config.n
-    states: list[object] = [None] * config.n
-    hps: list[tuple] = [()] * config.n
+    agents: list[int] = []  # each agent's latest record id
+    states: dict[int, object] = {}
 
     k = math.ceil(config.truncation * config.n)
     for t in range(config.t_max):
         tally.start()
-        parents = list(last_record)
         if t == 0:
-            ledger.append(1)  # the one initial model
+            slots = [(None, None)] * config.n
         else:
-            order = sorted(
-                range(config.n), key=lambda i: (tree.get(last_record[i]).val_loss, i)
-            )
+            slots = [(a, tree.get(a).hp) for a in agents]
+            order = sorted(range(config.n), key=lambda i: (tree.get(agents[i]).val_loss, i))
             top, bottom = order[:k], order[-k:]
-            # Copy the generation as recorded: when the fractions overlap
-            # (2k > n), a source may itself be overwritten earlier in this pass.
-            recorded = list(zip(states, hps))
             for i in bottom:
-                src = top[int(rng_algo.integers(0, len(top)))]
-                parents[i] = last_record[src]
-                src_state, src_hp = recorded[src]
-                states[i] = trainer.fork(src_state)
-                hps[i] = _explore(src_hp, space, rng_algo)
-            ledger.append(k)
-
-        for i in range(config.n):
-            if t == 0:
-                hps[i] = space.sample_uniform(rng_search)
-                states[i] = trainer.init(init_seed(config.seed, i))
-            last_record[i], states[i] = tally.child(parents[i], t, hps[i], states[i], config.t_g)
+                src = agents[top[int(rng_algo.integers(0, len(top)))]]
+                slots[i] = (src, _explore(tree.get(src).hp, space, rng_algo))
+        states = tally.grow(t, slots, states, config.t_g,
+                            lambda _: space.sample_uniform(rng_search))
+        agents = list(states)
         tally.end(t)
 
-    return tally.result(ledger)
+    return tally.result([1] + [k] * (config.t_max - 1))  # the initial model, then k copies
 
 
 def run_nonadaptive(
@@ -132,14 +120,15 @@ def run_nonadaptive(
     """Sequential constant-HP search: each trial trains a fresh lineage for the
     whole horizon under one hyperparameter vector chosen by the searcher."""
     rng_search = search_stream(config.seed)
-    tally = Tally(trainer, space, progress)
+    tally = Tally(trainer, space, config.seed, progress)
+
+    def propose(_):
+        history = tally.history(tally.tree.lineage_history(None, "pooled", False))
+        return suggest(config.searcher, space, history, rng_search)
 
     for kth in range(config.trials):
         tally.start()
-        history = tally.history(tally.tree.lineage_history(None, "pooled", False))
-        hp = suggest(config.searcher, space, history, rng_search)
-        tally.child(None, 0, hp, trainer.init(init_seed(config.seed, kth)), config.t_total)
+        tally.grow(0, [(None, None)], {}, config.t_total, propose)
         tally.end(kth)
 
     return tally.result([1])
-

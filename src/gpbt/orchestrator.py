@@ -1,17 +1,17 @@
 """Single-run adaptive schedule search: the generation loop.
 
 Each generation step selects the best children as parents (roughly sqrt(n/c)
-of them), forks every parent's model state to its children, asks the searcher
+of them), hands every parent's model state to its children, asks the searcher
 for each child's hyperparameters using only that lineage's history, trains for
 t_g iterations subject to the early-stopping gates, and records everything in
 the genealogy tree. Generation 0 is the loop's first pass: its one parent is
-the virtual root, and each of its children starts from a fresh trainer state
-instead of a fork.
+the virtual root, and each of its children starts from a fresh trainer state.
 
 Runs are sequential and bit-reproducible given the seed: parents are visited
-best first, each parent's children in creation order. `Tally` is the
-bookkeeping (training, recording, epochs, best-seen values, curves, result)
-shared with the baselines.
+best first, each parent's children in creation order. `Tally` is the one
+child path (training, recording, epochs, best-seen values, curves, result)
+shared with the baselines: a parent's last child trains the parent's state
+itself, and only its earlier children train forks of it.
 """
 
 from __future__ import annotations
@@ -266,14 +266,17 @@ class RunResult:
 
 
 class Tally:
-    """Bookkeeping shared by every loop: training and recording each child in
-    the genealogy tree, the searchers' unit-space view of the records, the
-    epoch total, best-seen val/test, one curve point per generation (or trial),
-    the progress callback, and the final RunResult."""
+    """Bookkeeping shared by every loop: the one child path (`grow`), which
+    trains each child and records it in the genealogy tree, the searchers'
+    unit-space view of the records, the epoch total, best-seen val/test, one
+    curve point per generation (or trial), the progress callback, and the
+    final RunResult. Root slots init from the run seed `seed`."""
 
-    def __init__(self, trainer: Trainer, space: SearchSpace, progress: ProgressFn | None):
+    def __init__(self, trainer: Trainer, space: SearchSpace, seed: int,
+                 progress: ProgressFn | None):
         self.trainer = trainer
         self.space = space
+        self.seed = seed
         self.tree = GenealogyTree()
         # Each record's unit-space point and val loss by id; doubled when full.
         self._u = np.empty((64, space.dim))
@@ -289,37 +292,54 @@ class Tally:
         """Begin timing the next curve point; construction starts the first."""
         self._t_start = time.perf_counter()
 
-    def child(self, parent: int | None, generation: int, hp: HpVector, state, iters: int,
-              early: list[float] | None = None) -> tuple[int, object]:
-        """Train `state` for `iters` iterations under `hp`, evaluate it, and
-        record it as a child of `parent`; return its id and trained state.
+    def grow(self, generation: int, slots: Sequence[tuple[int | None, HpVector | None]],
+             states: dict[int, object], iters: int, propose: Callable[[int | None], HpVector],
+             early: list[float] | None = None) -> dict[int, object]:
+        """Train, evaluate and record one child per (parent, hp) slot, in
+        order, for `iters` iterations; return the children's states by id.
 
-        With a level-3 ledger of this generation's first-iteration losses, the
-        child is evaluated after one iteration and stops there if the median
-        gate says so; without one it trains through in one trainer call."""
-        trainer = self.trainer
-        hp_named = self.space.to_dict(hp)
-        done = iters if early is None else 1  # iterations before the level-3 gate
-        state = trainer.step_many(state, hp_named, done)
-        val, test = trainer.evaluate(state)
-        stopped = False
-        if early is not None:
-            stopped = median_gate(early, val)
-            early.append(val)
-            if not stopped:
-                state = trainer.step_many(state, hp_named, iters - 1)
-                val, test = trainer.evaluate(state)
-                done = iters
-        u = self.space.to_unit(hp)
-        cid = self.tree.record_child(parent, generation, hp, val, test, done, stopped)
-        if cid == self._loss.shape[0]:
-            self._u = np.concatenate([self._u, np.empty_like(self._u)])
-            self._loss = np.concatenate([self._loss, np.empty_like(self._loss)])
-        self._u[cid], self._loss[cid] = u, val
-        self.epochs += done
-        if val < self.best_val:
-            self.best_val, self.best_test = val, test
-        return cid, state
+        A root slot (parent None) inits a state seeded by the record count. A
+        parent's last slot takes its state out of `states`; its earlier slots
+        train forks of it. An hp of None is `propose(parent)`, asked just
+        before the child trains. With a level-3 ledger of this generation's
+        first-iteration losses, a child is evaluated after one iteration and
+        stops there if the median gate says so; without one it trains
+        through in one trainer call."""
+        trainer, space, tree = self.trainer, self.space, self.tree
+        last = {pid: k for k, (pid, _) in enumerate(slots)}
+        children: dict[int, object] = {}
+        for k, (pid, hp) in enumerate(slots):
+            if hp is None:
+                hp = propose(pid)
+            if pid is None:
+                state = trainer.init(init_seed(self.seed, len(tree)))
+            elif last[pid] == k:
+                state = states.pop(pid)
+            else:
+                state = trainer.fork(states[pid])
+            hp_named = space.to_dict(hp)
+            done = iters if early is None else 1  # iterations before the level-3 gate
+            state = trainer.step_many(state, hp_named, done)
+            val, test = trainer.evaluate(state)
+            stopped = False
+            if early is not None:
+                stopped = median_gate(early, val)
+                early.append(val)
+                if not stopped:
+                    state = trainer.step_many(state, hp_named, iters - 1)
+                    val, test = trainer.evaluate(state)
+                    done = iters
+            u = space.to_unit(hp)
+            cid = tree.record_child(pid, generation, hp, val, test, done, stopped)
+            if cid == self._loss.shape[0]:
+                self._u = np.concatenate([self._u, np.empty_like(self._u)])
+                self._loss = np.concatenate([self._loss, np.empty_like(self._loss)])
+            self._u[cid], self._loss[cid] = u, val
+            self.epochs += done
+            if val < self.best_val:
+                self.best_val, self.best_test = val, test
+            children[cid] = state
+        return children
 
     def history(self, ids: list[int]) -> History:
         """The searcher history of the records `ids`, in the order given."""
@@ -367,7 +387,7 @@ def run(
     rng_algo = np.random.default_rng(derive_seed(config.seed, STREAM_ALGO))
     gate3 = es.level3 and config.t_g > 1  # inert with a single iteration
 
-    tally = Tally(trainer, space, progress)
+    tally = Tally(trainer, space, config.seed, progress)
     tree = tally.tree
     states: dict[int, object] = {}
     ledger: list[int] = []
@@ -381,15 +401,14 @@ def run(
         ):
             break
         tally.start()
-        prev = tree.generation_records(t - 1)
-        prev_results = [(r.id, r.val_loss) for r in prev]
+        prev_results = [(r.id, r.val_loss) for r in tree.generation_records(t - 1)]
 
-        # The generation as (size, c) groups: at generation 0 one group under
-        # the virtual root (None), then the whole population under fixed c, or
-        # two halves under dynamic c, both c values drawn before either half
-        # selects its parents from the full ranking.
+        # After generation 0 (n root slots), the generation as (size, c)
+        # groups: the whole population under fixed c, or two halves under
+        # dynamic c, both c values drawn before either half selects its
+        # parents from the full ranking.
         if t == 0:
-            groups = [(config.n, None)]
+            groups = []
         elif dyn_cfg is None:
             groups = [(config.n, config.c.c)]
         else:
@@ -399,32 +418,24 @@ def run(
         # Child slots in evaluation order: group by group, best parent first
         # (weaker parents' children then face a low level-3 median), each
         # parent's children in creation order.
-        slots = []
-        for g, (size, c) in enumerate(groups):
-            if t == 0:
-                slots += [(g, None)] * size
-                continue
+        slots = [(None, None)] * config.n if t == 0 else []
+        for size, c in groups:
             plan = plan_generation(size, c)
             for pid, count in zip(select_parents(prev_results, plan.parents),
                                   plan.children_per_parent):
-                slots += [(g, pid)] * count
-        early = [] if gate3 else None
+                slots += [(pid, None)] * count
         roots = t == 1 and config.seed_gen0_history
-        group_best = [math.inf] * len(groups)
-        for k, (g, pid) in enumerate(slots):
+
+        def propose(pid):
             history = tally.history(tree.lineage_history(pid, config.history_mode, roots))
-            hp = suggest(config.searcher, space, history, rng_search)
-            if pid is None:
-                state = trainer.init(init_seed(config.seed, k))
-            else:
-                state = trainer.fork(states[pid])
-            cid, child = tally.child(pid, t, hp, state, config.t_g, early)
-            states[cid] = child
-            group_best[g] = min(group_best[g], tree.get(cid).val_loss)
+            return suggest(config.searcher, space, history, rng_search)
+
+        states = tally.grow(t, slots, states, config.t_g, propose, [] if gate3 else None)
 
         if dyn_cfg is not None and t > 0:
-            (_, c_a), (_, c_b) = groups
-            winner = c_a if group_best[0] <= group_best[1] else c_b
+            (n_a, c_a), (_, c_b) = groups
+            vals = [tree.get(cid).val_loss for cid in states]
+            winner = c_a if min(vals[:n_a]) <= min(vals[n_a:]) else c_b
             dyn_state = update_dynamic_c(dyn_state, winner, config.n)
             dyn_trace.append(
                 {
@@ -437,10 +448,8 @@ def run(
                 }
             )
 
-        for r in prev:
-            del states[r.id]
-        # The distinct parent states forked (the two dynamic-c halves may share
-        # one); the root stands for the initial model.
+        # The distinct parents of the generation (the two dynamic-c halves
+        # may share one); the root stands for the initial model.
         ledger.append(len(tree.parents_of(t)) or 1)
         tally.end(t)
 

@@ -1,9 +1,28 @@
-"""Capture the histories that `run` hands to its searcher."""
+"""Capture the histories that `run` hands to its searcher, and the bare
+searcher loop that a t_max=1 run replays."""
 
 import numpy as np
 
 import gpbt.orchestrator
 from gpbt.genealogy import GenealogyTree
+from gpbt.orchestrator import init_seed, search_stream
+from gpbt.searchers import History, suggest
+
+
+def bare_searcher_loop(searcher, space, trainer, trials, iters, seed=0):
+    """Sequential search with no genealogy: each trial's hp is suggested from
+    the unit points and val losses of every earlier trial, and it trains a
+    fresh state for `iters` iterations. Returns the (hp, val, test) triples."""
+    rng = search_stream(seed)
+    u, loss, out = [], [], []
+    for k in range(trials):
+        hp = suggest(searcher, space, History(np.reshape(u, (k, space.dim)), loss), rng)
+        state = trainer.step_many(trainer.init(init_seed(seed, k)), space.to_dict(hp), iters)
+        val, test = trainer.evaluate(state)
+        u.append(space.to_unit(hp))
+        loss.append(val)
+        out.append((hp, val, test))
+    return out
 
 
 def run_with_histories(config, space, trainer):

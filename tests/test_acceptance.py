@@ -35,7 +35,7 @@ from gpbt.trainers import (
     expected_schedule_loss,
     make_trainer,
 )
-from history_spy import run_with_histories
+from history_spy import bare_searcher_loop, run_with_histories
 
 SEEDS = range(10)
 
@@ -127,6 +127,8 @@ def test_criterion_3_nonadaptive_reduction():
         )
         b = run_nonadaptive(NonadaptiveConfig(trials=12, t_total=2, searcher=scfg), space, trainer)
         ok &= [r.hp for r in g.tree.records] == [r.hp for r in b.tree.records]
+        bare = bare_searcher_loop(scfg, space, trainer, trials=12, iters=2)
+        ok &= [(r.hp, r.val_loss, r.test_loss) for r in g.tree.records] == bare
     report(3, "t_max=1 reduces to the bare searcher loop (bit-identical)", ok)
 
 

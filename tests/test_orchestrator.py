@@ -28,7 +28,7 @@ from gpbt.orchestrator import (
 from gpbt.searchers import SearcherConfig
 from gpbt.space import Dimension, SearchSpace
 from gpbt.trainers import TrainerSpec, make_trainer
-from history_spy import run_with_histories
+from history_spy import bare_searcher_loop, run_with_histories
 
 
 def small_space():
@@ -414,23 +414,45 @@ class TestManyParents:
         assert result.total_epochs == sum(r.epochs_trained for r in result.tree.records)
 
 
+class Box:
+    """One LineageTrainer state: a log that is spent once stepped."""
+
+    def __init__(self, log):
+        self.log, self.spent = log, False
+
+
 class LineageTrainer:
     """A trainer whose state is the log of (lr, iterations) it trained under.
     Its loss is the exactly rounded sum of lr x iterations over the log, so a
-    record's loss is a function of the lineage that trained it."""
+    record's loss is a function of the lineage that trained it. States are
+    single use: `step_many` spends its box and returns a new one, and any
+    later call on a spent box raises. It counts its inits and forks."""
+
+    def __init__(self):
+        self.inits = self.forks = 0
+
+    @staticmethod
+    def _log(state):
+        if state.spent:
+            raise RuntimeError("a spent state was passed to the trainer again")
+        return state.log
 
     def init(self, seed):
-        return ()
+        self.inits += 1
+        return Box(())
 
     def step_many(self, state, hp, iters):
-        return state + ((hp["lr"], iters),)
+        log = self._log(state)
+        state.spent = True
+        return Box(log + ((hp["lr"], iters),))
 
     def evaluate(self, state):
-        loss = float(sum(Fraction(lr) * iters for lr, iters in state))
+        loss = float(sum(Fraction(lr) * iters for lr, iters in self._log(state)))
         return loss, loss
 
     def fork(self, state):
-        return state
+        self.forks += 1
+        return Box(self._log(state))
 
 
 class TestTally:
@@ -456,11 +478,14 @@ class TestTally:
                                       level1, level3, mode, seed):
         """The epoch total, the best-seen curve and the ledger agree with the
         records, every record's loss is the replay of its recorded ancestry
-        (the model it trained was forked from the parent it names), and the
-        tree survives a dump/load round trip."""
+        (the model it trained was forked from the parent it names), no state
+        is used after it was stepped, the trainer inits once per lineage and
+        forks once per extra child of a parent, and the tree survives a
+        dump/load round trip."""
         from gpbt.baselines import NonadaptiveConfig, PbtConfig, run_nonadaptive, run_pbt
 
         space = SearchSpace([Dimension("lr", -1.0, 1.0)])
+        trainer = LineageTrainer()
         if method == "gpbt":
             if c == "dynamic":
                 assume(n >= 2)
@@ -472,15 +497,15 @@ class TestTally:
                 n=n, t_max=t_max, t_g=t_g, c=c, history_mode=mode, seed=seed,
                 early_stop=EarlyStopConfig(level1_threshold=level1, level3=level3),
             )
-            result = run(config, space, LineageTrainer())
+            result = run(config, space, trainer)
         elif method == "pbt":
             config = PbtConfig(n=n, t_max=t_max, t_g=t_g, truncation=truncation, seed=seed)
-            result = run_pbt(config, space, LineageTrainer())
+            result = run_pbt(config, space, trainer)
         else:
             config = NonadaptiveConfig(
                 trials=n, t_total=t_g, searcher=SearcherConfig(kind="tpe"), seed=seed
             )
-            result = run_nonadaptive(config, space, LineageTrainer())
+            result = run_nonadaptive(config, space, trainer)
         tree = result.tree
         records = tree.records
         assert result.total_epochs == sum(r.epochs_trained for r in records)
@@ -491,6 +516,13 @@ class TestTally:
         for r in records:
             lineage = [tree.get(a) for a in tree.ancestry(r.id)]
             assert r.val_loss == float(sum(Fraction(a.hp[0]) * a.epochs_trained for a in lineage))
+        # Every lineage starts from one init, and a parent's state is forked
+        # only for its children beyond the one that trains it.
+        generations = {r.generation for r in records}
+        assert trainer.inits == len(tree.generation_records(0))
+        assert trainer.forks == len(records) - trainer.inits - sum(
+            len(tree.parents_of(g)) for g in generations
+        )
         if method == "gpbt":
             # The distinct parents of each generation, the root (None) included.
             parents: dict[int, set] = {}
@@ -577,3 +609,5 @@ class TestReduction:
             NonadaptiveConfig(trials=10, t_total=2, searcher=scfg), small_space(), small_trainer()
         )
         assert [r.hp for r in g.tree.records] == [r.hp for r in b.tree.records]
+        bare = bare_searcher_loop(scfg, small_space(), small_trainer(), trials=10, iters=2)
+        assert [(r.hp, r.val_loss, r.test_loss) for r in g.tree.records] == bare
