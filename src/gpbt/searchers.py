@@ -12,12 +12,12 @@ the space.
 from __future__ import annotations
 
 import functools
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.spatial.distance import cdist
 
 from .space import HpVector, SearchSpace
 
@@ -272,18 +272,33 @@ def gp_ucb_beta(dim: int, t: int, delta: float) -> float:
 @functools.cache
 def _sobol_directions(d: int) -> np.ndarray:
     """The first SOBOL_DIRECTIONS unscrambled Sobol direction numbers of each
-    of `d` dimensions (scipy's Joe & Kuo 2008 table), as a read-only (d, n)
-    array of SOBOL_BITS-bit integers."""
-    # Imported on first use: scipy.stats takes longer to import than the rest
-    # of gpbt, and only GP-UCB needs it.
-    from scipy.stats import qmc
+    of `d` dimensions, as a read-only (d, n) array of SOBOL_BITS-bit integers:
+    the directions of `scipy.stats.qmc.Sobol(d, scramble=False)`."""
+    # scipy's Joe & Kuo (2008) table, read without importing scipy.stats, which
+    # takes longer to import than the rest of gpbt: `poly` holds each
+    # dimension's primitive polynomial and `vinit` its initial direction numbers.
+    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    with np.load(os.path.join(scipy_dir, "stats", "_sobol_direction_numbers.npz")) as table:
+        poly, vinit = table["poly"], table["vinit"]
+    if d > len(poly):
+        raise ValueError(f"Sobol directions exist for at most {len(poly)} dimensions, not {d}")
 
+    # Row 0 is all ones. Row r starts with the m initial numbers of its
+    # degree-m polynomial and goes on by the Bratley & Fox (1988) recurrence,
+    # as scipy's `_initialize_v` builds it; only the first n columns are used.
     n = SOBOL_DIRECTIONS
-    points = qmc.Sobol(d, scramble=False).random(2**n)
-    # Point k XORs the directions of the set bits of its Gray code k ^ (k >> 1),
-    # and the Gray code of 2**(b+1) - 1 is 2**b: direction b alone.
-    rows = points[2 ** np.arange(1, n + 1) - 1] * 2.0**SOBOL_BITS
-    directions = rows.astype(np.uint32).T.copy()
+    v = vinit[:d, :n].copy()
+    v[:1] = 1
+    for r in range(1, d):
+        p = int(poly[r])
+        m = p.bit_length() - 1
+        for j in range(m, n):
+            new = v[r, j - m]
+            for k in range(m):
+                if p >> (m - 1 - k) & 1:
+                    new ^= v[r, j - k - 1] << (k + 1)
+            v[r, j] = new
+    directions = (v << (SOBOL_BITS - 1 - np.arange(n))).astype(np.uint32)
     directions.setflags(write=False)
     return directions
 
@@ -322,6 +337,8 @@ def sobol_pool(d: int, seed: int) -> np.ndarray:
 
 
 def _rbf(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    from scipy.spatial.distance import cdist  # loaded by GP-UCB alone
+
     # cdist sums the squared differences in dimension order, as a loop would.
     k = cdist(a, b, "sqeuclidean")
     k *= -0.5
@@ -342,6 +359,8 @@ def gp_ucb_suggest(
     retry, then the call degrades to a uniform sample. The posterior comes
     from the Cholesky factor by triangular solves (GPML, Alg. 2.1).
     """
+    from scipy.linalg import solve_triangular  # loaded by GP-UCB alone
+
     if not history:
         return rng.random(d)
     x, y = history.u, history.loss

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp, qmc
 
@@ -15,6 +15,8 @@ from gpbt.searchers import (
     GP_JITTER,
     GP_LENGTHSCALE,
     GP_POOL,
+    SOBOL_BITS,
+    SOBOL_DIRECTIONS,
     CmaState,
     History,
     SearcherConfig,
@@ -341,19 +343,32 @@ class TestGpUcb:
         assert searchers._rbf(a, b).tobytes() == rbf_loop(a, b).tobytes()
         assert searchers._rbf(b, b).tobytes() == rbf_loop(b, b).tobytes()
 
-    def test_import_leaves_scipy_stats_unloaded(self):
-        # scipy.stats is imported by the first GP-UCB suggestion, not by gpbt.
+    def test_scipy_loads_only_for_gp_ucb(self):
+        # importing gpbt and running every other searcher and baseline loads no
+        # scipy; a GP-UCB suggestion loads scipy's linalg and spatial, never stats.
         code = "\n".join([
             "import sys",
             "import numpy as np",
             "import gpbt, gpbt.cli",
-            "assert 'scipy.stats' not in sys.modules, 'importing gpbt loaded scipy.stats'",
+            "from gpbt.baselines import NonadaptiveConfig, PbtConfig, run_nonadaptive, run_pbt",
+            "from gpbt.orchestrator import RunConfig, run",
             "from gpbt.searchers import History, SearcherConfig, suggest",
             "from gpbt.space import Dimension, SearchSpace",
+            "from gpbt.trainers import TrainerSpec, make_trainer",
+            "def scipy_loaded():",
+            "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))",
+            "assert not scipy_loaded(), scipy_loaded()",
             "space = SearchSpace([Dimension('lr', 1e-4, 1.0, 'log'), Dimension('wd', 0.0, 1.0)])",
+            "trainer = make_trainer(TrainerSpec(kind='noisy_quadratic', dim=2, noise=0.1))",
+            "for kind in ('random', 'tpe', 'cma'):",
+            "    run(RunConfig(n=4, t_max=4, searcher=SearcherConfig(kind=kind)), space, trainer)",
+            "run_pbt(PbtConfig(n=4, t_max=3), space, trainer)",
+            "run_nonadaptive(NonadaptiveConfig(trials=6, t_total=2, searcher=SearcherConfig(kind='tpe')), space, trainer)",
+            "assert not scipy_loaded(), scipy_loaded()",
             "hist = History(np.random.default_rng(0).random((8, 2)), np.arange(8.0))",
             "hp = suggest(SearcherConfig(kind='gp_ucb'), space, hist, np.random.default_rng(1))",
             "assert space.validate(hp) is None, hp",
+            "assert 'scipy.linalg' in sys.modules and 'scipy.stats' not in sys.modules, scipy_loaded()",
             "print('ok')",
         ])
         env = dict(os.environ)
@@ -362,6 +377,22 @@ class TestGpUcb:
                               text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "ok\n"
+
+    @given(d=st.integers(1, 300))
+    @example(d=21201)
+    @settings(max_examples=100, deadline=None)
+    def test_sobol_directions_match_scipy(self, d):
+        # Point 2**(b+1) - 1 of the unscrambled sequence is direction b alone.
+        n = SOBOL_DIRECTIONS
+        points = qmc.Sobol(d, scramble=False).random(2**n)
+        expected = (points[2 ** np.arange(1, n + 1) - 1] * 2.0**SOBOL_BITS).astype(np.uint32).T
+        directions = searchers._sobol_directions(d)
+        assert directions.dtype == np.uint32 and not directions.flags.writeable
+        np.testing.assert_array_equal(directions, expected)
+
+    def test_sobol_directions_reject_dimensions_beyond_table(self):
+        with pytest.raises(ValueError, match="21201"):
+            searchers._sobol_directions(21202)
 
 
 def rbf_loop(a, b):
