@@ -132,7 +132,15 @@ def tpe_split(loss: np.ndarray, gamma: float) -> np.ndarray:
 def tpe_bandwidths(points: np.ndarray) -> np.ndarray:
     """Per-dimension Silverman bandwidth with a floor, in unit space."""
     n = points.shape[0]
-    std = points.std(axis=0)
+    # `points.std(axis=0)` through the ufunc calls of NumPy's `_var` and `_std`,
+    # without their Python wrappers: the same bits.
+    mean = np.add.reduce(points, axis=0)
+    mean /= n
+    dev = points - mean
+    np.square(dev, out=dev)
+    var = np.add.reduce(dev, axis=0)
+    var /= n
+    std = np.sqrt(var, out=var)
     return np.maximum(1.06 * std * n ** (-0.2), TPE_BANDWIDTH_FLOOR)
 
 
@@ -162,25 +170,6 @@ def _pairwise_sum(term, lo: int, hi: int) -> np.ndarray:
     return _pairwise_sum(term, lo, lo + half) + _pairwise_sum(term, lo + half, hi)
 
 
-def _kde(points: np.ndarray, centers: np.ndarray, bw: np.ndarray) -> np.ndarray:
-    """Kernel density at each of the (m, d) `points`, with diagonal Gaussian
-    kernels plus one uniform-prior component weighted like an extra
-    observation, so an estimate over zero centers is exactly the uniform
-    density 1 on the cube."""
-    if centers.shape[0] == 0:
-        return np.ones(points.shape[0])
-
-    def squared(k: int) -> np.ndarray:  # (m, H) squared scaled distances along dimension k
-        return np.square((points[:, None, k] - centers[None, :, k]) / bw[k])
-
-    # Summed one dimension at a time in NumPy's own order, so the result equals
-    # `(z * z).sum(axis=2)` over the (m, H, d) array z bit for bit.
-    dist = _pairwise_sum(squared, 0, centers.shape[1])
-    norm = np.prod(bw) * (2.0 * math.pi) ** (centers.shape[1] / 2.0)
-    kernels = np.exp(-0.5 * dist).sum(axis=1) / norm
-    return (1.0 + kernels) / (centers.shape[0] + 1)
-
-
 def tpe_score(
     candidates: np.ndarray,
     good: np.ndarray,
@@ -189,12 +178,47 @@ def tpe_score(
 ) -> np.ndarray:
     """Density ratio l(x)/g(x) of each of the (m, d) unit-space `candidates`.
 
-    `bandwidths` is the (good, bad) pair; the bad entry may be None when bad
-    is empty, in which case g is the uniform density 1 on the cube.
+    l and g are kernel densities over the good and the bad centers, with
+    diagonal Gaussian kernels plus one uniform-prior component weighted like
+    an extra observation, so a density over zero centers is exactly the
+    uniform density 1 on the cube. `bandwidths` is the (good, bad) pair; the
+    bad entry may be None when bad is empty.
+
+    One pass serves both densities: the squared scaled distances to all
+    G + B centers are added one dimension at a time, in the order of NumPy's
+    pairwise reduction over a last axis, and split into the good and the bad
+    kernel sums only after the exp. Each density therefore equals the one
+    summed from `(z * z).sum(axis=2)` over its own (m, H, d) array z bit for
+    bit, while no array larger than (m, G + B) is built.
     """
     good_bw, bad_bw = bandwidths
-    l = _kde(candidates, good, good_bw)
-    g = _kde(candidates, bad, bad_bw)
+    m, d = candidates.shape
+    n_good = good.shape[0]
+    points = candidates.T.copy()  # (d, m)
+    centers = np.concatenate((good, bad)).T.copy()  # (d, G + B), contiguous rows
+    bw = np.empty_like(centers)
+    bw[:, :n_good] = good_bw[:, None]
+    if len(bad):
+        bw[:, n_good:] = bad_bw[:, None]
+
+    def squared(k: int) -> np.ndarray:  # (m, G + B) squared scaled distances along dimension k
+        z = points[k, :, None] - centers[k]
+        z /= bw[k]
+        return np.square(z, out=z)
+
+    kernels = _pairwise_sum(squared, 0, d)
+    kernels *= -0.5
+    np.exp(kernels, out=kernels)
+
+    def density(sums: np.ndarray, widths: np.ndarray | None) -> np.ndarray:
+        n = sums.shape[1]
+        if n == 0:
+            return np.ones(m)
+        norm = np.multiply.reduce(widths) * (2.0 * math.pi) ** (d / 2.0)
+        return (1.0 + np.add.reduce(sums, axis=1) / norm) / (n + 1)
+
+    l = density(kernels[:, :n_good], good_bw)
+    g = density(kernels[:, n_good:], bad_bw)
     return l / np.maximum(g, TPE_DENSITY_FLOOR)
 
 
@@ -216,7 +240,9 @@ def _tpe_suggest(d: int, history: History, rng: np.random.Generator) -> np.ndarr
         good_u[np.minimum(component, len(good_u) - 1)] + jitter,
         uniform,
     )
-    candidates = np.clip(candidates, 0.0, 1.0)
+    # np.clip's values without its Python wrappers. The two differ only on a
+    # -0.0 input, which `from_unit` maps to `lower` as it does 0.0.
+    candidates = np.minimum(np.maximum(candidates, 0.0), 1.0)
     scores = tpe_score(candidates, good_u, bad_u, (good_bw, bad_bw))
     return candidates[int(np.argmax(scores))]
 
@@ -245,7 +271,7 @@ def cma_update(u: np.ndarray, loss: np.ndarray) -> CmaState:
     weights = np.arange(k, 0, -1, dtype=float)  # best observation heaviest
     weights /= weights.sum()
     mean = weights @ top_pts
-    sigma = np.clip(top_pts.std(axis=0), CMA_SIGMA_MIN, CMA_SIGMA_MAX)
+    sigma = np.minimum(np.maximum(top_pts.std(axis=0), CMA_SIGMA_MIN), CMA_SIGMA_MAX)
     return CmaState(mean=mean, sigma=sigma)
 
 
@@ -257,7 +283,7 @@ def _cma_suggest(d: int, history: History, rng: np.random.Generator) -> np.ndarr
         return rng.random(d)
     state = cma_update(history.u[-CMA_WINDOW:], history.loss[-CMA_WINDOW:])
     u = state.mean + state.sigma * rng.standard_normal(d)
-    return np.clip(u, 0.0, 1.0)
+    return np.minimum(np.maximum(u, 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -392,4 +418,4 @@ def gp_ucb_suggest(
     v *= v
     var = np.maximum(1.0 - v.sum(axis=0), 0.0)  # prior variance is 1
     lcb = mu - math.sqrt(beta_t) * np.sqrt(var)
-    return np.clip(candidates[int(np.argmin(lcb))], 0.0, 1.0)
+    return np.minimum(np.maximum(candidates[int(np.argmin(lcb))], 0.0), 1.0)

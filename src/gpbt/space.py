@@ -56,10 +56,15 @@ class Dimension:
             raise ValueError(f"dimension {self.name!r}: log scale requires lower > 0")
         if self.scale == "reverse-log" and self.upper >= 1:
             raise ValueError(f"dimension {self.name!r}: reverse-log scale requires upper < 1")
+        # The warped bounds, computed once. They are plain attributes, not
+        # fields, so equality, repr and `asdict` see only the four fields.
+        warp, _ = _WARPS[self.scale]
+        object.__setattr__(self, "_lo", warp(self.lower))
+        object.__setattr__(self, "_hi", warp(self.upper))
 
     def to_unit(self, x: float) -> float:
         warp, _ = _WARPS[self.scale]
-        lo, hi = warp(self.lower), warp(self.upper)
+        lo, hi = self._lo, self._hi
         return (warp(x) - lo) / (hi - lo)
 
     def from_unit(self, u: float) -> float:
@@ -69,8 +74,8 @@ class Dimension:
             return self.lower
         if u == 1.0:
             return self.upper
-        warp, unwarp = _WARPS[self.scale]
-        lo, hi = warp(self.lower), warp(self.upper)
+        _, unwarp = _WARPS[self.scale]
+        lo, hi = self._lo, self._hi
         return min(max(unwarp(lo + u * (hi - lo)), self.lower), self.upper)
 
 

@@ -188,25 +188,51 @@ class TestTpeScore:
     )
     @settings(max_examples=200, deadline=None)
     def test_kde_sums_in_numpy_order(self, d, h, m, seed):
-        # `_kde` sums its squared distances one dimension at a time in the
-        # order of NumPy's pairwise reduction over a last axis; if a NumPy
-        # release reduces in another order, this test fails first.
+        # `tpe_score` sums its squared distances to the good and the bad
+        # centers in one pass, one dimension at a time, in the order of
+        # NumPy's pairwise reduction over a last axis; if a NumPy release
+        # reduces in another order, this test fails first.
         rng = np.random.default_rng(seed)
         points, centers = rng.random((m, d)), rng.random((h, d))
-        bw = rng.uniform(searchers.TPE_BANDWIDTH_FLOOR, 0.5, d)
-        if h == 0:
-            expected = np.ones(m)
-        else:
+        split = int(rng.integers(0, h + 1))
+        good, bad = centers[:split], centers[split:]
+        good_bw = rng.uniform(searchers.TPE_BANDWIDTH_FLOOR, 0.5, d)
+        bad_bw = rng.uniform(searchers.TPE_BANDWIDTH_FLOOR, 0.5, d) if len(bad) else None
+        if h:
             # Half the points sit near a center, where a kernel outweighs the
             # uniform component even in hundreds of dimensions, so a sum
             # rounded another way changes the density's bits.
             near = centers[rng.integers(0, h, m // 2)] + 0.02 * rng.standard_normal((m // 2, d))
             points[: m // 2] = np.clip(near, 0.0, 1.0)
-            z = (points[:, None, :] - centers[None]) / bw
+
+        def density(half, bw):
+            if len(half) == 0:
+                return np.ones(m)
+            z = (points[:, None, :] - half[None]) / bw
             norm = np.prod(bw) * (2.0 * np.pi) ** (d / 2.0)
             kernels = np.exp(-0.5 * (z * z).sum(axis=2)).sum(axis=1) / norm
-            expected = (1.0 + kernels) / (h + 1)
-        assert searchers._kde(points, centers, bw).tobytes() == expected.tobytes()
+            return (1.0 + kernels) / (len(half) + 1)
+
+        expected = density(good, good_bw) / np.maximum(
+            density(bad, bad_bw), searchers.TPE_DENSITY_FLOOR
+        )
+        score = tpe_score(points, good, bad, (good_bw, bad_bw))
+        assert score.tobytes() == expected.tobytes()
+
+
+class TestTpeBandwidths:
+    @given(n=st.integers(1, 300), d=st.integers(1, 17), seed=st.integers(0, 2**32 - 1))
+    @example(n=1, d=1, seed=0)
+    @example(n=300, d=1, seed=1)
+    @settings(max_examples=200, deadline=None)
+    def test_equals_numpy_std(self, n, d, seed):
+        # `tpe_bandwidths` calls the ufuncs of NumPy's `std` directly; if a
+        # NumPy release reduces `std` in another order, this test fails first.
+        points = np.random.default_rng(seed).random((n, d))
+        expected = np.maximum(
+            1.06 * points.std(axis=0) * n ** -0.2, searchers.TPE_BANDWIDTH_FLOOR
+        )
+        assert tpe_bandwidths(points).tobytes() == expected.tobytes()
 
 
 class TestTpeSuggest:
