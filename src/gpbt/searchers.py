@@ -58,6 +58,10 @@ _SOBOL_WEIGHTS = 2 ** np.arange(SOBOL_BITS, dtype=np.uint32)
 # For each bit p, counted from the most significant end, the mask of the bits
 # before it: the strict lower triangle of row p of a scrambling matrix.
 _SOBOL_STRICT_LOWER = np.cumsum(_SOBOL_WEIGHTS[::-1], dtype=np.uint32) - _SOBOL_WEIGHTS[::-1]
+# Gray-code order: point 0 is the shift, and point k > 0 is point k - 1 XOR
+# the direction numbered by the trailing zeros of k. Row k indexes that term
+# in a table of the shift followed by the directions.
+_GRAY_TERMS = np.array([0] + [(k & -k).bit_length() for k in range(1, GP_POOL)])
 
 
 @dataclass(frozen=True)
@@ -339,37 +343,47 @@ def sobol_pool(d: int, seed: int) -> np.ndarray:
     strict lower triangles are used, with unit diagonals. Only the directions
     the pool uses are scrambled.
     """
-    rng = np.random.default_rng(seed)
-    shift = rng.integers(0, 2, (d, SOBOL_BITS), np.uint32) @ _SOBOL_WEIGHTS
-    lms = rng.integers(0, 2, (d, SOBOL_BITS, SOBOL_BITS), np.uint32)
+    # One draw serves both: the stream is the same as scipy's two calls.
+    bits = np.random.default_rng(seed).integers(0, 2, d * SOBOL_BITS * (1 + SOBOL_BITS), np.uint32)
+    lms = bits[d * SOBOL_BITS :].reshape(d, SOBOL_BITS, SOBOL_BITS)
     # Row p of a matrix, read as an integer with column 0 as its most
     # significant bit, selects the bits of a direction whose parity is bit p
     # of the scrambled direction, again counting from the most significant.
     msb_first = _SOBOL_WEIGHTS[::-1]
     rows = (lms @ msb_first & _SOBOL_STRICT_LOWER) | msb_first
-    parity = rows[:, None, :] & _sobol_directions(d)[:, :, None]
-    for s in (16, 8, 4, 2, 1):
-        parity ^= parity >> s
-    scrambled = (parity & 1) @ msb_first
+    parity = np.bitwise_count(rows[:, None, :] & _sobol_directions(d)[:, :, None]) & 1
 
-    # Gray-code order: point k is point 2**(b+1) - 1 - k XOR direction b for
-    # 2**b <= k < 2**(b+1), and point 0 is the shift.
-    points = np.empty((2**SOBOL_DIRECTIONS, d), np.uint32)
-    points[0] = shift
-    for b in range(SOBOL_DIRECTIONS):
-        half = 1 << b
-        np.bitwise_xor(points[half - 1 :: -1], scrambled[:, b], out=points[half : 2 * half])
-    return points[:GP_POOL] * 2.0**-SOBOL_BITS
+    terms = np.empty((1 + SOBOL_DIRECTIONS, d), np.uint32)
+    terms[0] = bits[: d * SOBOL_BITS].reshape(d, SOBOL_BITS) @ _SOBOL_WEIGHTS  # the shift
+    terms[1:] = (parity @ msb_first).T
+    points = terms[_GRAY_TERMS]
+    np.bitwise_xor.accumulate(points, axis=0, out=points)
+    return points * 2.0**-SOBOL_BITS
 
 
 def _rbf(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     from scipy.spatial.distance import cdist  # loaded by GP-UCB alone
 
     # cdist sums the squared differences in dimension order, as a loop would.
+    # One divide by -2 L^2 gives the bits of -0.5 * d2 / L^2: scaling by a
+    # power of two commutes with rounding.
     k = cdist(a, b, "sqeuclidean")
-    k *= -0.5
-    k /= GP_LENGTHSCALE * GP_LENGTHSCALE
+    k /= -2.0 * (GP_LENGTHSCALE * GP_LENGTHSCALE)
     return np.exp(k, out=k)
+
+
+def _solve_upper(upper: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:
+    """Solve `upper @ x = b` (trans=0) or `upper.T @ x = b` (trans=1) for an
+    F-contiguous upper triangle, overwriting `b` when it is F-contiguous: the
+    LAPACK call that `scipy.linalg.solve_triangular` makes, without its checks."""
+    from scipy.linalg.lapack import dtrtrs  # loaded by GP-UCB alone
+
+    x, info = dtrtrs(upper, b, lower=0, trans=trans, overwrite_b=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+    return x
 
 
 def gp_ucb_suggest(
@@ -384,38 +398,45 @@ def gp_ucb_suggest(
     pool plus the incumbent best. A singular kernel matrix gets one jitter
     retry, then the call degrades to a uniform sample. The posterior comes
     from the Cholesky factor by triangular solves (GPML, Alg. 2.1).
-    """
-    from scipy.linalg import solve_triangular  # loaded by GP-UCB alone
 
+    The factor is NumPy's: SciPy's `dpotrf` comes from another OpenBLAS build
+    and can differ in the last bits. Its transpose, an F-contiguous upper
+    triangle, goes straight to LAPACK's `dtrtrs` for the three solves, and the
+    variance solve overwrites K*^T in place once the mean has been read from it.
+    """
     if not history:
         return rng.random(d)
     x, y = history.u, history.loss
-    std = y.std()
-    y_s = (y - y.mean()) / (std if std > 0 else 1.0)
+    h = len(x)
+    # `y.mean()` and `y.std()` through the ufunc calls NumPy's `_mean` and
+    # `_var` make, sharing the deviations: the same bits.
+    dev = y - np.add.reduce(y) / h
+    std = math.sqrt(np.add.reduce(dev * dev) / h)
+    y_s = dev / std if std > 0 else dev
 
     k = _rbf(x, x)
-    k.flat[:: len(x) + 1] += GP_NOISE_VAR
+    k.ravel()[:: h + 1] += GP_NOISE_VAR
     try:
         chol = np.linalg.cholesky(k)
     except np.linalg.LinAlgError:
         try:
-            chol = np.linalg.cholesky(k + GP_JITTER * np.eye(len(x)))
+            chol = np.linalg.cholesky(k + GP_JITTER * np.eye(h))
         except np.linalg.LinAlgError:
             return rng.random(d)
 
-    candidates = sobol_pool(d, int(rng.integers(2**31)))
-    incumbent = x[int(np.argmin(y))]
-    candidates = np.vstack([candidates, incumbent])
+    candidates = np.empty((GP_POOL + 1, d))
+    candidates[:GP_POOL] = sobol_pool(d, int(rng.integers(2**31)))
+    candidates[GP_POOL] = x[int(np.argmin(y))]  # the incumbent
 
-    # Every operand is finite, so the solves skip scipy's finiteness scan:
-    # History rejects non-finite losses, the factor comes from a Cholesky that
+    # Every operand is finite, so no solve scans for NaN or inf: History
+    # rejects non-finite losses, the factor comes from a Cholesky that
     # succeeded, and k_star is the exp of finite squared distances.
+    upper = chol.T
     k_star = _rbf(candidates, x)
-    w = solve_triangular(chol, y_s, lower=True, check_finite=False)
-    alpha = solve_triangular(chol, w, lower=True, trans="T", check_finite=False)
+    alpha = _solve_upper(upper, _solve_upper(upper, y_s, 1), 0)
     mu = k_star @ alpha
-    v = solve_triangular(chol, k_star.T, lower=True, check_finite=False)
+    v = _solve_upper(upper, k_star.T, 1)  # overwrites k_star
     v *= v
-    var = np.maximum(1.0 - v.sum(axis=0), 0.0)  # prior variance is 1
+    var = np.maximum(1.0 - np.add.reduce(v, axis=0), 0.0)  # prior variance is 1
     lcb = mu - math.sqrt(beta_t) * np.sqrt(var)
     return np.minimum(np.maximum(candidates[int(np.argmin(lcb))], 0.0), 1.0)

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
+from scipy.spatial.distance import cdist
 from scipy.stats import ks_2samp, qmc
 
 from gpbt import searchers
@@ -14,6 +17,7 @@ from gpbt.searchers import (
     CMA_WINDOW,
     GP_JITTER,
     GP_LENGTHSCALE,
+    GP_NOISE_VAR,
     GP_POOL,
     SOBOL_BITS,
     SOBOL_DIRECTIONS,
@@ -342,6 +346,55 @@ class TestGpUcb:
         # the Sobol seed is drawn only after a factorisation succeeds
         assert rng.bit_generator.state == twin.bit_generator.state
 
+    def test_singular_factor_raises(self, monkeypatch):
+        # a factor with a zero pivot stops the solves, as solve_triangular did,
+        # instead of handing inf or NaN to the argmin
+        cholesky = np.linalg.cholesky
+
+        def zero_pivot(k):
+            chol = cholesky(k)
+            chol[2, 2] = 0.0
+            return chol
+
+        monkeypatch.setattr(searchers.np.linalg, "cholesky", zero_pivot)
+        for suggest_fn in (gp_ucb_suggest, gp_ucb_oracle):
+            with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+                suggest_fn(quad_history(6), 1, 2.0, np.random.default_rng(4))
+
+    @given(
+        d=st.integers(1, 12),
+        h=st.integers(0, 320),
+        ties=st.booleans(),
+        edges=st.booleans(),
+        repeats=st.booleans(),
+        beta_t=st.floats(0.1, 40.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(d=1, h=1, ties=False, edges=False, repeats=False, beta_t=2.0, seed=0)
+    @example(d=9, h=320, ties=True, edges=True, repeats=True, beta_t=2.0, seed=1)
+    @example(d=3, h=12, ties=True, edges=False, repeats=False, beta_t=2.0, seed=4)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_frozen_oracle(self, d, h, ties, edges, repeats, beta_t, seed):
+        # d crosses cdist's change of loop at 8 dimensions; ties include
+        # all-equal losses, which leave the losses unscaled
+        data = np.random.default_rng(seed)
+        u, loss = data.random((h, d)), data.random(h)
+        if edges:  # coordinates at the bounds of the cube
+            u[u < 0.1] = 0.0
+            u[u > 0.9] = 1.0
+        if repeats:
+            u[h // 2 : 2 * (h // 2)] = u[: h // 2]
+        if ties:
+            loss = np.round(loss * 3) if seed % 4 else np.full(h, 1.5)
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, got_scores = with_argmin_inputs(gp_ucb_suggest, History(u, loss), d, beta_t, rng)
+        want, want_scores = with_argmin_inputs(gp_ucb_oracle, History(u, loss), d, beta_t, twin)
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == twin.bit_generator.state
+        # the losses and the lower confidence bounds themselves, not only the
+        # candidate they choose: a last-bit drift in mu or var shows here
+        assert [a.tobytes() for a in got_scores] == [a.tobytes() for a in want_scores]
+
     @given(d=st.integers(1, 40), seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=200, deadline=None)
     def test_sobol_pool_matches_scipy(self, d, seed):
@@ -429,6 +482,62 @@ def rbf_loop(a, b):
         diff = a[:, j, None] - b[None, :, j]
         d2 += diff * diff
     return np.exp(-0.5 * d2 / (GP_LENGTHSCALE * GP_LENGTHSCALE))
+
+
+def with_argmin_inputs(fn, *args):
+    """`fn(*args)` and a copy of every array that it passed to `np.argmin`."""
+    argmin, seen = np.argmin, []
+
+    def spy(a, *rest, **kwargs):
+        seen.append(np.array(a))
+        return argmin(a, *rest, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "argmin", spy)
+        return fn(*args), seen
+
+
+def rbf_two_step(a, b):
+    """`_rbf` as it scaled before its single divide: times -0.5, then over L^2."""
+    k = cdist(a, b, "sqeuclidean")
+    k *= -0.5
+    k /= GP_LENGTHSCALE * GP_LENGTHSCALE
+    return np.exp(k, out=k)
+
+
+def gp_ucb_oracle(hist, d, beta_t, rng):
+    """`gp_ucb_suggest` as it was before its solves called LAPACK directly,
+    kept as its oracle: `solve_triangular` on the lower factor, a copied K*^T,
+    the two-step kernel scaling and a stacked candidate array."""
+    if not hist:
+        return rng.random(d)
+    x, y = hist.u, hist.loss
+    std = y.std()
+    y_s = (y - y.mean()) / (std if std > 0 else 1.0)
+
+    k = rbf_two_step(x, x)
+    k.flat[:: len(x) + 1] += GP_NOISE_VAR
+    try:
+        chol = np.linalg.cholesky(k)
+    except np.linalg.LinAlgError:
+        try:
+            chol = np.linalg.cholesky(k + GP_JITTER * np.eye(len(x)))
+        except np.linalg.LinAlgError:
+            return rng.random(d)
+
+    candidates = sobol_pool(d, int(rng.integers(2**31)))
+    incumbent = x[int(np.argmin(y))]
+    candidates = np.vstack([candidates, incumbent])
+
+    k_star = rbf_two_step(candidates, x)
+    w = solve_triangular(chol, y_s, lower=True, check_finite=False)
+    alpha = solve_triangular(chol, w, lower=True, trans="T", check_finite=False)
+    mu = k_star @ alpha
+    v = solve_triangular(chol, k_star.T, lower=True, check_finite=False)
+    v *= v
+    var = np.maximum(1.0 - v.sum(axis=0), 0.0)
+    lcb = mu - math.sqrt(beta_t) * np.sqrt(var)
+    return np.minimum(np.maximum(candidates[int(np.argmin(lcb))], 0.0), 1.0)
 
 
 @pytest.mark.parametrize("kind", ["gp_ucb", "cma"])
