@@ -58,10 +58,6 @@ _SOBOL_WEIGHTS = 2 ** np.arange(SOBOL_BITS, dtype=np.uint32)
 # For each bit p, counted from the most significant end, the mask of the bits
 # before it: the strict lower triangle of row p of a scrambling matrix.
 _SOBOL_STRICT_LOWER = np.cumsum(_SOBOL_WEIGHTS[::-1], dtype=np.uint32) - _SOBOL_WEIGHTS[::-1]
-# Gray-code order: point 0 is the shift, and point k > 0 is point k - 1 XOR
-# the direction numbered by the trailing zeros of k. Row k indexes that term
-# in a table of the shift followed by the directions.
-_GRAY_TERMS = np.array([0] + [(k & -k).bit_length() for k in range(1, GP_POOL)])
 
 
 @dataclass(frozen=True)
@@ -351,14 +347,19 @@ def sobol_pool(d: int, seed: int) -> np.ndarray:
     # of the scrambled direction, again counting from the most significant.
     msb_first = _SOBOL_WEIGHTS[::-1]
     rows = (lms @ msb_first & _SOBOL_STRICT_LOWER) | msb_first
-    parity = np.bitwise_count(rows[:, None, :] & _sobol_directions(d)[:, :, None]) & 1
+    parity = rows[:, None, :] & _sobol_directions(d)[:, :, None]
+    for s in (16, 8, 4, 2, 1):
+        parity ^= parity >> s
+    scrambled = (parity & 1) @ msb_first
 
-    terms = np.empty((1 + SOBOL_DIRECTIONS, d), np.uint32)
-    terms[0] = bits[: d * SOBOL_BITS].reshape(d, SOBOL_BITS) @ _SOBOL_WEIGHTS  # the shift
-    terms[1:] = (parity @ msb_first).T
-    points = terms[_GRAY_TERMS]
-    np.bitwise_xor.accumulate(points, axis=0, out=points)
-    return points * 2.0**-SOBOL_BITS
+    # Gray-code order: point k is point 2**(b+1) - 1 - k XOR direction b for
+    # 2**b <= k < 2**(b+1), and point 0 is the shift.
+    points = np.empty((2**SOBOL_DIRECTIONS, d), np.uint32)
+    points[0] = bits[: d * SOBOL_BITS].reshape(d, SOBOL_BITS) @ _SOBOL_WEIGHTS
+    for b in range(SOBOL_DIRECTIONS):
+        half = 1 << b
+        np.bitwise_xor(points[half - 1 :: -1], scrambled[:, b], out=points[half : 2 * half])
+    return points[:GP_POOL] * 2.0**-SOBOL_BITS
 
 
 def _rbf(a: np.ndarray, b: np.ndarray) -> np.ndarray:
