@@ -42,6 +42,8 @@ class PbtConfig:
         for name in ("n", "t_max", "t_g"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not 0.0 < self.truncation <= 0.5:
             raise ValueError("truncation must be in (0, 0.5]")
 
@@ -57,6 +59,8 @@ class NonadaptiveConfig:
         for name in ("trials", "t_total"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def _explore(hp: Sequence[float], space: SearchSpace, rng: np.random.Generator):

@@ -7,7 +7,9 @@ output_dir, or the GPBT_OUT_DIR environment variable, in that order).
 Results layout: `run` writes <out>/<method>/<seed>/{result.json,
 genealogy.ndjson, curves.csv} plus a combined <out>/curves.csv of the last
 invocation; `compare` reads every seed cell on disk of the config's methods
-and writes <out>/{summary.csv, summary.json, plot_data.csv}.
+(each cell's genealogy.ndjson too when the trainer's expected loss has a
+closed form, to replay its final schedule) and writes <out>/{summary.csv,
+summary.json, plot_data.csv}.
 """
 
 from __future__ import annotations
@@ -26,9 +28,10 @@ import numpy as np
 from .baselines import NonadaptiveConfig, PbtConfig, run_nonadaptive, run_pbt
 from .config import ConfigError, build, typed_value
 from .external import TrainerProtocolError
+from .genealogy import GenealogyTree
 from .orchestrator import DynamicC, FixedC, RunConfig, RunResult, run
 from .space import SearchSpace
-from .trainers import TrainerSpec, make_trainer
+from .trainers import TrainerSpec, expected_schedule_loss, make_trainer
 
 CURVE_FIELDS = (
     "method",
@@ -44,9 +47,15 @@ CURVE_FIELDS = (
 _REQUIRED = ("space", "trainer", "seeds", "methods")
 
 # A method's cell directory is <out>/<name>, so a name cannot leave <out> or take
-# the name of a file that the CLI writes there, each through a ".tmp" sibling.
+# the name of a file that the CLI writes there: the write probe, and each top
+# file through a ".tmp" sibling.
+_PROBE = ".write-probe"
 _TOP_FILES = ("curves.csv", "summary.csv", "summary.json", "plot_data.csv")
-_RESERVED_NAMES = {".", "..", *_TOP_FILES, *(f"{f}.tmp" for f in _TOP_FILES)}
+_RESERVED_NAMES = {".", "..", _PROBE, *_TOP_FILES, *(f"{f}.tmp" for f in _TOP_FILES)}
+
+# Trainer kinds whose expected loss has a closed form, so compare can replay a
+# schedule on it.
+_REPLAYABLE = ("noisy_quadratic", "phase_surrogate")
 
 
 def load_config(path: str) -> dict:
@@ -146,7 +155,7 @@ def _resolve_out(args, cfg: dict) -> Path:
 def _check_writable(out: Path):
     try:
         out.mkdir(parents=True, exist_ok=True)
-        probe = out / ".write-probe"
+        probe = out / _PROBE
         probe.write_text("")
         probe.unlink()
     except OSError as exc:
@@ -256,7 +265,7 @@ def cmd_run(args) -> int:
 # Aggregation
 
 # What reading a truncated, mistyped or unreadable results file can raise.
-_MALFORMED = (OSError, ValueError, KeyError, TypeError, csv.Error)
+_MALFORMED = (OSError, ValueError, KeyError, TypeError, IndexError, csv.Error)
 
 
 def _seed_cells(method_dir: Path) -> dict[int, Path]:
@@ -266,12 +275,23 @@ def _seed_cells(method_dir: Path) -> dict[int, Path]:
     return dict(sorted((int(s), c) for s, c in seeds if s.isdecimal() and s == str(int(s))))
 
 
+def _final_replay(path: Path, space: SearchSpace, spec: TrainerSpec, phase: int) -> float:
+    """Expected loss of the schedule of the final generation's best agent in the
+    genealogy at `path`, each of its hps held for `phase` steps."""
+    tree = GenealogyTree.load(path)
+    best = tree.best_agent(tree.records[-1].generation)
+    return expected_schedule_loss(spec, [space.to_dict(hp) for hp in tree.schedule(best)], phase)
+
+
 def _load_cells(out: Path, cfg: dict, seeds: list[int]) -> dict[str, dict[int, dict]]:
-    """By method and seed, the final stats and sorted (epochs, val, test) curve
-    points of every written cell; raises when a cell of `seeds` is missing."""
+    """By method and seed, the final stats, the schedule replay on a replayable
+    trainer and the sorted (epochs, val, test) curve points of every written
+    cell; raises when a cell of `seeds` is missing."""
+    space, spec = cfg["_space"], cfg["_trainer_spec"]
     missing = []
     per_method: dict[str, dict[int, dict]] = {}
-    for name, _, _ in cfg["_methods"]:
+    for name, kind, config in cfg["_methods"]:
+        phase = config.t_total if kind == "nonadaptive" else config.t_g
         cells = _seed_cells(out / name)
         missing += [f"{name}/{seed}" for seed in seeds if seed not in cells]
         finals = per_method[name] = {}
@@ -292,6 +312,9 @@ def _load_cells(out: Path, cfg: dict, seeds: list[int]) -> dict[str, dict[int, d
                          float(r["best_seen_test"]))
                         for r in csv.DictReader(fh)
                     )
+                if spec.kind in _REPLAYABLE:
+                    path = cell / "genealogy.ndjson"
+                    finals[seed]["replay"] = _final_replay(path, space, spec, phase)
             except _MALFORMED as exc:
                 raise ConfigError("results", f"malformed {path}: {exc!r}") from None
     if missing:
@@ -336,10 +359,11 @@ def cmd_compare(args) -> int:
             return 0.0
         return float(np.percentile(xs, 75) - np.percentile(xs, 25))
 
+    replayed = cfg["_trainer_spec"].kind in _REPLAYABLE
     summary = []
     for name, finals in per_method.items():
-        stats = {key: [f[key] for f in finals.values()]
-                 for key in ("val", "test", "epochs", "transfers")}
+        stats = {key: [f.get(key) for f in finals.values()]
+                 for key in ("val", "test", "replay", "epochs", "transfers")}
         summary.append(
             {
                 "method": name,
@@ -348,6 +372,8 @@ def cmd_compare(args) -> int:
                 "iqr_val": iqr(stats["val"]),
                 "median_test": float(np.median(stats["test"])),
                 "iqr_test": iqr(stats["test"]),
+                "median_replay": float(np.median(stats["replay"])) if replayed else None,
+                "iqr_replay": iqr(stats["replay"]) if replayed else None,
                 "median_epochs": float(np.median(stats["epochs"])),
                 "median_transfers": float(np.median(stats["transfers"])),
             }
@@ -366,7 +392,7 @@ def cmd_compare(args) -> int:
             win_rates[a][b] = wins / len(pairs)
 
     fields = ("method", "seeds", "median_val", "iqr_val", "median_test", "iqr_test",
-              "median_epochs", "median_transfers")
+              "median_replay", "iqr_replay", "median_epochs", "median_transfers")
     _atomic_write(out / "summary.csv", _csv_text(summary, fields))
     _atomic_write(
         out / "summary.json",

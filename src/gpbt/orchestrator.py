@@ -77,9 +77,10 @@ class DynamicC:
     initial_std: float = 1.0
 
     def __post_init__(self):
-        if self.initial_mean <= 0:
+        # Written so that NaN fails each check.
+        if not self.initial_mean > 0:
             raise ValueError("initial_mean must be positive")
-        if self.initial_std <= 0:
+        if not self.initial_std > 0:
             raise ValueError("initial_std must be positive")
 
 
@@ -92,7 +93,7 @@ class EarlyStopConfig:
     level3: bool = False  # per-child median gate after one iteration
 
     def __post_init__(self):
-        if self.level1_threshold is not None and self.level1_threshold <= 0:
+        if self.level1_threshold is not None and not self.level1_threshold > 0:
             raise ValueError("level1_threshold must be positive")
 
 
@@ -109,12 +110,11 @@ class RunConfig:
     seed_gen0_history: bool = False
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.t_max < 1:
-            raise ValueError("t_max must be >= 1")
-        if self.t_g < 1:
-            raise ValueError("t_g must be >= 1")
+        for name in ("n", "t_max", "t_g"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.history_mode not in HISTORY_MODES:
             raise ValueError(
                 f"history_mode must be one of {', '.join(HISTORY_MODES)}, "
@@ -158,7 +158,7 @@ def plan_generation(n: int, c: float) -> GenerationPlan:
     cases recover p = sqrt(n/c) with sqrt(n*c) children per parent exactly."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if c <= 0:
+    if not c > 0:
         raise ValueError("c must be > 0")
     p = min(max(_parent_count(n, c), 1), n)
     base, extra = divmod(n, p)

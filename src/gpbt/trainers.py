@@ -53,7 +53,9 @@ class TrainerSpec:
             raise ValueError("dim must be >= 1")
         if self.curvatures is not None and len(self.curvatures) != self.dim:
             raise ValueError("curvatures length must equal dim")
-        if self.noise < 0:
+        if not all(map(math.isfinite, (*(self.curvatures or ()), self.r_max))):
+            raise ValueError("curvatures and r_max must be finite")
+        if not self.noise >= 0:  # NaN fails too
             raise ValueError("noise must be >= 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")

@@ -69,6 +69,10 @@ class TestPbt:
             PbtConfig(n=8, t_max=2, truncation=0.75)
         with pytest.raises(ValueError):
             PbtConfig(n=8, t_max=2, truncation=0.0)
+        with pytest.raises(ValueError):
+            PbtConfig(n=8, t_max=2, truncation=math.nan)
+        with pytest.raises(ValueError, match="seed"):
+            PbtConfig(n=8, t_max=2, seed=-1)
 
     def test_deterministic(self):
         a = run_pbt(PbtConfig(n=8, t_max=3, t_g=2, seed=3), space(), trainer())
@@ -110,6 +114,8 @@ class TestNonadaptive:
             NonadaptiveConfig(trials=0, t_total=1)
         with pytest.raises(ValueError):
             NonadaptiveConfig(trials=1, t_total=0)
+        with pytest.raises(ValueError, match="seed"):
+            NonadaptiveConfig(trials=1, t_total=1, seed=-1)
 
 
 class TestPooledAblation:

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from gpbt.cli import main
+from gpbt.trainers import TrainerSpec, expected_schedule_loss
 
 CONFIGS = Path(__file__).resolve().parents[1] / "src" / "gpbt" / "configs"
+DOUBLE = Path(__file__).with_name("trainer_double.py")
 
 
 def tiny_config(tmp_path, **overrides):
@@ -232,7 +234,7 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "name",
         ["../escaped", "a/b", "a\\b", "nul\0", ".", "..", "curves.csv", "summary.csv",
-         "summary.json", "plot_data.csv", "curves.csv.tmp"],
+         "summary.json", "plot_data.csv", "curves.csv.tmp", ".write-probe"],
     )
     def test_method_name_outside_its_cell_exits_2(self, tmp_path, capsys, name):
         # A cell is <out>/<name>/<seed>: the name must be one path component
@@ -400,6 +402,67 @@ class TestCompareCommand:
             err = capsys.readouterr().err
             assert err.startswith("config error: results: malformed") and str(path) in err
         assert not (out / "summary.json").exists()
+
+    def test_replay_matches_reference_from_genealogy(self, tmp_path):
+        # A cell's replay is the expected loss of its final generation's best
+        # schedule, each hp held for t_g steps (t_total for nonadaptive search).
+        cfg = tiny_config(tmp_path, seeds=[0, 1, 2])
+        out = tmp_path / "out"
+        main(["run", str(cfg), "--deterministic", "--out", str(out)])
+        assert main(["compare", str(cfg), "--out", str(out)]) == 0
+        config = json.loads(cfg.read_text())
+        spec = TrainerSpec(**config["trainer"])
+        names = [d["name"] for d in config["space"]]
+        summary = {r["method"]: r for r in json.loads((out / "summary.json").read_text())["summary"]}
+        table = {r["method"]: r for r in read_csv(out / "summary.csv")}
+        for entry in config["methods"]:
+            phase = entry["t_total"] if entry["method"] == "nonadaptive" else entry["t_g"]
+            replays = []
+            for seed in config["seeds"]:
+                lines = (out / entry["name"] / str(seed) / "genealogy.ndjson").read_text()
+                records = {r["id"]: r for r in map(json.loads, lines.splitlines())}
+                last = max(r["generation"] for r in records.values())
+                agent = min((r for r in records.values() if r["generation"] == last),
+                            key=lambda r: (r["val_loss"], r["id"]))
+                schedule = []
+                while agent is not None:
+                    schedule.insert(0, dict(zip(names, agent["hp"])))
+                    agent = records.get(agent["parent"])
+                replays.append(expected_schedule_loss(spec, schedule, phase))
+            row = summary[entry["name"]]
+            assert row["median_replay"] == float(np.median(replays))
+            assert row["iqr_replay"] == float(np.percentile(replays, 75) - np.percentile(replays, 25))
+            assert float(table[entry["name"]]["median_replay"]) == row["median_replay"]
+            assert float(table[entry["name"]]["iqr_replay"]) == row["iqr_replay"]
+
+    @pytest.mark.parametrize("kind", ["weight_sensitive", "external"])
+    def test_replay_null_without_closed_form(self, tmp_path, kind):
+        trainer = {
+            "weight_sensitive": {"kind": "weight_sensitive", "dim": 2, "noise": 0.2},
+            "external": {"kind": "external", "command": [sys.executable, str(DOUBLE), "quad"]},
+        }[kind]
+        cfg = tiny_config(tmp_path, trainer=trainer, seeds=[0])
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--deterministic", "--out", str(out)]) == 0
+        assert main(["compare", str(cfg), "--out", str(out)]) == 0
+        for row in json.loads((out / "summary.json").read_text())["summary"]:
+            assert row["median_replay"] is None and row["iqr_replay"] is None
+        for row in read_csv(out / "summary.csv"):
+            assert row["median_replay"] == row["iqr_replay"] == ""
+
+    def test_malformed_genealogy_exits_2(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path)
+        out = tmp_path / "out"
+        main(["run", str(cfg), "--deterministic", "--out", str(out)])
+        path = out / "pbt" / "1" / "genealogy.ndjson"
+        text = path.read_text()
+        for bad in (text[:-40], ""):  # cut inside its last record, and emptied
+            path.write_text(bad)
+            assert main(["compare", str(cfg), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: results: malformed") and str(path) in err
+        for name in ("summary.csv", "summary.json", "plot_data.csv"):
+            assert not (out / name).exists()
 
 
 class TestEmitPlotData:

@@ -81,6 +81,8 @@ class TestPlanGeneration:
             plan_generation(0, 1.0)
         with pytest.raises(ValueError):
             plan_generation(4, 0.0)
+        with pytest.raises(ValueError):
+            plan_generation(4, math.nan)
 
     def test_valid_c_bounds(self):
         assert valid_c(4, 1.0) and valid_c(4, 4.0) and valid_c(4, 8.0)
@@ -278,6 +280,13 @@ class TestRun:
             run(small_config(c=FixedC(-1.0)), small_space(), small_trainer())
         with pytest.raises(ValueError):
             run(small_config(n=1, c=DynamicC()), small_space(), small_trainer())
+        # NaN fails every range check, and a negative seed fails at construction.
+        for bad in (lambda: DynamicC(initial_mean=math.nan),
+                    lambda: DynamicC(initial_std=math.nan),
+                    lambda: EarlyStopConfig(level1_threshold=math.nan),
+                    lambda: small_config(seed=-1)):
+            with pytest.raises(ValueError):
+                bad()
 
 
 class TestEarlyStopLevels:

@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -6,11 +7,13 @@ from pathlib import Path
 
 import pytest
 
+from gpbt.cli import load_config, main as gpbt_main
+
 ROOT = Path(__file__).resolve().parents[1]
 
 # The `all` line of scripts/digest.py: a change that moves any deterministic
 # output must update this pin and say in CHANGES.md which outputs moved and why.
-DIGEST_ALL = "3b982412ca60193a41736472521bde5bf3beaa4877d12af5d29e73952cf7be8c"
+DIGEST_ALL = "17ce50a4592157a08257b9aa69b7b2771a11c07aaf868de29acd915a525848ae"
 
 
 def run_script(script, *args):
@@ -22,16 +25,21 @@ def run_script(script, *args):
     )
 
 
-@pytest.mark.parametrize(
-    "script,args",
-    [
-        ("benchmark_methods.py", ["--seeds", "1", "--n", "4", "--t-max", "2", "--t-g", "1"]),
-    ],
-    ids=["benchmark_methods"],
-)
-def test_script_runs(script, args):
-    proc = run_script(script, *args)
-    assert proc.returncode == 0, proc.stderr
+@pytest.mark.parametrize("sweep", ["noisy_quadratic", "phase_surrogate", "weight_sensitive"])
+def test_sweep_config_runs(tmp_path, sweep):
+    # Each committed sweep, cut to seed 0, loads, runs and compares through the CLI.
+    cfg = json.loads((ROOT / "scripts" / "sweeps" / f"{sweep}.json").read_text())
+    assert cfg["seeds"] == list(range(40))
+    cfg["seeds"] = [0]
+    path = tmp_path / f"{sweep}.json"
+    path.write_text(json.dumps(cfg))
+    load_config(str(path))
+    out = tmp_path / "out"
+    assert gpbt_main(["run", str(path), "--deterministic", "--out", str(out)]) == 0
+    assert gpbt_main(["compare", str(path), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())["summary"]
+    assert {r["method"] for r in summary} == {m["name"] for m in cfg["methods"]}
+    assert all((r["median_replay"] is None) == (sweep == "weight_sensitive") for r in summary)
 
 
 def test_digest_lists_files_and_result_keys():

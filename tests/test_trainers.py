@@ -58,6 +58,10 @@ class TestInit:
             TrainerSpec(kind="resnet")
         with pytest.raises(ValueError):
             TrainerSpec(curvatures=(1.0,), dim=2)
+        for bad in ({"noise": math.nan}, {"curvatures": (math.nan,), "dim": 1},
+                    {"kind": "weight_sensitive", "r_max": math.nan}):
+            with pytest.raises(ValueError):
+                TrainerSpec(**bad)
 
 
 class TestStep:
