@@ -8,7 +8,6 @@ from .orchestrator import (
     DynamicCState,
     EarlyStopConfig,
     FixedC,
-    GenerationPlan,
     RunConfig,
     RunResult,
     convergence_gate,
@@ -30,7 +29,6 @@ __all__ = [
     "EarlyStopConfig",
     "FixedC",
     "GenealogyTree",
-    "GenerationPlan",
     "History",
     "HpVector",
     "NonadaptiveConfig",

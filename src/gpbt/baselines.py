@@ -92,11 +92,9 @@ def run_pbt(
     tally = Tally(trainer, space, config.seed, progress)
     tree = tally.tree
     agents: list[int] = []  # each agent's latest record id
-    states: dict[int, object] = {}
 
     k = math.ceil(config.truncation * config.n)
     for t in range(config.t_max):
-        tally.start()
         if t == 0:
             slots = [(None, None)] * config.n
         else:
@@ -106,12 +104,11 @@ def run_pbt(
             for i in bottom:
                 src = agents[top[int(rng_algo.integers(0, len(top)))]]
                 slots[i] = (src, _explore(tree.get(src).hp, space, rng_algo))
-        states = tally.grow(t, slots, states, config.t_g,
-                            lambda _: space.sample_uniform(rng_search))
-        agents = list(states)
+        agents = tally.grow(slots, config.t_g, lambda _: space.sample_uniform(rng_search))
         tally.end(t)
 
-    return tally.result([1] + [k] * (config.t_max - 1))  # the initial model, then k copies
+    ledger = [1] + [k] * (config.t_max - 1)  # the initial model, then k copies
+    return RunResult(tree, tally.curves, tally.epochs, ledger)
 
 
 def run_nonadaptive(
@@ -131,8 +128,7 @@ def run_nonadaptive(
         return suggest(config.searcher, space, history, rng_search)
 
     for kth in range(config.trials):
-        tally.start()
-        tally.grow(0, [(None, None)], {}, config.t_total, propose)
+        tally.grow([(None, None)], config.t_total, propose)
         tally.end(kth)
 
-    return tally.result([1])
+    return RunResult(tally.tree, tally.curves, tally.epochs, [1])

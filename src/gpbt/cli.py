@@ -8,7 +8,8 @@ Results layout: `run` writes <out>/<method>/<seed>/{result.json,
 genealogy.ndjson, curves.csv} plus a combined <out>/curves.csv of the last
 invocation; `compare` reads every seed cell on disk of the config's methods
 (each cell's genealogy.ndjson too when the trainer's expected loss has a
-closed form, to replay its final schedule) and writes <out>/{summary.csv,
+closed form, to replay its final schedule), refuses any cell that ran under
+another space, trainer or method config, and writes <out>/{summary.csv,
 summary.json, plot_data.csv}.
 """
 
@@ -209,19 +210,23 @@ def _csv_text(rows: list[dict], fields: tuple[str, ...]) -> str:
     return buf.getvalue()
 
 
+def _run_config(config) -> dict:
+    """A method config as result.json's `run_config` holds it."""
+    return config.as_dict() if isinstance(config, RunConfig) else dataclasses.asdict(config)
+
+
 def _write_cell(out: Path, name: str, seed: int, config, result: RunResult,
                 cfg_echo: dict, deterministic: bool) -> list[dict]:
     cell = out / name / str(seed)
     cell.mkdir(parents=True, exist_ok=True)
+    best = result.best_agent
     payload = {
         "method": name,
         "seed": seed,
         "config": cfg_echo,
-        "run_config": (
-            config.as_dict() if isinstance(config, RunConfig) else dataclasses.asdict(config)
-        ),
-        "best_agent": result.best_agent,
-        "best_schedule": [list(hp) for hp in result.best_schedule],
+        "run_config": _run_config(config),
+        "best_agent": best,
+        "best_schedule": [list(hp) for hp in result.tree.schedule(best)],
         "final_best_val": result.final_best_val,
         "final_best_test": result.final_best_test,
         "total_epochs": result.total_epochs,
@@ -275,23 +280,27 @@ def _seed_cells(method_dir: Path) -> dict[int, Path]:
     return dict(sorted((int(s), c) for s, c in seeds if s.isdecimal() and s == str(int(s))))
 
 
-def _final_replay(path: Path, space: SearchSpace, spec: TrainerSpec, phase: int) -> float:
+def _final_replay(path: Path, space: SearchSpace, spec: TrainerSpec) -> float:
     """Expected loss of the schedule of the final generation's best agent in the
-    genealogy at `path`, each of its hps held for `phase` steps."""
+    genealogy at `path`, each of its hps held for the steps its record trained."""
     tree = GenealogyTree.load(path)
     best = tree.best_agent(tree.records[-1].generation)
-    return expected_schedule_loss(spec, [space.to_dict(hp) for hp in tree.schedule(best)], phase)
+    chain = [tree.get(a) for a in tree.ancestry(best)]
+    return expected_schedule_loss(
+        spec, [space.to_dict(r.hp) for r in chain], [r.epochs_trained for r in chain]
+    )
 
 
 def _load_cells(out: Path, cfg: dict, seeds: list[int]) -> dict[str, dict[int, dict]]:
     """By method and seed, the final stats, the schedule replay on a replayable
     trainer and the sorted (epochs, val, test) curve points of every written
-    cell; raises when a cell of `seeds` is missing."""
+    cell; raises when a cell of `seeds` is missing, or when a cell's
+    result.json says it ran under another space, trainer or method config
+    than `cfg` gives its seed."""
     space, spec = cfg["_space"], cfg["_trainer_spec"]
     missing = []
     per_method: dict[str, dict[int, dict]] = {}
-    for name, kind, config in cfg["_methods"]:
-        phase = config.t_total if kind == "nonadaptive" else config.t_g
+    for name, _, config in cfg["_methods"]:
         cells = _seed_cells(out / name)
         missing += [f"{name}/{seed}" for seed in seeds if seed not in cells]
         finals = per_method[name] = {}
@@ -299,6 +308,18 @@ def _load_cells(out: Path, cfg: dict, seeds: list[int]) -> dict[str, dict[int, d
             path = cell / "result.json"
             try:
                 data = json.loads(path.read_text(encoding="utf-8"))
+                ran = {"space": SearchSpace.from_config(data["config"]["space"]).dims,
+                       "trainer": build(TrainerSpec, data["config"]["trainer"], "trainer"),
+                       "run_config": data["run_config"]}
+            except _MALFORMED as exc:
+                raise ConfigError("results", f"malformed {path}: {exc!r}") from None
+            # Through JSON, as result.json holds it: tuples become lists.
+            method = json.loads(json.dumps(_run_config(dataclasses.replace(config, seed=seed))))
+            expected = {"space": space.dims, "trainer": spec, "run_config": method}
+            differs = " and ".join(part for part in expected if ran[part] != expected[part])
+            if differs:
+                raise ConfigError("results", f"{cell} ran under another {differs} than this config")
+            try:
                 finals[seed] = {
                     "val": float(data["final_best_val"]),
                     "test": float(data["final_best_test"]),
@@ -314,7 +335,7 @@ def _load_cells(out: Path, cfg: dict, seeds: list[int]) -> dict[str, dict[int, d
                     )
                 if spec.kind in _REPLAYABLE:
                     path = cell / "genealogy.ndjson"
-                    finals[seed]["replay"] = _final_replay(path, space, spec, phase)
+                    finals[seed]["replay"] = _final_replay(path, space, spec)
             except _MALFORMED as exc:
                 raise ConfigError("results", f"malformed {path}: {exc!r}") from None
     if missing:

@@ -55,23 +55,15 @@ class GenealogyTree:
     def record_child(
         self,
         parent: int | None,
-        generation: int,
         hp: HpVector,
         val_loss: float,
         test_loss: float,
         epochs_trained: int,
         early_stopped: bool,
     ) -> int:
-        if parent is None:
-            if generation != 0:
-                raise ValueError("only generation-0 children may have no parent")
-        else:
-            rec = self.get(parent)
-            if rec.generation != generation - 1:
-                raise ValueError(
-                    f"parent {parent} (generation {rec.generation}) cannot have a "
-                    f"generation-{generation} child"
-                )
+        """Append a child of `parent` (None for the root); its generation is
+        0 under the root and otherwise one past the parent's."""
+        generation = 0 if parent is None else self.get(parent).generation + 1
         if epochs_trained < 1:
             raise ValueError("epochs_trained must be >= 1")
         for name, loss in (("val_loss", val_loss), ("test_loss", test_loss)):
@@ -163,13 +155,15 @@ class GenealogyTree:
         for rec in records:
             if rec["id"] != len(tree._records):
                 raise ValueError(f"non-contiguous record id {rec['id']}")
-            tree.record_child(
+            cid = tree.record_child(
                 parent=rec["parent"],
-                generation=rec["generation"],
                 hp=tuple(rec["hp"]),
                 val_loss=rec["val_loss"],
                 test_loss=rec["test_loss"],
                 epochs_trained=rec["epochs_trained"],
                 early_stopped=rec["early_stopped"],
             )
+            if tree._records[cid].generation != rec["generation"]:
+                raise ValueError(f"record {cid} has generation {rec['generation']}, "
+                                 "not its parent's + 1")
         return tree

@@ -9,9 +9,9 @@ the virtual root, and each of its children starts from a fresh trainer state.
 
 Runs are sequential and bit-reproducible given the seed: parents are visited
 best first, each parent's children in creation order. `Tally` is the one
-child path (training, recording, epochs, best-seen values, curves, result)
-shared with the baselines: a parent's last child trains the parent's state
-itself, and only its earlier children train forks of it.
+child path (training, recording, live states, epochs, best-seen values,
+curves) shared with the baselines: a parent's last child trains the parent's
+state itself, and only its earlier children train forks of it.
 """
 
 from __future__ import annotations
@@ -146,23 +146,17 @@ def _parent_count(n: int, c: float) -> int:
 # Population arithmetic and selection
 
 
-@dataclass(frozen=True)
-class GenerationPlan:
-    parents: int
-    children_per_parent: tuple[int, ...]  # rank order; remainder goes to the best
-
-
-def plan_generation(n: int, c: float) -> GenerationPlan:
-    """Parents p = round(sqrt(n/c)) clamped to [1, n]; children split n evenly,
-    the remainder going one each to the best-ranked parents. Perfect-square
-    cases recover p = sqrt(n/c) with sqrt(n*c) children per parent exactly."""
+def plan_generation(n: int, c: float) -> tuple[int, ...]:
+    """Each parent's child count, best-ranked first: p = round(sqrt(n/c))
+    parents clamped to [1, n] split n evenly, the remainder going one each to
+    the best. Perfect squares give sqrt(n*c) children to each of sqrt(n/c)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not c > 0:
         raise ValueError("c must be > 0")
     p = min(max(_parent_count(n, c), 1), n)
     base, extra = divmod(n, p)
-    return GenerationPlan(p, tuple(base + 1 if i < extra else base for i in range(p)))
+    return tuple(base + 1 if i < extra else base for i in range(p))
 
 
 def select_parents(results: Sequence[tuple[int, float]], p: int) -> list[int]:
@@ -248,13 +242,23 @@ ProgressFn = Callable[[CurvePoint], None]
 
 @dataclass
 class RunResult:
-    best_agent: int
-    best_schedule: list[HpVector]
+    """A run's genealogy, curves, epoch total, transfer ledger and dynamic-c
+    trace; the best agent and its schedule are read from the tree."""
+
+    tree: GenealogyTree
     curves: list[CurvePoint]
     total_epochs: int
     transfer_ledger: list[int]
-    tree: GenealogyTree
     dynamic_c_trace: list[dict] | None = None
+
+    @property
+    def best_agent(self) -> int:
+        """The id of the lowest (val_loss, id) record."""
+        return min(self.tree.records, key=lambda r: (r.val_loss, r.id)).id
+
+    @property
+    def best_schedule(self) -> list[HpVector]:
+        return self.tree.schedule(self.best_agent)
 
     @property
     def final_best_val(self) -> float:
@@ -267,10 +271,11 @@ class RunResult:
 
 class Tally:
     """Bookkeeping shared by every loop: the one child path (`grow`), which
-    trains each child and records it in the genealogy tree, the searchers'
-    unit-space view of the records, the epoch total, best-seen val/test, one
-    curve point per generation (or trial), the progress callback, and the
-    final RunResult. Root slots init from the run seed `seed`."""
+    trains each child and records it in the genealogy tree, the model states
+    of the last call's children, the searchers' unit-space view of the
+    records, the epoch total, best-seen val/test, and one curve point per
+    generation (or trial) with the progress callback. Root slots init from
+    the run seed `seed`."""
 
     def __init__(self, trainer: Trainer, space: SearchSpace, seed: int,
                  progress: ProgressFn | None):
@@ -285,27 +290,24 @@ class Tally:
         self.epochs = 0
         self.best_val = math.inf
         self.best_test = math.inf
+        self._states: dict[int, object] = {}  # the last grow's children by id
         self._progress = progress
         self._t_start = time.perf_counter()
 
-    def start(self) -> None:
-        """Begin timing the next curve point; construction starts the first."""
-        self._t_start = time.perf_counter()
-
-    def grow(self, generation: int, slots: Sequence[tuple[int | None, HpVector | None]],
-             states: dict[int, object], iters: int, propose: Callable[[int | None], HpVector],
-             early: list[float] | None = None) -> dict[int, object]:
+    def grow(self, slots: Sequence[tuple[int | None, HpVector | None]], iters: int,
+             propose: Callable[[int | None], HpVector],
+             early: list[float] | None = None) -> list[int]:
         """Train, evaluate and record one child per (parent, hp) slot, in
-        order, for `iters` iterations; return the children's states by id.
+        order, for `iters` iterations; keep their states and return their ids.
 
         A root slot (parent None) inits a state seeded by the record count. A
-        parent's last slot takes its state out of `states`; its earlier slots
-        train forks of it. An hp of None is `propose(parent)`, asked just
-        before the child trains. With a level-3 ledger of this generation's
-        first-iteration losses, a child is evaluated after one iteration and
-        stops there if the median gate says so; without one it trains
-        through in one trainer call."""
-        trainer, space, tree = self.trainer, self.space, self.tree
+        parent (a child of the previous call) hands its state to its last
+        slot; its earlier slots train forks of it. An hp of None is
+        `propose(parent)`, asked just before the child trains. With a level-3
+        ledger of this generation's first-iteration losses, a child is
+        evaluated after one iteration and stops there if the median gate says
+        so; without one it trains through in one trainer call."""
+        trainer, space, tree, states = self.trainer, self.space, self.tree, self._states
         last = {pid: k for k, (pid, _) in enumerate(slots)}
         children: dict[int, object] = {}
         for k, (pid, hp) in enumerate(slots):
@@ -330,7 +332,7 @@ class Tally:
                     val, test = trainer.evaluate(state)
                     done = iters
             u = space.to_unit(hp)
-            cid = tree.record_child(pid, generation, hp, val, test, done, stopped)
+            cid = tree.record_child(pid, hp, val, test, done, stopped)
             if cid == self._loss.shape[0]:
                 self._u = np.concatenate([self._u, np.empty_like(self._u)])
                 self._loss = np.concatenate([self._loss, np.empty_like(self._loss)])
@@ -339,7 +341,8 @@ class Tally:
             if val < self.best_val:
                 self.best_val, self.best_test = val, test
             children[cid] = state
-        return children
+        self._states = children
+        return list(children)
 
     def history(self, ids: list[int]) -> History:
         """The searcher history of the records `ids`, in the order given."""
@@ -347,26 +350,14 @@ class Tally:
         return History(self._u.take(rows, axis=0), self._loss.take(rows))
 
     def end(self, generation: int) -> None:
-        """Append the curve point timed since `start` and report it as progress."""
+        """Append the curve point timed since the previous one (the first since
+        construction), report it as progress, and start timing the next."""
         point = CurvePoint(generation, self.epochs, self.best_val, self.best_test,
                            (time.perf_counter() - self._t_start) * 1000.0)
         self.curves.append(point)
         if self._progress is not None:
             self._progress(point)
-
-    def result(self, transfer_ledger: list[int],
-               dynamic_c_trace: list[dict] | None = None) -> RunResult:
-        """The best agent (ties to the lower id), its schedule, and the curves."""
-        best = min(self.tree.records, key=lambda r: (r.val_loss, r.id)).id
-        return RunResult(
-            best_agent=best,
-            best_schedule=self.tree.schedule(best),
-            curves=self.curves,
-            total_epochs=self.epochs,
-            transfer_ledger=transfer_ledger,
-            tree=self.tree,
-            dynamic_c_trace=dynamic_c_trace,
-        )
+        self._t_start = time.perf_counter()
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +380,6 @@ def run(
 
     tally = Tally(trainer, space, config.seed, progress)
     tree = tally.tree
-    states: dict[int, object] = {}
     ledger: list[int] = []
     dyn_cfg = config.c if isinstance(config.c, DynamicC) else None
     dyn_state = DynamicCState(dyn_cfg.initial_mean, dyn_cfg.initial_std) if dyn_cfg else None
@@ -400,7 +390,6 @@ def run(
             [p.best_seen_val for p in tally.curves], es.level1_threshold, LEVEL1_WINDOW
         ):
             break
-        tally.start()
         prev_results = [(r.id, r.val_loss) for r in tree.generation_records(t - 1)]
 
         # After generation 0 (n root slots), the generation as (size, c)
@@ -420,9 +409,8 @@ def run(
         # parent's children in creation order.
         slots = [(None, None)] * config.n if t == 0 else []
         for size, c in groups:
-            plan = plan_generation(size, c)
-            for pid, count in zip(select_parents(prev_results, plan.parents),
-                                  plan.children_per_parent):
+            counts = plan_generation(size, c)
+            for pid, count in zip(select_parents(prev_results, len(counts)), counts):
                 slots += [(pid, None)] * count
         roots = t == 1 and config.seed_gen0_history
 
@@ -430,11 +418,11 @@ def run(
             history = tally.history(tree.lineage_history(pid, config.history_mode, roots))
             return suggest(config.searcher, space, history, rng_search)
 
-        states = tally.grow(t, slots, states, config.t_g, propose, [] if gate3 else None)
+        children = tally.grow(slots, config.t_g, propose, [] if gate3 else None)
 
         if dyn_cfg is not None and t > 0:
             (n_a, c_a), (_, c_b) = groups
-            vals = [tree.get(cid).val_loss for cid in states]
+            vals = [tree.get(cid).val_loss for cid in children]
             winner = c_a if min(vals[:n_a]) <= min(vals[n_a:]) else c_b
             dyn_state = update_dynamic_c(dyn_state, winner, config.n)
             dyn_trace.append(
@@ -453,4 +441,4 @@ def run(
         ledger.append(len(tree.parents_of(t)) or 1)
         tally.end(t)
 
-    return tally.result(ledger, dyn_trace)
+    return RunResult(tree, tally.curves, tally.epochs, ledger, dyn_trace)

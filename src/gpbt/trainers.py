@@ -266,13 +266,13 @@ def expected_final_loss(
 def expected_schedule_loss(
     spec: TrainerSpec,
     schedule: Sequence[Mapping[str, float]],
-    t_g: int,
+    steps: Sequence[int],
     v0: np.ndarray | None = None,
 ) -> float:
-    """Expected loss of a per-generation hp schedule, each phase lasting t_g steps."""
+    """Expected loss of a per-generation hp schedule, phase k lasting steps[k] steps."""
     rates: list[float] = []
-    for hp in schedule:
-        rates.extend([float(hp.get(LR_NAME, 0.0))] * t_g)
+    for hp, k in zip(schedule, steps, strict=True):
+        rates.extend([float(hp.get(LR_NAME, 0.0))] * k)
     return expected_final_loss(spec, rates, v0=v0)
 
 
@@ -299,7 +299,7 @@ def brute_force_schedule(
     best_schedule = None
     best_loss = math.inf
     for schedule in itertools.product(hp_grid, repeat=t_max):
-        loss = expected_schedule_loss(spec, schedule, t_g, v0=v0)
+        loss = expected_schedule_loss(spec, schedule, (t_g,) * t_max, v0=v0)
         if loss < best_loss:
             best_loss = loss
             best_schedule = schedule

@@ -151,7 +151,7 @@ class TestCSensitivity:
         def replay(res):
             last = max(r.generation for r in res.tree.records)
             sched = [sp.to_dict(hp) for hp in res.tree.schedule(res.tree.best_agent(last))]
-            return expected_schedule_loss(spec, sched, t_g=5)
+            return expected_schedule_loss(spec, sched, [5] * len(sched))
 
         medians = {}
         for c in (0.5, 1.0, 2.0, 4.0, 8.0):

@@ -54,6 +54,28 @@ def tiny_config(tmp_path, **overrides):
     return path
 
 
+def final_chain(cell):
+    """The root-first records of the final generation's best agent, read from
+    the raw lines of the cell's genealogy.ndjson."""
+    lines = (cell / "genealogy.ndjson").read_text()
+    records = {r["id"]: r for r in map(json.loads, lines.splitlines())}
+    last = max(r["generation"] for r in records.values())
+    agent = min((r for r in records.values() if r["generation"] == last),
+                key=lambda r: (r["val_loss"], r["id"]))
+    chain = []
+    while agent is not None:
+        chain.insert(0, agent)
+        agent = records.get(agent["parent"])
+    return chain
+
+
+def replay_reference(chain, spec, names, phase=None):
+    """Expected loss of the chain's schedule, each hp held for its record's
+    epochs_trained (or for `phase` steps)."""
+    steps = [phase or r["epochs_trained"] for r in chain]
+    return expected_schedule_loss(spec, [dict(zip(names, r["hp"])) for r in chain], steps)
+
+
 def read_csv(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
@@ -405,7 +427,7 @@ class TestCompareCommand:
 
     def test_replay_matches_reference_from_genealogy(self, tmp_path):
         # A cell's replay is the expected loss of its final generation's best
-        # schedule, each hp held for t_g steps (t_total for nonadaptive search).
+        # schedule, each hp held for the steps its record trained.
         cfg = tiny_config(tmp_path, seeds=[0, 1, 2])
         out = tmp_path / "out"
         main(["run", str(cfg), "--deterministic", "--out", str(out)])
@@ -416,24 +438,32 @@ class TestCompareCommand:
         summary = {r["method"]: r for r in json.loads((out / "summary.json").read_text())["summary"]}
         table = {r["method"]: r for r in read_csv(out / "summary.csv")}
         for entry in config["methods"]:
-            phase = entry["t_total"] if entry["method"] == "nonadaptive" else entry["t_g"]
-            replays = []
-            for seed in config["seeds"]:
-                lines = (out / entry["name"] / str(seed) / "genealogy.ndjson").read_text()
-                records = {r["id"]: r for r in map(json.loads, lines.splitlines())}
-                last = max(r["generation"] for r in records.values())
-                agent = min((r for r in records.values() if r["generation"] == last),
-                            key=lambda r: (r["val_loss"], r["id"]))
-                schedule = []
-                while agent is not None:
-                    schedule.insert(0, dict(zip(names, agent["hp"])))
-                    agent = records.get(agent["parent"])
-                replays.append(expected_schedule_loss(spec, schedule, phase))
+            replays = [replay_reference(final_chain(out / entry["name"] / str(seed)), spec, names)
+                       for seed in config["seeds"]]
             row = summary[entry["name"]]
             assert row["median_replay"] == float(np.median(replays))
             assert row["iqr_replay"] == float(np.percentile(replays, 75) - np.percentile(replays, 25))
             assert float(table[entry["name"]]["median_replay"]) == row["median_replay"]
             assert float(table[entry["name"]]["iqr_replay"]) == row["iqr_replay"]
+
+    def test_replay_holds_stopped_ancestors_for_their_steps(self, tmp_path):
+        # Under the level-3 gate, seed 4's final best descends from a child
+        # stopped after 1 of t_g=2 steps; its replay holds that hp for 1 step.
+        method = {"name": "levels", "method": "gpbt", "n": 6, "t_max": 3, "t_g": 2, "c": 1.5,
+                  "searcher": {"kind": "random"}, "early_stop": {"level3": True}}
+        cfg = tiny_config(tmp_path, seeds=[4], methods=[method])
+        out = tmp_path / "out"
+        main(["run", str(cfg), "--deterministic", "--out", str(out)])
+        assert main(["compare", str(cfg), "--out", str(out)]) == 0
+        config = json.loads(cfg.read_text())
+        spec = TrainerSpec(**config["trainer"])
+        names = [d["name"] for d in config["space"]]
+        chain = final_chain(out / "levels" / "4")
+        assert any(r["early_stopped"] for r in chain)
+        per_record = replay_reference(chain, spec, names)
+        fixed = replay_reference(chain, spec, names, phase=2)
+        (row,) = json.loads((out / "summary.json").read_text())["summary"]
+        assert row["median_replay"] == per_record != fixed
 
     @pytest.mark.parametrize("kind", ["weight_sensitive", "external"])
     def test_replay_null_without_closed_form(self, tmp_path, kind):
@@ -463,6 +493,37 @@ class TestCompareCommand:
             assert err.startswith("config error: results: malformed") and str(path) in err
         for name in ("summary.csv", "summary.json", "plot_data.csv"):
             assert not (out / name).exists()
+
+    def test_cell_run_under_another_config_exits_2(self, tmp_path, capsys):
+        # t_g and the trainer's noise edited between run and compare: the
+        # cells replay under a schedule and a trainer they never ran with.
+        method = {"name": "gpbt", "method": "gpbt", "n": 8, "t_max": 3, "t_g": 3}
+        trainer = {"kind": "noisy_quadratic", "dim": 3, "noise": 0.25}
+        cfg = tiny_config(tmp_path, seeds=[0, 1, 2], trainer=trainer, methods=[method])
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--deterministic", "--out", str(out)]) == 0
+        tiny_config(tmp_path, seeds=[0, 1, 2], trainer={**trainer, "noise": 0.0},
+                    methods=[{**method, "t_g": 1}])
+        assert main(["compare", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: results: ") and "malformed" not in err
+        assert str(out / "gpbt" / "0") in err and "trainer and run_config" in err
+        for name in ("summary.csv", "summary.json", "plot_data.csv"):
+            assert not (out / name).exists()
+
+    def test_config_spelling_out_defaults_still_compares(self, tmp_path):
+        cfg = tiny_config(tmp_path)
+        out = tmp_path / "out"
+        main(["run", str(cfg), "--deterministic", "--out", str(out)])
+        config = json.loads(cfg.read_text())
+        del config["space"][1]["scale"]  # "linear", the default, left out
+        config["trainer"].update(r_max=1, timeout=300.0, command=[])
+        gpbt, pbt, _ = config["methods"]
+        gpbt.update(history_mode="sibling_only", early_stop={"level3": False},
+                    seed_gen0_history=False)
+        pbt.update(truncation=0.25)
+        cfg.write_text(json.dumps(config))
+        assert main(["compare", str(cfg), "--out", str(out)]) == 0
 
 
 class TestEmitPlotData:

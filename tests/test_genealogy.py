@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,14 +9,14 @@ from gpbt.space import Dimension, SearchSpace
 from gpbt.trainers import TrainerSpec, make_trainer
 
 
-def record(tree, parent, generation, hp=(0.5,), val=1.0, test=1.1, epochs=1, stopped=False):
-    return tree.record_child(parent, generation, hp, val, test, epochs, stopped)
+def record(tree, parent, hp=(0.5,), val=1.0, test=1.1, epochs=1, stopped=False):
+    return tree.record_child(parent, hp, val, test, epochs, stopped)
 
 
 def generation_zero(n=4):
     tree = GenealogyTree()
     for k in range(n):
-        record(tree, None, 0, hp=(0.1 * k,), val=float(k))
+        record(tree, None, hp=(0.1 * k,), val=float(k))
     return tree
 
 
@@ -27,7 +29,7 @@ def build_two_by_two(generations=3, n=4):
         new = []
         for p in parents:
             for j in range(2):
-                cid = record(tree, p, g, hp=(0.001 * len(tree),), val=float(g + j))
+                cid = record(tree, p, hp=(0.001 * len(tree),), val=float(g + j))
                 new.append(cid)
         prev = new
     return tree
@@ -36,7 +38,7 @@ def build_two_by_two(generations=3, n=4):
 class TestRecordChild:
     def test_first_record(self):
         tree = GenealogyTree()
-        cid = record(tree, None, 0)
+        cid = record(tree, None)
         rec = tree.get(cid)
         assert cid == 0 and rec.parent is None and rec.generation == 0
 
@@ -50,20 +52,27 @@ class TestRecordChild:
         tree = generation_zero(4)
         assert tree.parents_of(0) == () and tree.parents_of(1) == ()
         for parent in (2, 0, 2):
-            record(tree, parent, 1)
+            record(tree, parent)
         assert tree.parents_of(1) == (0, 2)  # distinct, in id order
         assert tree.parents_of(2) == ()
 
-    def test_generation_mismatch_rejected(self):
-        tree = build_two_by_two(2)
-        with pytest.raises(ValueError):
-            record(tree, 0, 2)  # a generation-0 agent cannot parent generation 2
-        assert len(tree) == 8 and tree.parents_of(2) == ()
+    def test_generation_mismatch_rejected(self, tmp_path):
+        # A child is one generation past its parent, so a file record that
+        # states another generation is rejected on load.
+        records = [json.loads(line) for line in build_two_by_two(2).to_lines()]
+        records[5]["generation"] = 2
+        path = tmp_path / "tree.ndjson"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        with pytest.raises(ValueError, match="record 5 has generation 2"):
+            GenealogyTree.load(path)
 
-    def test_nonzero_generation_needs_parent(self):
-        tree = GenealogyTree()
-        with pytest.raises(ValueError):
-            record(tree, None, 1)
+    def test_nonzero_generation_needs_parent(self, tmp_path):
+        records = [json.loads(line) for line in generation_zero(2).to_lines()]
+        records[1]["generation"] = 1
+        path = tmp_path / "tree.ndjson"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        with pytest.raises(ValueError, match="record 1 has generation 1"):
+            GenealogyTree.load(path)
 
     def test_ids_are_sequential(self):
         tree = build_two_by_two(3)
@@ -72,12 +81,12 @@ class TestRecordChild:
     def test_non_finite_loss_rejected(self):
         tree = generation_zero(2)
         with pytest.raises(ValueError):
-            record(tree, None, 0, val=float("nan"))
+            record(tree, None, val=float("nan"))
         with pytest.raises(ValueError, match="finite"):
-            record(tree, None, 0, val=float("inf"))
+            record(tree, None, val=float("inf"))
         for test in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match="test_loss must be finite"):
-                record(tree, None, 0, test=test)
+                record(tree, None, test=test)
         assert len(tree) == 2 and tree.lineage_history(None, "pooled", False) == [0, 1]
 
 
@@ -88,11 +97,11 @@ class TestAncestry:
 
     def test_chain(self):
         tree = GenealogyTree()
-        record(tree, None, 0, val=0.0)  # id 0
+        record(tree, None, val=0.0)  # id 0
         for k in range(5):
-            record(tree, None, 0, val=float(k + 1))
-        record(tree, 0, 1)  # id 6
-        cid = record(tree, 6, 2)
+            record(tree, None, val=float(k + 1))
+        record(tree, 0)  # id 6
+        cid = record(tree, 6)
         assert tree.ancestry(cid) == [0, 6, cid]
 
     def test_length_matches_generation(self):
@@ -107,17 +116,17 @@ class TestLineageHistory:
     def test_sibling_only_sees_own_children_so_far(self):
         tree = generation_zero()
         assert tree.lineage_history(0, "sibling_only", False) == []
-        a = record(tree, 0, 1, hp=(0.9,), val=0.5)
+        a = record(tree, 0, hp=(0.9,), val=0.5)
         assert tree.lineage_history(0, "sibling_only", False) == [a]
         assert tree.lineage_history(1, "sibling_only", False) == []
-        b = record(tree, 1, 1, hp=(0.8,), val=0.4)
+        b = record(tree, 1, hp=(0.8,), val=0.4)
         assert tree.lineage_history(0, "sibling_only", False) == [a]
         assert tree.lineage_history(1, "sibling_only", False) == [b]
 
     def test_sibling_only_roots_prepends_generation_zero(self):
         tree = generation_zero()
-        a = record(tree, 0, 1, hp=(0.9,), val=0.5)
-        record(tree, 1, 1, hp=(0.8,), val=0.4)
+        a = record(tree, 0, hp=(0.9,), val=0.5)
+        record(tree, 1, hp=(0.8,), val=0.4)
         hist = tree.lineage_history(0, "sibling_only", True)
         assert hist == [0, 1, 2, 3, a]
 
@@ -130,10 +139,10 @@ class TestLineageHistory:
         # n=4 generation-0 children, then 1 evaluated sibling -> 5 observations
         tree = generation_zero()
         assert tree.lineage_history(0, "time_enriched", False) == [0, 1, 2, 3]
-        a = record(tree, 0, 1, hp=(0.7,), val=0.3)
+        a = record(tree, 0, hp=(0.7,), val=0.3)
         hist = tree.lineage_history(0, "time_enriched", False)
         assert hist == [0, 1, 2, 3, a]
-        record(tree, 1, 1, hp=(0.6,), val=0.2)  # the other lineage's child stays out
+        record(tree, 1, hp=(0.6,), val=0.2)  # the other lineage's child stays out
         assert tree.lineage_history(0, "time_enriched", False) == hist
 
     def test_time_enriched_three_generations(self):
@@ -142,8 +151,8 @@ class TestLineageHistory:
         tree = build_two_by_two(2)  # generation 1: ids 4, 5 under 0; ids 6, 7 under 1
         hist = tree.lineage_history(4, "time_enriched", False)
         assert hist == [0, 1, 2, 3, 4, 5]
-        record(tree, 4, 2, hp=(0.01,), val=0.5)
-        record(tree, 6, 2, hp=(0.02,), val=0.5)
+        record(tree, 4, hp=(0.01,), val=0.5)
+        record(tree, 6, hp=(0.02,), val=0.5)
         assert tree.lineage_history(6, "time_enriched", False) == [0, 1, 2, 3, 6, 7, 9]
 
     def test_time_enriched_excludes_other_branches(self):
@@ -189,7 +198,7 @@ class TestScheduleAndBest:
     def test_best_agent_tie_goes_to_lower_id(self):
         tree = GenealogyTree()
         for val in (0.5, 0.2, 0.2, 0.9):
-            record(tree, None, 0, val=val)
+            record(tree, None, val=val)
         assert tree.best_agent(0) == 1
 
     def test_best_agent_matches_linear_scan(self):
@@ -197,7 +206,7 @@ class TestScheduleAndBest:
         tree = GenealogyTree()
         vals = rng.random(30)
         for v in vals:
-            record(tree, None, 0, val=float(v))
+            record(tree, None, val=float(v))
         oracle = min(range(30), key=lambda i: (vals[i], i))
         assert tree.best_agent(0) == oracle
 
@@ -226,8 +235,6 @@ class TestSerialization:
             assert result.tree.parents_of(g) == loaded.parents_of(g) == tuple(sorted(parents))
 
     def test_lines_are_json_objects(self):
-        import json
-
         tree = build_two_by_two(2)
         for line in tree.to_lines():
             rec = json.loads(line)

@@ -14,7 +14,6 @@ from gpbt.orchestrator import (
     DynamicCState,
     EarlyStopConfig,
     FixedC,
-    GenerationPlan,
     RunConfig,
     convergence_gate,
     median_gate,
@@ -61,20 +60,19 @@ class TestPlanGeneration:
         ],
     )
     def test_square_population_shapes(self, n, c, parents, children):
-        plan = plan_generation(n, c)
-        assert plan == GenerationPlan(parents, children)
+        counts = plan_generation(n, c)
+        assert len(counts) == parents and counts == children
 
     def test_remainder_goes_to_best_parents(self):
-        plan = plan_generation(10, 1.0)  # 3 parents
-        assert plan.children_per_parent == (4, 3, 3)
+        assert plan_generation(10, 1.0) == (4, 3, 3)  # 3 parents
 
     @given(st.integers(1, 200), st.sampled_from([0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0]))
     @settings(max_examples=300)
     def test_children_always_sum_to_n(self, n, c):
-        plan = plan_generation(n, c)
-        assert sum(plan.children_per_parent) == n
-        assert 1 <= plan.parents <= n
-        assert all(k >= 1 for k in plan.children_per_parent)
+        counts = plan_generation(n, c)
+        assert sum(counts) == n
+        assert 1 <= len(counts) <= n
+        assert all(k >= 1 for k in counts)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -522,6 +520,9 @@ class TestTally:
         vals = [p.best_seen_val for p in result.curves]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
         assert result.final_best_val == min(r.val_loss for r in records)
+        best = min(records, key=lambda r: (r.val_loss, r.id))
+        assert result.best_agent == best.id
+        assert result.best_schedule == [tree.get(a).hp for a in tree.ancestry(best.id)]
         for r in records:
             lineage = [tree.get(a) for a in tree.ancestry(r.id)]
             assert r.val_loss == float(sum(Fraction(a.hp[0]) * a.epochs_trained for a in lineage))
@@ -545,10 +546,10 @@ class TestTally:
             trace = {d["generation"]: d for d in result.dynamic_c_trace or []}
             for t in sorted(parents)[1:]:
                 if isinstance(config.c, FixedC):
-                    p = plan_generation(n, config.c.c).parents
+                    p = len(plan_generation(n, config.c.c))
                 else:
-                    p = max(plan_generation(n // 2, trace[t]["c_a"]).parents,
-                            plan_generation(n - n // 2, trace[t]["c_b"]).parents)
+                    p = max(len(plan_generation(n // 2, trace[t]["c_a"])),
+                            len(plan_generation(n - n // 2, trace[t]["c_b"])))
                 ranked = sorted(tree.generation_records(t - 1), key=lambda r: (r.val_loss, r.id))
                 assert tree.parents_of(t) == tuple(sorted(r.id for r in ranked[:p]))
                 assert result.transfer_ledger[t] == p

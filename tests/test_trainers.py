@@ -251,7 +251,7 @@ class TestBruteForceOracle:
         # any schedule containing a unit-rate step reaches exactly zero
         assert loss == 0.0
         assert any(s["lr"] == 1.0 for s in schedule)
-        assert expected_schedule_loss(spec, ({"lr": 1.0},) * 3, t_g=1) == 0.0
+        assert expected_schedule_loss(spec, ({"lr": 1.0},) * 3, (1, 1, 1)) == 0.0
 
     def test_noisy_optimum_has_non_increasing_rates(self):
         spec = TrainerSpec(kind="noisy_quadratic", dim=4, curvatures=(2.0, 1.0, 0.5, 0.25), noise=0.3)
@@ -267,7 +267,7 @@ class TestBruteForceOracle:
         rng = np.random.default_rng(0)
         for _ in range(100):
             schedule = [grid[int(i)] for i in rng.integers(0, len(grid), size=4)]
-            assert expected_schedule_loss(spec, schedule, t_g=3) >= best - 1e-15
+            assert expected_schedule_loss(spec, schedule, (3,) * 4) >= best - 1e-15
 
 
 def test_make_trainer_dispatch():
