@@ -2,17 +2,17 @@
 """Hash what `gpbt run --deterministic` writes, to show what a change keeps.
 
 Runs the bundled configs and small configs covering pooled histories, dynamic
-c (also at odd n), the level-1 run halt with the level-3 median gate,
-generation-0 records seeding the first histories, PBT (also with overlapping
-top and bottom fractions), non-adaptive search and a 9-dimension space under
-GP-UCB and TPE through `gpbt.cli.main`, on the synthetic trainers and on the
-external trainer double `tests/trainer_double.py`, then prints one sha256 per
-output file and one per top-level key of every result.json. The external
-config's result.json files echo the double's path, so their whole-file line
-and their "config" key are left out. It also runs a fixed-c sweep, a config
-of three gpbt entries that differ only in c, the same way, hashes what
-`compare` writes over one small config's cells, and hashes the stderr of
-`run --verbose` on that config (those lines hold no clock values).
+c (also at odd n), the level-1 run halt with the level-3 median gate, PBT
+(also with overlapping top and bottom fractions), non-adaptive search and a
+9-dimension space under GP-UCB and TPE through `gpbt.cli.main`, on the
+synthetic trainers and on the external trainer double
+`tests/trainer_double.py`, then prints one sha256 per output file and one per
+top-level key of every result.json. The external config's result.json files
+echo the double's path, so their whole-file line and their "config" key are
+left out. It also runs a fixed-c sweep, a config of three gpbt entries that
+differ only in c, the same way, hashes what `compare` writes over one small
+config's cells, and hashes the stderr of `run --verbose` on that config (those
+lines hold no clock values).
 Everything goes through the CLI and the config files, so the same script
 runs against whichever gpbt package is on the path; diff its output between
 two checkouts:
@@ -39,16 +39,14 @@ SPACE = [
 ]
 
 SMALL_METHODS = [
-    {"name": "pooled", "method": "pooled", "n": 6, "t_max": 3, "t_g": 2,
-     "searcher": {"kind": "tpe"}},
+    {"name": "pooled", "method": "gpbt", "n": 6, "t_max": 3, "t_g": 2,
+     "searcher": {"kind": "tpe"}, "history_mode": "pooled"},
     {"name": "dynamic_c", "method": "gpbt", "n": 8, "t_max": 4, "t_g": 2,
      "dynamic_c": {"initial_mean": 2.0, "initial_std": 1.0},
      "searcher": {"kind": "cma"}, "history_mode": "time_enriched"},
     {"name": "levels", "method": "gpbt", "n": 9, "t_max": 5, "t_g": 3, "c": 1.0,
      "searcher": {"kind": "gp_ucb"},
      "early_stop": {"level1_threshold": 1e-4, "level3": True}},
-    {"name": "gen0_history", "method": "gpbt", "n": 8, "t_max": 3, "t_g": 1, "c": 0.5,
-     "searcher": {"kind": "random"}, "seed_gen0_history": True},
     {"name": "dynamic_odd", "method": "gpbt", "n": 9, "t_max": 4, "t_g": 2,
      "dynamic_c": {"initial_mean": 2.0, "initial_std": 1.0}, "searcher": {"kind": "random"}},
     {"name": "pbt", "method": "pbt", "n": 6, "t_max": 3, "t_g": 2,
@@ -72,9 +70,9 @@ SMALL_TRAINERS = {
 # Labels whose result.json echoes a path of this checkout in its "config" key.
 ECHOES_PATH = {"small_external"}
 
-# A fixed-c sweep: the first gpbt entry of SMALL_METHODS, its dynamic_c
+# A fixed-c sweep: the dynamic_c entry of SMALL_METHODS, its dynamic_c
 # replaced by each fixed c in turn.
-SWEEP_TEMPLATE = dict(next(m for m in SMALL_METHODS if m["method"] == "gpbt"))
+SWEEP_TEMPLATE = dict(next(m for m in SMALL_METHODS if m["name"] == "dynamic_c"))
 SWEEP_TEMPLATE.pop("dynamic_c")
 SWEEP_CONFIG = {
     "space": SPACE,
@@ -96,8 +94,8 @@ WIDE_CONFIG = {
     "trainer": SMALL_TRAINERS["small_quadratic"],
     "seeds": [0, 1],
     "methods": [
-        {"name": "pooled_gp", "method": "pooled", "n": 8, "t_max": 4, "t_g": 2,
-         "searcher": {"kind": "gp_ucb"}},
+        {"name": "pooled_gp", "method": "gpbt", "n": 8, "t_max": 4, "t_g": 2,
+         "searcher": {"kind": "gp_ucb"}, "history_mode": "pooled"},
         {"name": "time_tpe", "method": "gpbt", "n": 8, "t_max": 4, "t_g": 2, "c": 1.0,
          "searcher": {"kind": "tpe"}, "history_mode": "time_enriched"},
     ],

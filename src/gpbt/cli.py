@@ -93,10 +93,10 @@ def load_config(path: str) -> dict:
         raise ConfigError("methods", "must be a non-empty list")
     parsed = []
     for i, entry in enumerate(methods):
-        name, kind, config = _parse_method(entry, i, seed=seeds[0])
-        if any(name == other for other, _, _ in parsed):
+        name, config = _parse_method(entry, i, seed=seeds[0])
+        if any(name == other for other, _ in parsed):
             raise ConfigError(f"methods[{i}].name", f"duplicate method name {name!r}")
-        parsed.append((name, kind, config))
+        parsed.append((name, config))
 
     cfg["_space"] = space
     cfg["_trainer_spec"] = trainer_spec
@@ -106,18 +106,16 @@ def load_config(path: str) -> dict:
 
 _METHOD_CONFIGS = {
     "gpbt": RunConfig,
-    "pooled": RunConfig,
     "pbt": PbtConfig,
     "nonadaptive": NonadaptiveConfig,
 }
 
 
 def _parse_method(entry, index: int, seed: int):
-    """(name, kind, config) for one methods[] entry, run with `seed`.
+    """(name, config) for one methods[] entry, run with `seed`.
 
     Beyond the config dataclass's own fields an entry has `method` (the kind)
-    and `name`; a gpbt entry takes `c` (a number) or `dynamic_c` (an object),
-    and a pooled entry is a gpbt entry with history_mode fixed to pooled.
+    and `name`; a gpbt entry takes `c` (a number) or `dynamic_c` (an object).
     """
     context = f"methods[{index}]"
     if not isinstance(entry, dict):
@@ -134,16 +132,14 @@ def _parse_method(entry, index: int, seed: int):
     if name in _RESERVED_NAMES or any(ch in name for ch in "/\\\0"):
         raise ConfigError(f"{context}.name", f"{name!r} cannot name a cell directory")
     given = {"seed": seed}
-    if _METHOD_CONFIGS[kind] is RunConfig:
+    if kind == "gpbt":
         if "c" in fields and "dynamic_c" in fields:
             raise ConfigError(f"{context}.c", "c and dynamic_c are exclusive")
         if "dynamic_c" in fields:
             given["c"] = build(DynamicC, fields.pop("dynamic_c"), f"{context}.dynamic_c")
         elif "c" in fields:
             given["c"] = build(FixedC, {"c": fields.pop("c")}, context)
-        if kind == "pooled":
-            given["history_mode"] = "pooled"
-    return name, kind, build(_METHOD_CONFIGS[kind], fields, context, **given)
+    return name, build(_METHOD_CONFIGS[kind], fields, context, **given)
 
 
 def _resolve_out(args, cfg: dict) -> Path:
@@ -249,7 +245,7 @@ def cmd_run(args) -> int:
     echo = {k: v for k, v in cfg.items() if not k.startswith("_")}
 
     all_rows: list[dict] = []
-    for name, _, method_config in cfg["_methods"]:
+    for name, method_config in cfg["_methods"]:
         for seed in seeds:
             config = dataclasses.replace(method_config, seed=seed)
             progress = None
@@ -300,7 +296,7 @@ def _load_cells(out: Path, cfg: dict, seeds: list[int]) -> dict[str, dict[int, d
     space, spec = cfg["_space"], cfg["_trainer_spec"]
     missing = []
     per_method: dict[str, dict[int, dict]] = {}
-    for name, _, config in cfg["_methods"]:
+    for name, config in cfg["_methods"]:
         cells = _seed_cells(out / name)
         missing += [f"{name}/{seed}" for seed in seeds if seed not in cells]
         finals = per_method[name] = {}

@@ -29,18 +29,19 @@ def typed_value(hint, value, path: str):
     field takes any finite number (not NaN or Infinity, which Python's json
     module reads, nor an integer too large for a float) and stores a JSON
     integer as a float."""
-    if dataclasses.is_dataclass(hint):
-        return build(hint, value, path)
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin is types.UnionType:  # X | None
-        if value is None:
-            return None
-        (hint,) = [a for a in args if a is not type(None)]
-        return typed_value(hint, value, path)
-    if origin in (tuple, list):
-        if not isinstance(value, list):
-            raise ConfigError(path, f"expected a list, got {json.dumps(value)}")
-        return origin(typed_value(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    if hint not in _TYPE_NAMES:  # scalars skip the slower typing checks
+        if dataclasses.is_dataclass(hint):
+            return build(hint, value, path)
+        origin, args = typing.get_origin(hint), typing.get_args(hint)
+        if origin is types.UnionType:  # X | None
+            if value is None:
+                return None
+            (hint,) = [a for a in args if a is not type(None)]
+            return typed_value(hint, value, path)
+        if origin in (tuple, list):
+            if not isinstance(value, list):
+                raise ConfigError(path, f"expected a list, got {json.dumps(value)}")
+            return origin(typed_value(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
     if isinstance(value, bool) == (hint is bool):  # true/false is a bool and no number
         if hint is float and isinstance(value, (int, float)):
             try:

@@ -24,13 +24,13 @@ uses select() on the pipe, so the bridge needs POSIX pipes.
 from __future__ import annotations
 
 import json
-import math
 import os
 import select
 import subprocess
 import time
 from typing import Mapping
 
+from .config import ConfigError, typed_value
 from .space import SearchSpace
 from .trainers import TrainerSpec
 
@@ -42,18 +42,14 @@ class TrainerProtocolError(RuntimeError):
 
 
 def _loss(value, field: str) -> float:
-    """An "eval" reply's `field`, which must be a finite JSON number: not a
-    bool, nor NaN or Infinity, which Python's json module reads."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:  # an integer too large for a float
-            number = math.inf
-        if math.isfinite(number):
-            return number
-    raise TrainerProtocolError(
-        f"trainer reply to 'eval': {field!r} must be a finite number, got {value!r}"
-    )
+    """An "eval" reply's `field`, which must be a finite JSON number, by the
+    rule a config's float fields follow."""
+    try:
+        return typed_value(float, value, field)
+    except ConfigError:
+        raise TrainerProtocolError(
+            f"trainer reply to 'eval': {field!r} must be a finite number, got {value!r}"
+        ) from None
 
 
 class ExternalTrainer:

@@ -107,7 +107,6 @@ class RunConfig:
     history_mode: str = "sibling_only"
     early_stop: EarlyStopConfig = EarlyStopConfig()
     seed: int = 0
-    seed_gen0_history: bool = False
 
     def __post_init__(self):
         for name in ("n", "t_max", "t_g"):
@@ -412,10 +411,9 @@ def run(
             counts = plan_generation(size, c)
             for pid, count in zip(select_parents(prev_results, len(counts)), counts):
                 slots += [(pid, None)] * count
-        roots = t == 1 and config.seed_gen0_history
 
         def propose(pid):
-            history = tally.history(tree.lineage_history(pid, config.history_mode, roots))
+            history = tally.history(tree.lineage_history(pid, config.history_mode, False))
             return suggest(config.searcher, space, history, rng_search)
 
         children = tally.grow(slots, config.t_g, propose, [] if gate3 else None)

@@ -250,30 +250,19 @@ def make_trainer(spec: TrainerSpec, space=None) -> Trainer:
 # Closed-form expected loss and the brute-force schedule oracle
 
 
-def expected_final_loss(
-    spec: TrainerSpec,
-    rates: Sequence[float],
-    v0: np.ndarray | None = None,
-) -> float:
-    """Exact expected loss after applying one rate per step."""
-    h = spec.h
-    v = np.ones(spec.dim) if v0 is None else np.asarray(v0, dtype=float).copy()
-    for r in rates:
-        v = _expected_variance(v, h, r, spec.noise, 1)
-    return float(min(np.sum(h * v), LOSS_CLAMP))
-
-
 def expected_schedule_loss(
     spec: TrainerSpec,
     schedule: Sequence[Mapping[str, float]],
     steps: Sequence[int],
     v0: np.ndarray | None = None,
 ) -> float:
-    """Expected loss of a per-generation hp schedule, phase k lasting steps[k] steps."""
-    rates: list[float] = []
+    """Exact expected loss of a per-generation hp schedule, phase k lasting
+    steps[k] steps, from v0 (the expectation v = 1 when not given)."""
+    h = spec.h
+    v = np.ones(spec.dim) if v0 is None else np.asarray(v0, dtype=float)
     for hp, k in zip(schedule, steps, strict=True):
-        rates.extend([float(hp.get(LR_NAME, 0.0))] * k)
-    return expected_final_loss(spec, rates, v0=v0)
+        v = _expected_variance(v, h, float(hp.get(LR_NAME, 0.0)), spec.noise, k)
+    return float(min(np.sum(h * v), LOSS_CLAMP))
 
 
 def brute_force_schedule(

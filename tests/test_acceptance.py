@@ -31,7 +31,6 @@ from gpbt.space import Dimension, SearchSpace
 from gpbt.trainers import (
     TrainerSpec,
     brute_force_schedule,
-    expected_final_loss,
     expected_schedule_loss,
     make_trainer,
 )
@@ -190,7 +189,7 @@ def test_criterion_5_adaptive_beats_constant():
             NonadaptiveConfig(trials=16, t_total=horizon, seed=seed), space, trainer
         )
         constant = space.to_dict(rs.best_schedule[0])["lr"]
-        rs_losses.append(expected_final_loss(spec, [constant] * horizon))
+        rs_losses.append(expected_schedule_loss(spec, [{"lr": constant}], [horizon]))
     gpbt_med = float(np.median(gpbt_losses))
     rs_med = float(np.median(rs_losses))
     ok = gpbt_med <= 0.9 * rs_med and gpbt_med <= 1.2 * oracle

@@ -230,13 +230,15 @@ class TestRunCommand:
             ("pbt", {"resample_prob": 0.25}, "methods[1].resample_prob: unknown field"),
             ("method", {"c": 100.0}, "methods[0]: c=100.0 is not usable with n=6"),
             ("pbt", {"name": "gpbt_tpe"}, "methods[1].name: duplicate method name 'gpbt_tpe'"),
+            ("method", {"seed_gen0_history": True}, "methods[0].seed_gen0_history: unknown field"),
+            ("method", {"method": "pooled"}, "methods[0].method: unknown method 'pooled'"),
         ],
         ids=["dim", "level3", "n", "dynamic_c_typo", "c_and_dynamic_c",
              "c_overflows_float", "timeout_negative", "timeout_zero", "timeout_huge",
              "lr_name", "output_dir_typo", "underscore_key", "output_dir_not_string",
              "duplicate_seeds", "selection_temperature", "gamma", "pool", "startup",
              "window", "beta_delta", "level1_window", "resample_prob", "c_unusable",
-             "duplicate_name"],
+             "duplicate_name", "gen0_history", "pooled_method"],
     )
     def test_mistyped_field_exits_2(self, tmp_path, capsys, section, fields, named):
         # A None value removes the field.
@@ -519,8 +521,7 @@ class TestCompareCommand:
         del config["space"][1]["scale"]  # "linear", the default, left out
         config["trainer"].update(r_max=1, timeout=300.0, command=[])
         gpbt, pbt, _ = config["methods"]
-        gpbt.update(history_mode="sibling_only", early_stop={"level3": False},
-                    seed_gen0_history=False)
+        gpbt.update(history_mode="sibling_only", early_stop={"level3": False})
         pbt.update(truncation=0.25)
         cfg.write_text(json.dumps(config))
         assert main(["compare", str(cfg), "--out", str(out)]) == 0

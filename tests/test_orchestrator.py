@@ -335,11 +335,6 @@ class TestHistoryModes:
         gen0 = [len(h) for rec, h in calls if rec.generation == 0]
         assert gen0 == list(range(8))
 
-    def test_seed_gen0_history_flag(self):
-        calls = self.histories("sibling_only", seed_gen0_history=True)
-        gen1 = [len(h) for rec, h in calls if rec.generation == 1]
-        assert min(gen1) == 8  # every generation-1 history starts with all of P0
-
     def test_pooled_sees_all_records(self):
         for rec, hist in self.histories("pooled"):
             # pooled history = every record evaluated so far
@@ -354,7 +349,6 @@ class TestHistoryModes:
         assert [r.val_loss for r in a.tree.records] == [r.val_loss for r in b.tree.records]
 
     @pytest.mark.parametrize("mode", ["sibling_only", "time_enriched", "pooled"])
-    @pytest.mark.parametrize("seed_gen0", [False, True])
     @given(
         n=st.integers(1, 10),
         c=st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]),
@@ -362,11 +356,10 @@ class TestHistoryModes:
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=15, deadline=None)
-    def test_histories_stay_in_lineage(self, n, c, t_g, mode, seed_gen0, seed):
+    def test_histories_stay_in_lineage(self, n, c, t_g, mode, seed):
         assume(valid_c(n, c))
         config = small_config(
-            n=n, t_max=4, t_g=t_g, c=FixedC(c), history_mode=mode,
-            seed_gen0_history=seed_gen0, seed=seed,
+            n=n, t_max=4, t_g=t_g, c=FixedC(c), history_mode=mode, seed=seed,
             searcher=SearcherConfig(kind="random"),
         )
         result, calls = run_with_histories(config, small_space(), small_trainer())
@@ -375,7 +368,7 @@ class TestHistoryModes:
             if rec.parent is None or mode == "pooled":
                 sources = None  # every earlier record
             elif mode == "sibling_only":
-                sources = {rec.parent} | ({None} if seed_gen0 and rec.generation == 1 else set())
+                sources = {rec.parent}
             else:
                 sources = {None, *tree.ancestry(rec.parent)}
             if sources is not None:

@@ -11,7 +11,6 @@ from gpbt.trainers import (
     TrainerSpec,
     WeightSensitiveTrainer,
     brute_force_schedule,
-    expected_final_loss,
     expected_schedule_loss,
     make_trainer,
 )
@@ -218,12 +217,12 @@ class TestPhaseSurrogate:
         for r in rates:
             s = t.step_many(s, {"lr": r}, 5)
         val, _ = t.evaluate(s)
-        assert val == expected_final_loss(spec, [r for r in rates for _ in range(5)])
+        assert val == expected_schedule_loss(spec, [{"lr": r} for r in rates], [5] * len(rates))
 
     def test_decaying_schedule_beats_best_constant(self):
         spec = TrainerSpec(kind="phase_surrogate", dim=4, curvatures=(2.0, 1.0, 0.5, 0.25), noise=0.3)
         grid = np.linspace(0.02, 1.0, 50)
-        best_const = min(expected_final_loss(spec, [float(r)] * 25) for r in grid)
+        best_const = min(expected_schedule_loss(spec, [{"lr": float(r)}], [25]) for r in grid)
         _, oracle = brute_force_schedule(
             spec, [{"lr": r} for r in (0.03, 0.1, 0.3, 1.0)], t_max=5, t_g=5
         )
@@ -233,7 +232,7 @@ class TestPhaseSurrogate:
         spec = TrainerSpec(kind="phase_surrogate", dim=2, curvatures=(1.0, 1.0), noise=0.0)
         grid = [{"lr": 0.5}, {"lr": 1.0}]
         schedule, loss = brute_force_schedule(spec, grid, t_max=3, t_g=1)
-        best_const = min(expected_final_loss(spec, [r["lr"]] * 3) for r in grid)
+        best_const = min(expected_schedule_loss(spec, [r], [3]) for r in grid)
         assert loss == pytest.approx(best_const, abs=0)
 
 
