@@ -11,6 +11,11 @@ invocation; `compare` reads every seed cell on disk of the config's methods
 closed form, to replay its final schedule), refuses any cell that ran under
 another space, trainer or method config, and writes <out>/{summary.csv,
 summary.json, plot_data.csv}.
+
+`run` gives each (method, seed) cell a fresh trainer of its own, made one cell
+ahead: the next cell's trainer is made just before the current cell runs, so
+an external trainer's process starts up while the cell before it runs. At
+most two trainers are open at once, and each one is closed on every exit path.
 """
 
 from __future__ import annotations
@@ -169,16 +174,16 @@ def _atomic_write(path: Path, data: str):
     tmp.replace(path)
 
 
-def _run_cell(config, space: SearchSpace, trainer_spec: TrainerSpec, progress=None) -> RunResult:
+def _run_cell(config, space: SearchSpace, trainer, progress=None) -> RunResult:
     # Runners are looked up at call time, so wrapping the module globals works.
     runner = {PbtConfig: run_pbt, NonadaptiveConfig: run_nonadaptive}.get(type(config), run)
-    trainer = make_trainer(trainer_spec, space)
-    try:
-        return runner(config, space, trainer, progress=progress)
-    finally:
-        close = getattr(trainer, "close", None)
-        if close is not None:
-            close()
+    return runner(config, space, trainer, progress=progress)
+
+
+def _close(trainer):
+    close = getattr(trainer, "close", None)
+    if close is not None:
+        close()
 
 
 def _curve_rows(name: str, seed: int, result: RunResult, deterministic: bool) -> list[dict]:
@@ -244,10 +249,18 @@ def cmd_run(args) -> int:
     seeds = [args.seed] if args.seed is not None else cfg["seeds"]
     echo = {k: v for k, v in cfg.items() if not k.startswith("_")}
 
+    cells = [(name, dataclasses.replace(method_config, seed=seed))
+             for name, method_config in cfg["_methods"] for seed in seeds]
     all_rows: list[dict] = []
-    for name, method_config in cfg["_methods"]:
-        for seed in seeds:
-            config = dataclasses.replace(method_config, seed=seed)
+    trainers = []  # made and not yet closed: this cell's, then the next cell's
+    try:
+        for k, (name, config) in enumerate(cells):
+            if k == 0:
+                trainers.append(make_trainer(trainer_spec, space))
+            if k + 1 < len(cells):
+                # Made one cell ahead, so that its process starts up while this cell runs.
+                trainers.append(make_trainer(trainer_spec, space))
+            seed = config.seed
             progress = None
             if args.verbose:
                 progress = lambda p: print(
@@ -255,10 +268,14 @@ def cmd_run(args) -> int:
                     f"(test {p.best_seen_test:.6g}) after {p.epochs_consumed} epochs",
                     file=sys.stderr,
                 )
-            result = _run_cell(config, space, trainer_spec, progress=progress)
+            result = _run_cell(config, space, trainers[0], progress=progress)
+            _close(trainers.pop(0))
             all_rows.extend(_write_cell(out, name, seed, config, result, echo, args.deterministic))
+    finally:
+        while trainers:
+            _close(trainers.pop(0))
     _atomic_write(out / "curves.csv", _csv_text(all_rows, CURVE_FIELDS))
-    print(f"wrote {len(cfg['_methods']) * len(seeds)} runs under {out}")
+    print(f"wrote {len(cells)} runs under {out}")
     return 0
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gpbt.cli
 from gpbt.cli import main
 from gpbt.trainers import TrainerSpec, expected_schedule_loss
 
@@ -291,6 +292,41 @@ class TestRunCommand:
         )
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
 
+    def test_one_trainer_per_cell_made_one_cell_ahead(self, tmp_path, monkeypatch):
+        events, made, open_now, peak = [], [], set(), []
+        make_trainer = gpbt.cli.make_trainer
+
+        class Recorded:
+            def __init__(self, inner):
+                self.inner = inner
+                self.inits = 0
+
+            def __getattr__(self, name):
+                return getattr(self.inner, name)
+
+            def init(self, seed):
+                events.append("init")
+                self.inits += 1
+                return self.inner.init(seed)
+
+            def close(self):
+                open_now.remove(self)
+
+        def recording(spec, space):
+            events.append("make")
+            made.append(Recorded(make_trainer(spec, space)))
+            open_now.add(made[-1])
+            peak.append(len(open_now))
+            return made[-1]
+
+        monkeypatch.setattr(gpbt.cli, "make_trainer", recording)
+        assert main(["run", str(tiny_config(tmp_path)), "--out", str(tmp_path / "o")]) == 0
+        assert len(made) == 3 * 2  # one call per (method, seed) cell
+        assert all(t.inits > 0 for t in made)  # and each one ran its cell
+        assert max(peak) == 2
+        assert events.index("make", 1) < events.index("init")  # made before the first cell ran
+        assert not open_now
+
     def test_deterministic_rerun_byte_identical(self, tmp_path):
         cfg = tiny_config(tmp_path)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -468,7 +504,7 @@ class TestCompareCommand:
         assert row["median_replay"] == per_record != fixed
 
     @pytest.mark.parametrize("kind", ["weight_sensitive", "external"])
-    def test_replay_null_without_closed_form(self, tmp_path, kind):
+    def test_replay_null_without_closed_form(self, tmp_path, kind, reaped_processes):
         trainer = {
             "weight_sensitive": {"kind": "weight_sensitive", "dim": 2, "noise": 0.2},
             "external": {"kind": "external", "command": [sys.executable, str(DOUBLE), "quad"]},

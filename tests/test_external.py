@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from gpbt import cli, external
 from gpbt.cli import main
-from gpbt import external
 from gpbt.external import ExternalTrainer, TrainerProtocolError
 from gpbt.orchestrator import EarlyStopConfig, FixedC, RunConfig, run
 from gpbt.searchers import SearcherConfig
@@ -99,6 +99,14 @@ class TestBridgeBasics:
         trainer.close()
         assert trainer._proc.returncode == 0
 
+    def test_close_before_any_request_shuts_the_child_down(self):
+        # A trainer made one cell ahead whose cell never ran.
+        trainer = ExternalTrainer(external_spec(), space())
+        started = time.monotonic()
+        trainer.close()
+        assert time.monotonic() - started < external.SHUTDOWN_TIMEOUT / 2
+        assert trainer._proc.returncode == 0  # exited on "shutdown", not killed
+
     def test_close_kills_a_child_that_ignores_shutdown(self, monkeypatch):
         monkeypatch.setattr(external, "SHUTDOWN_TIMEOUT", 0.3)
         trainer = ExternalTrainer(external_spec("noexit"), space())
@@ -168,12 +176,12 @@ class TestEndToEnd:
             assert len(result.tree.records) == 8
 
 
-def cli_config(tmp_path, mode, timeout):
+def cli_config(tmp_path, mode, timeout, seeds=(0,)):
     cfg = {
         "space": [{"name": "lr", "lower": 0.0, "upper": 1.0, "scale": "linear"}],
         "trainer": {"kind": "external", "command": [sys.executable, DOUBLE, mode],
                     "timeout": timeout},
-        "seeds": [0],
+        "seeds": list(seeds),
         "methods": [{"method": "gpbt", "n": 4, "t_max": 3, "t_g": 1, "c": 1.0,
                      "searcher": {"kind": "random"}}],
     }
@@ -194,7 +202,40 @@ class TestProcessFailures:
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr.startswith("trainer failure:") and "Traceback" not in proc.stderr
 
-    def test_exit_mid_generation_exits_3(self, tmp_path, capsys):
+    def test_exit_mid_generation_exits_3(self, tmp_path, capsys, reaped_processes):
         path = cli_config(tmp_path, "exit", 30.0)
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
         assert "exited with code 7" in capsys.readouterr().err
+
+    def test_failed_cell_closes_the_next_cells_trainer(self, tmp_path, reaped_processes):
+        path = cli_config(tmp_path, "exit", 30.0, seeds=(0, 1))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+        # Seed 1's process was made while seed 0 ran, and shut down unused.
+        assert [proc.returncode for proc in reaped_processes] == [7, 0]
+
+    def test_failed_make_trainer_closes_the_trainer_made_before(
+        self, tmp_path, monkeypatch, reaped_processes
+    ):
+        made = []
+
+        def make_trainer_once(spec, space):
+            if made:
+                raise TrainerProtocolError("scripted start-up failure")
+            made.append(make_trainer(spec, space))
+            return made[-1]
+
+        monkeypatch.setattr(cli, "make_trainer", make_trainer_once)
+        path = cli_config(tmp_path, "quad", 30.0, seeds=(0, 1))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert [proc.returncode for proc in reaped_processes] == [0]
+
+    def test_interrupt_closes_every_trainer(self, tmp_path, monkeypatch, reaped_processes):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "run", interrupted)
+        path = cli_config(tmp_path, "quad", 30.0, seeds=(0, 1, 2))
+        with pytest.raises(KeyboardInterrupt):
+            main(["run", str(path), "--out", str(tmp_path / "out")])
+        # The first cell's process and the one made ahead for the second.
+        assert [proc.returncode for proc in reaped_processes] == [0, 0]
