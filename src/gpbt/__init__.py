@@ -14,11 +14,10 @@ from .orchestrator import (
     median_gate,
     plan_generation,
     run,
-    select_parents,
 )
 from .searchers import History, SearcherConfig, suggest
 from .space import Dimension, HpVector, SearchSpace
-from .trainers import TrainerSpec, brute_force_schedule, make_trainer
+from .trainers import TrainerSpec, make_trainer
 
 __all__ = [
     "AgentRecord",
@@ -38,7 +37,6 @@ __all__ = [
     "SearchSpace",
     "SearcherConfig",
     "TrainerSpec",
-    "brute_force_schedule",
     "convergence_gate",
     "make_trainer",
     "median_gate",
@@ -46,7 +44,6 @@ __all__ = [
     "run",
     "run_nonadaptive",
     "run_pbt",
-    "select_parents",
     "suggest",
 ]
 

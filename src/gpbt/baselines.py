@@ -98,12 +98,14 @@ def run_pbt(
         if t == 0:
             slots = [(None, None)] * config.n
         else:
-            slots = [(a, tree.get(a).hp) for a in agents]
-            order = sorted(range(config.n), key=lambda i: (tree.get(agents[i]).val_loss, i))
-            top, bottom = order[:k], order[-k:]
-            for i in bottom:
-                src = agents[top[int(rng_algo.integers(0, len(top)))]]
-                slots[i] = (src, _explore(tree.get(src).hp, space, rng_algo))
+            # Each agent keeps its slot; a bottom agent's slot copies a top one.
+            by_agent = {a: (a, tree.get(a).hp) for a in agents}
+            ranked = tree.ranked(agents)
+            top, bottom = ranked[:k], ranked[-k:]
+            for a in bottom:
+                src = top[int(rng_algo.integers(0, len(top)))]
+                by_agent[a] = (src, _explore(tree.get(src).hp, space, rng_algo))
+            slots = list(by_agent.values())
         agents = tally.grow(slots, config.t_g, lambda _: space.sample_uniform(rng_search))
         tally.end(t)
 

@@ -162,12 +162,6 @@ class ExternalTrainer:
             self._proc.kill()
             self._proc.wait()
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
     def __del__(self):
         try:
             self._kill()

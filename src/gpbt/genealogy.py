@@ -127,12 +127,18 @@ class GenealogyTree:
         """Hyperparameter schedule along the ancestry chain, root first."""
         return [self._records[a].hp for a in self.ancestry(agent_id)]
 
+    def ranked(self, ids: Iterable[int]) -> list[int]:
+        """The ids best first: the one ranking behind parent selection, PBT's
+        truncation, the dynamic-c winner and every best agent. Lower val_loss
+        ranks first; ties go to the lower id."""
+        return sorted(ids, key=lambda i: (self.get(i).val_loss, i))
+
     def best_agent(self, generation: int) -> int:
-        """Lowest val_loss in a generation; ties go to the lower id."""
+        """The first-ranked record of a generation."""
         candidates = self._generations.get(generation)
         if not candidates:
             raise ValueError(f"no records for generation {generation}")
-        return min(candidates, key=lambda r: (r.val_loss, r.id)).id
+        return self.ranked(r.id for r in candidates)[0]
 
     def generation_records(self, generation: int) -> list[AgentRecord]:
         return list(self._generations.get(generation, ()))

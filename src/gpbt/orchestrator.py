@@ -142,7 +142,7 @@ def _parent_count(n: int, c: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Population arithmetic and selection
+# Population arithmetic
 
 
 def plan_generation(n: int, c: float) -> tuple[int, ...]:
@@ -156,13 +156,6 @@ def plan_generation(n: int, c: float) -> tuple[int, ...]:
     p = min(max(_parent_count(n, c), 1), n)
     base, extra = divmod(n, p)
     return tuple(base + 1 if i < extra else base for i in range(p))
-
-
-def select_parents(results: Sequence[tuple[int, float]], p: int) -> list[int]:
-    """The ids of the p lowest (val_loss, id) of the (id, val_loss) pairs, best
-    first (ties to the lower id). Fewer than p candidates selects all of them."""
-    ranked = sorted(results, key=lambda r: (r[1], r[0]))
-    return [i for i, _ in ranked[:p]]
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +245,8 @@ class RunResult:
 
     @property
     def best_agent(self) -> int:
-        """The id of the lowest (val_loss, id) record."""
-        return min(self.tree.records, key=lambda r: (r.val_loss, r.id)).id
+        """The first-ranked record of the whole run."""
+        return self.tree.ranked(range(len(self.tree)))[0]
 
     @property
     def best_schedule(self) -> list[HpVector]:
@@ -384,17 +377,17 @@ def run(
     dyn_state = DynamicCState(dyn_cfg.initial_mean, dyn_cfg.initial_std) if dyn_cfg else None
     dyn_trace: list[dict] | None = [] if dyn_cfg else None
 
+    ranking: list[int] = []  # the previous generation's ids, best first
     for t in range(config.t_max):
         if es.level1_threshold is not None and convergence_gate(
             [p.best_seen_val for p in tally.curves], es.level1_threshold, LEVEL1_WINDOW
         ):
             break
-        prev_results = [(r.id, r.val_loss) for r in tree.generation_records(t - 1)]
 
         # After generation 0 (n root slots), the generation as (size, c)
         # groups: the whole population under fixed c, or two halves under
-        # dynamic c, both c values drawn before either half selects its
-        # parents from the full ranking.
+        # dynamic c, both c values drawn before either half takes its
+        # parents from the top of the one ranking.
         if t == 0:
             groups = []
         elif dyn_cfg is None:
@@ -409,7 +402,7 @@ def run(
         slots = [(None, None)] * config.n if t == 0 else []
         for size, c in groups:
             counts = plan_generation(size, c)
-            for pid, count in zip(select_parents(prev_results, len(counts)), counts):
+            for pid, count in zip(ranking, counts):
                 slots += [(pid, None)] * count
 
         def propose(pid):
@@ -417,11 +410,12 @@ def run(
             return suggest(config.searcher, space, history, rng_search)
 
         children = tally.grow(slots, config.t_g, propose, [] if gate3 else None)
+        ranking = tree.ranked(children)
 
         if dyn_cfg is not None and t > 0:
+            # The winner is the half holding the generation's best child.
             (n_a, c_a), (_, c_b) = groups
-            vals = [tree.get(cid).val_loss for cid in children]
-            winner = c_a if min(vals[:n_a]) <= min(vals[n_a:]) else c_b
+            winner = c_a if children.index(ranking[0]) < n_a else c_b
             dyn_state = update_dynamic_c(dyn_state, winner, config.n)
             dyn_trace.append(
                 {

@@ -48,6 +48,8 @@ class Dimension:
     def __post_init__(self):
         if self.scale not in SCALES:
             raise ValueError(f"dimension {self.name!r}: unknown scale {self.scale!r}")
+        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+            raise ValueError(f"dimension {self.name!r}: bounds must be finite")
         if not self.lower < self.upper:
             raise ValueError(
                 f"dimension {self.name!r}: lower {self.lower} must be < upper {self.upper}"

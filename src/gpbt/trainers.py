@@ -1,4 +1,4 @@
-"""Training-function contract, synthetic trainers, and a brute-force schedule oracle.
+"""Training-function contract, synthetic trainers, and their closed-form expected loss.
 
 Trainers advance an opaque state by a number of learning iterations under a
 named hyperparameter mapping. The synthetic trainers are built around a noisy
@@ -17,7 +17,6 @@ inert, so realistic multi-dimensional spaces run unchanged.
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -55,8 +54,8 @@ class TrainerSpec:
             raise ValueError("curvatures length must equal dim")
         if not all(map(math.isfinite, (*(self.curvatures or ()), self.r_max))):
             raise ValueError("curvatures and r_max must be finite")
-        if not self.noise >= 0:  # NaN fails too
-            raise ValueError("noise must be >= 0")
+        if not 0 <= self.noise < math.inf:  # NaN fails too
+            raise ValueError("noise must be finite and >= 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.kind == "external" and not self.command:
@@ -189,7 +188,7 @@ class WeightSensitiveTrainer(NoisyQuadraticTrainer):
 def _expected_variance(v: np.ndarray, h: np.ndarray, r: float, noise: float,
                        iters: int) -> np.ndarray:
     """`iters` clamped steps of v <- (1 - r*h)^2 * v + (r*sigma)^2; the phase
-    surrogate and the schedule oracle share it, so they agree bit for bit."""
+    surrogate and `expected_schedule_loss` share it, so they agree bit for bit."""
     decay = (1.0 - r * h) ** 2
     for _ in range(iters):
         v = np.minimum(decay * v + (r * noise) ** 2, THETA_CLIP**2)
@@ -206,8 +205,8 @@ class PhaseSurrogateTrainer:
     """Deterministic expected-loss dynamics of the noisy quadratic.
 
     Starts from v_i = 1 (the expectation of a standard-normal init), so runs
-    are seed-independent and exactly reproduce the closed-form recursion used
-    by the schedule oracle.
+    are seed-independent and exactly reproduce the closed-form recursion of
+    `expected_schedule_loss`.
     """
 
     def __init__(self, spec: TrainerSpec):
@@ -247,49 +246,18 @@ def make_trainer(spec: TrainerSpec, space=None) -> Trainer:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form expected loss and the brute-force schedule oracle
+# Closed-form expected loss
 
 
 def expected_schedule_loss(
     spec: TrainerSpec,
     schedule: Sequence[Mapping[str, float]],
     steps: Sequence[int],
-    v0: np.ndarray | None = None,
 ) -> float:
     """Exact expected loss of a per-generation hp schedule, phase k lasting
-    steps[k] steps, from v0 (the expectation v = 1 when not given)."""
+    steps[k] steps, from the expectation v = 1 of a standard-normal init."""
     h = spec.h
-    v = np.ones(spec.dim) if v0 is None else np.asarray(v0, dtype=float)
+    v = np.ones(spec.dim)
     for hp, k in zip(schedule, steps, strict=True):
         v = _expected_variance(v, h, float(hp.get(LR_NAME, 0.0)), spec.noise, k)
     return float(min(np.sum(h * v), LOSS_CLAMP))
-
-
-def brute_force_schedule(
-    spec: TrainerSpec,
-    hp_grid: Sequence[Mapping[str, float]],
-    t_max: int,
-    t_g: int,
-    seed: int | None = None,
-    budget: int = 10**6,
-) -> tuple[tuple[Mapping[str, float], ...], float]:
-    """Enumerate every |grid|^t_max schedule on the expected-loss dynamics.
-
-    With `seed` given, the starting point is the squared shared init draw of a
-    spec seeded that way, instead of the distribution expectation v0 = 1.
-    """
-    total = len(hp_grid) ** t_max
-    if total > budget:
-        raise ValueError(f"{total} schedules exceed the enumeration budget {budget}")
-    v0 = None
-    if seed is not None:
-        theta = np.random.default_rng([seed, _THETA_TAG]).standard_normal(spec.dim)
-        v0 = theta * theta
-    best_schedule = None
-    best_loss = math.inf
-    for schedule in itertools.product(hp_grid, repeat=t_max):
-        loss = expected_schedule_loss(spec, schedule, (t_g,) * t_max, v0=v0)
-        if loss < best_loss:
-            best_loss = loss
-            best_schedule = schedule
-    return best_schedule, best_loss

@@ -2,18 +2,24 @@
 each state carried its own NumPy generator, copied on every fork, and every
 evaluation drew its val/test gap factor from a fresh generator.
 `test_trainer_reference.py` requires the current trainers to give the same
-bits at every node of random fork trees; keep this file unchanged so later
-rewrites face the same oracle.
+bits at every node of random fork trees; keep those trainers unchanged so
+later rewrites face the same oracle.
+
+`brute_force_schedule` at the end is the schedule oracle of
+`test_trainers.py` and criterion 5: it enumerates every schedule on a grid
+through the library's own `expected_schedule_loss`.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from gpbt.trainers import TrainerSpec
+from gpbt.trainers import TrainerSpec, expected_schedule_loss
 
 LR_NAME = "lr"
 LOSS_CLAMP = 1e12
@@ -131,3 +137,25 @@ REFERENCE = {
     "weight_sensitive": WeightSensitiveTrainer,
     "phase_surrogate": PhaseSurrogateTrainer,
 }
+
+
+def brute_force_schedule(
+    spec: TrainerSpec,
+    hp_grid: Sequence[Mapping[str, float]],
+    t_max: int,
+    t_g: int,
+    budget: int = 10**6,
+) -> tuple[tuple[Mapping[str, float], ...], float]:
+    """The best of every |grid|^t_max schedule on the expected-loss dynamics,
+    each hp held for t_g steps, and its loss; the first found wins a tie."""
+    total = len(hp_grid) ** t_max
+    if total > budget:
+        raise ValueError(f"{total} schedules exceed the enumeration budget {budget}")
+    best_schedule = None
+    best_loss = math.inf
+    for schedule in itertools.product(hp_grid, repeat=t_max):
+        loss = expected_schedule_loss(spec, schedule, (t_g,) * t_max)
+        if loss < best_loss:
+            best_loss = loss
+            best_schedule = schedule
+    return best_schedule, best_loss

@@ -28,13 +28,9 @@ from gpbt.orchestrator import (
 )
 from gpbt.searchers import History, SearcherConfig, suggest
 from gpbt.space import Dimension, SearchSpace
-from gpbt.trainers import (
-    TrainerSpec,
-    brute_force_schedule,
-    expected_schedule_loss,
-    make_trainer,
-)
+from gpbt.trainers import TrainerSpec, expected_schedule_loss, make_trainer
 from history_spy import bare_searcher_loop, run_with_histories
+from reference_trainers import brute_force_schedule
 
 SEEDS = range(10)
 

@@ -5,6 +5,7 @@ import sys
 import signal
 import threading
 import time
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -31,7 +32,7 @@ def space():
 
 class TestBridgeBasics:
     def test_init_step_eval_fork_shutdown(self):
-        with ExternalTrainer(external_spec(), space()) as trainer:
+        with closing(ExternalTrainer(external_spec(), space())) as trainer:
             s0 = trainer.init(3)
             s1 = trainer.step_many(s0, {"lr": 0.5}, 1)
             val, test = trainer.evaluate(s1)
@@ -41,7 +42,7 @@ class TestBridgeBasics:
             assert trainer.evaluate(s2)[0] < val
 
     def test_fork_then_diverge(self):
-        with ExternalTrainer(external_spec(), space()) as trainer:
+        with closing(ExternalTrainer(external_spec(), space())) as trainer:
             a = trainer.init(0)
             b = trainer.fork(a)
             a2 = trainer.step_many(a, {"lr": 0.9}, 1)
@@ -56,13 +57,13 @@ class TestBridgeBasics:
             ExternalTrainer(spec, space())
 
     def test_scripted_error_reply(self):
-        with ExternalTrainer(external_spec("error"), space()) as trainer:
+        with closing(ExternalTrainer(external_spec("error"), space())) as trainer:
             s = trainer.init(0)
             with pytest.raises(TrainerProtocolError, match="scripted failure"):
                 trainer.step_many(s, {"lr": 0.5}, 1)
 
     def test_malformed_reply_names_line(self):
-        with ExternalTrainer(external_spec("malformed"), space()) as trainer:
+        with closing(ExternalTrainer(external_spec("malformed"), space())) as trainer:
             s = trainer.init(0)
             with pytest.raises(TrainerProtocolError, match="not json"):
                 trainer.step_many(s, {"lr": 0.5}, 1)
@@ -73,12 +74,12 @@ class TestBridgeBasics:
     )
     def test_eval_needs_numbers(self, val):
         spec = TrainerSpec(kind="external", command=(sys.executable, DOUBLE, "badval", val))
-        with ExternalTrainer(spec, space()) as trainer:
+        with closing(ExternalTrainer(spec, space())) as trainer:
             with pytest.raises(TrainerProtocolError, match="'val' must be a finite number"):
                 trainer.evaluate(trainer.init(0))
 
     def test_timeout(self):
-        with ExternalTrainer(external_spec("sleep", timeout=0.5), space()) as trainer:
+        with closing(ExternalTrainer(external_spec("sleep", timeout=0.5), space())) as trainer:
             s = trainer.init(0)
             with pytest.raises(TrainerProtocolError, match="timed out"):
                 trainer.step_many(s, {"lr": 0.5}, 1)
@@ -88,7 +89,7 @@ class TestBridgeBasics:
 
     def test_no_thread_started(self):
         before = threading.active_count()
-        with ExternalTrainer(external_spec(), space()) as trainer:
+        with closing(ExternalTrainer(external_spec(), space())) as trainer:
             assert threading.active_count() == before
             trainer.evaluate(trainer.init(0))
             assert threading.active_count() == before
@@ -123,7 +124,7 @@ class TestBridgeBasics:
 
 class TestEndToEnd:
     def test_orchestrator_runs_through_bridge(self):
-        with ExternalTrainer(external_spec(), space()) as trainer:
+        with closing(ExternalTrainer(external_spec(), space())) as trainer:
             config = RunConfig(
                 n=6, t_max=3, t_g=2, c=FixedC(1.5),
                 searcher=SearcherConfig(kind="random"), seed=0,
@@ -135,7 +136,7 @@ class TestEndToEnd:
             assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_echo_double_with_scripted_losses(self):
-        with ExternalTrainer(external_spec("echo"), space()) as trainer:
+        with closing(ExternalTrainer(external_spec("echo"), space())) as trainer:
             config = RunConfig(
                 n=4, t_max=2, t_g=1, c=FixedC(1.0),
                 searcher=SearcherConfig(kind="random"), seed=0,
@@ -145,7 +146,7 @@ class TestEndToEnd:
             assert result.best_agent == len(result.tree.records) - 1
 
     def test_level3_through_bridge(self):
-        with ExternalTrainer(external_spec(), space()) as trainer:
+        with closing(ExternalTrainer(external_spec(), space())) as trainer:
             config = RunConfig(
                 n=6, t_max=3, t_g=3, c=FixedC(1.5),
                 searcher=SearcherConfig(kind="random"), seed=1,
@@ -156,7 +157,7 @@ class TestEndToEnd:
 
     def test_many_parents_share_one_bridge(self):
         # every parent's children fork and train through one trainer process
-        with ExternalTrainer(external_spec(), space()) as trainer:
+        with closing(ExternalTrainer(external_spec(), space())) as trainer:
             config = RunConfig(
                 n=12, t_max=3, t_g=2, c=FixedC(0.75),
                 searcher=SearcherConfig(kind="random"), seed=2,
@@ -167,7 +168,8 @@ class TestEndToEnd:
 
     def test_longest_timeout_completes_a_run(self):
         # the wait on the pipe must accept any timeout that TrainerSpec accepts
-        with ExternalTrainer(external_spec(timeout=threading.TIMEOUT_MAX), space()) as trainer:
+        spec = external_spec(timeout=threading.TIMEOUT_MAX)
+        with closing(ExternalTrainer(spec, space())) as trainer:
             config = RunConfig(
                 n=4, t_max=2, t_g=1, c=FixedC(1.0),
                 searcher=SearcherConfig(kind="random"), seed=0,

@@ -74,6 +74,20 @@ class TestRecordChild:
         with pytest.raises(ValueError, match="record 1 has generation 1"):
             GenealogyTree.load(path)
 
+    def test_gap_in_ids_rejected(self, tmp_path):
+        records = [json.loads(line) for line in generation_zero(3).to_lines()]
+        del records[1]
+        path = tmp_path / "tree.ndjson"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        with pytest.raises(ValueError, match="non-contiguous record id 2"):
+            GenealogyTree.load(path)
+
+    def test_zero_epochs_rejected(self):
+        tree = generation_zero(2)
+        with pytest.raises(ValueError, match="epochs_trained must be >= 1"):
+            record(tree, 0, epochs=0)
+        assert len(tree) == 2
+
     def test_ids_are_sequential(self):
         tree = build_two_by_two(3)
         assert [r.id for r in tree.records] == list(range(len(tree)))
@@ -200,6 +214,20 @@ class TestScheduleAndBest:
         for val in (0.5, 0.2, 0.2, 0.9):
             record(tree, None, val=val)
         assert tree.best_agent(0) == 1
+
+    def test_best_agent_of_empty_generation_rejected(self):
+        tree = build_two_by_two(2)
+        with pytest.raises(ValueError, match="no records for generation 2"):
+            tree.best_agent(2)
+
+    def test_ranked_orders_by_loss_then_id(self):
+        tree = GenealogyTree()
+        for val in (0.5, 0.2, 0.9, 0.2):
+            record(tree, None, val=val)
+        assert tree.ranked([3, 2, 1, 0]) == [1, 3, 0, 2]
+        assert tree.ranked([2, 0]) == [0, 2] and tree.ranked([]) == []
+        with pytest.raises(KeyError):
+            tree.ranked([0, 4])
 
     def test_best_agent_matches_linear_scan(self):
         rng = np.random.default_rng(8)

@@ -20,7 +20,6 @@ from gpbt.orchestrator import (
     plan_generation,
     run,
     sample_dynamic_c,
-    select_parents,
     update_dynamic_c,
     valid_c,
 )
@@ -88,29 +87,46 @@ class TestPlanGeneration:
         assert not valid_c(4, 100.0)
 
 
+def ranked_tree(results):
+    """A tree holding each (id, val_loss) pair as a generation-0 record of that
+    id; the ids missing from `results` get a loss of 1.0."""
+    vals = dict(results)
+    tree = GenealogyTree()
+    for i in range(max(vals) + 1):
+        tree.record_child(None, (0.5,), vals.get(i, 1.0), 1.0, 1, False)
+    return tree
+
+
 class TestSelectParents:
+    """`run` takes a generation's p parents from the top of the tree's ranking
+    of the previous generation's ids."""
+
+    @staticmethod
+    def select(results, p):
+        return ranked_tree(results).ranked(i for i, _ in results)[:p]
+
     def test_truncation(self):
         results = [(0, 0.3), (1, 0.1), (2, 0.2), (3, 0.4)]
-        assert select_parents(results, 2) == [1, 2]
+        assert self.select(results, 2) == [1, 2]
 
     def test_everyone_when_p_is_population(self):
         results = [(i, float(i)) for i in range(4)]
-        assert select_parents(results, 4) == [0, 1, 2, 3]
+        assert self.select(results, 4) == [0, 1, 2, 3]
 
     def test_fewer_than_p_selects_all(self):
         results = [(7, 0.5), (9, 0.1)]
-        assert select_parents(results, 5) == [9, 7]
+        assert self.select(results, 5) == [9, 7]
 
     def test_ties_by_id(self):
         results = [(9, 0.2), (7, 0.2), (1, 0.9)]
-        assert select_parents(results, 2) == [7, 9]
+        assert self.select(results, 2) == [7, 9]
 
     def test_scale_invariance_of_truncation(self):
         rng = np.random.default_rng(3)
         losses = rng.random(12)
         results = [(i, float(l)) for i, l in enumerate(losses)]
         scaled = [(i, float(l) * 1234.5) for i, l in enumerate(losses)]
-        assert select_parents(results, 4) == select_parents(scaled, 4)
+        assert self.select(results, 4) == self.select(scaled, 4)
 
 
 class TestMedianGate:

@@ -33,6 +33,11 @@ class TestDimensionValidation:
         with pytest.raises(ValueError):
             Dimension("x", 0.5, 1.0, "reverse-log")
 
+    @pytest.mark.parametrize("lower,upper", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)])
+    def test_bounds_must_be_finite(self, lower, upper):
+        with pytest.raises(ValueError, match="bounds must be finite"):
+            Dimension("x", lower, upper)
+
     def test_unknown_scale(self):
         with pytest.raises(ValueError):
             Dimension("x", 0.0, 1.0, "cubic")
@@ -86,6 +91,11 @@ class TestTransforms:
         space = fmnist_space()
         with pytest.raises(ValueError):
             space.to_unit((0.5, 0.5))
+
+    def test_from_unit_rejects_wrong_arity(self):
+        space = fmnist_space()
+        with pytest.raises(ValueError, match="expected 5 coordinates, got 2"):
+            space.from_unit((0.5, 0.5))
 
     def test_from_unit_rejects_outside_cube(self):
         space = SearchSpace([Dimension("x", 0.0, 1.0)])

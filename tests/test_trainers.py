@@ -10,10 +10,10 @@ from gpbt.trainers import (
     QuadState,
     TrainerSpec,
     WeightSensitiveTrainer,
-    brute_force_schedule,
     expected_schedule_loss,
     make_trainer,
 )
+from reference_trainers import brute_force_schedule
 
 
 def quad_trainer(dim=3, curvatures=None, noise=0.0, seed=0, kind="noisy_quadratic", r_max=1.0):
@@ -57,8 +57,10 @@ class TestInit:
             TrainerSpec(kind="resnet")
         with pytest.raises(ValueError):
             TrainerSpec(curvatures=(1.0,), dim=2)
-        for bad in ({"noise": math.nan}, {"curvatures": (math.nan,), "dim": 1},
-                    {"kind": "weight_sensitive", "r_max": math.nan}):
+        for bad in ({"noise": math.nan}, {"noise": math.inf},
+                    {"curvatures": (math.nan,), "dim": 1},
+                    {"kind": "weight_sensitive", "r_max": math.nan},
+                    {"dim": 0}, {"seed": -1}, {"kind": "external"}):
             with pytest.raises(ValueError):
                 TrainerSpec(**bad)
 
