@@ -3,16 +3,15 @@
 
 Runs the bundled configs and small configs covering pooled histories, dynamic
 c (also at odd n), the level-1 run halt with the level-3 median gate, PBT
-(also with overlapping top and bottom fractions), non-adaptive search and a
-9-dimension space under GP-UCB and TPE through `gpbt.cli.main`, on the
-synthetic trainers and on the external trainer double
-`tests/trainer_double.py`, then prints one sha256 per output file and one per
-top-level key of every result.json. The external config's result.json files
-echo the double's path, so their whole-file line and their "config" key are
-left out. It also runs a fixed-c sweep, a config of three gpbt entries that
-differ only in c, the same way, hashes what `compare` writes over one small
-config's cells, and hashes the stderr of `run --verbose` on that config (those
-lines hold no clock values).
+(also at odd n), non-adaptive search and a 9-dimension space under GP-UCB and
+TPE through `gpbt.cli.main`, on the synthetic trainers and on the external
+trainer double `tests/trainer_double.py`, then prints one sha256 per output
+file and one per top-level key of every result.json. The external config's
+result.json files echo the double's path, so their whole-file line and their
+"config" key are left out. It also runs a fixed-c sweep, a config of three
+gpbt entries that differ only in c, the same way, hashes what `compare` writes
+over one small config's cells, and hashes the stderr of `run --verbose` on
+that config (those lines hold no clock values).
 Everything goes through the CLI and the config files, so the same script
 runs against whichever gpbt package is on the path; diff its output between
 two checkouts:
@@ -49,9 +48,8 @@ SMALL_METHODS = [
      "early_stop": {"level1_threshold": 1e-4, "level3": True}},
     {"name": "dynamic_odd", "method": "gpbt", "n": 9, "t_max": 4, "t_g": 2,
      "dynamic_c": {"initial_mean": 2.0, "initial_std": 1.0}, "searcher": {"kind": "random"}},
-    {"name": "pbt", "method": "pbt", "n": 6, "t_max": 3, "t_g": 2,
-     "truncation": 0.5},
-    {"name": "pbt_odd", "method": "pbt", "n": 5, "t_max": 4, "t_g": 2, "truncation": 0.5},
+    {"name": "pbt", "method": "pbt", "n": 6, "t_max": 3, "t_g": 2},
+    {"name": "pbt_odd", "method": "pbt", "n": 5, "t_max": 4, "t_g": 2},
     {"name": "nonadaptive", "method": "nonadaptive", "searcher": {"kind": "tpe"},
      "trials": 6, "t_total": 4},
 ]

@@ -24,6 +24,8 @@ from .searchers import SearcherConfig, suggest
 from .space import SearchSpace
 from .trainers import Trainer
 
+# PBT exploit: the bottom fraction copies from a top fraction of the same size.
+PBT_TRUNCATION = 0.25
 # PBT explore: resample uniformly with this probability, otherwise multiply
 # each dimension by one of the factors, picked uniformly.
 PBT_RESAMPLE_PROB = 0.25
@@ -35,7 +37,6 @@ class PbtConfig:
     n: int
     t_max: int
     t_g: int = 1
-    truncation: float = 0.25          # fraction exploited at both ends
     seed: int = 0
 
     def __post_init__(self):
@@ -44,8 +45,6 @@ class PbtConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if not 0.0 < self.truncation <= 0.5:
-            raise ValueError("truncation must be in (0, 0.5]")
 
 
 @dataclass(frozen=True)
@@ -85,7 +84,7 @@ def run_pbt(
     """Truncation-selection PBT: every generation the bottom fraction copies
     the state and hyperparameters of a random top-fraction member's record,
     explores, and all n agents keep training. Copies are made from records by
-    id, so an agent in both fractions (2k > n) is still copied as recorded.
+    id, so an agent in both fractions (only at n = 1) is still copied as recorded.
     Transfer ledger counts the exploit copies."""
     rng_search = search_stream(config.seed)
     rng_algo = np.random.default_rng(derive_seed(config.seed, STREAM_ALGO))
@@ -93,7 +92,7 @@ def run_pbt(
     tree = tally.tree
     agents: list[int] = []  # each agent's latest record id
 
-    k = math.ceil(config.truncation * config.n)
+    k = math.ceil(PBT_TRUNCATION * config.n)
     for t in range(config.t_max):
         if t == 0:
             slots = [(None, None)] * config.n

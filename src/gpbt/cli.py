@@ -1,8 +1,8 @@
 """Command-line front end: config ingestion, multi-seed runs, persistence, aggregation.
 
 Batch tool with two commands, each reading a JSON experiment config whose
-methods name the result cells under the output directory (flag --out, config
-output_dir, or the GPBT_OUT_DIR environment variable, in that order).
+methods name the result cells under the output directory, which the required
+flag --out gives.
 
 Results layout: `run` writes <out>/<method>/<seed>/{result.json,
 genealogy.ndjson, curves.csv} plus a combined <out>/curves.csv of the last
@@ -25,7 +25,6 @@ import csv
 import dataclasses
 import io
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -77,13 +76,11 @@ def load_config(path: str) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("config", "top level must be an object")
     for key in cfg:
-        if key not in (*_REQUIRED, "output_dir"):
+        if key not in _REQUIRED:
             raise ConfigError(f"config.{key}", "unknown field")
     for field in _REQUIRED:
         if field not in cfg:
             raise ConfigError(f"config.{field}", "missing required field")
-    if "output_dir" in cfg:
-        typed_value(str, cfg["output_dir"], "config.output_dir")
 
     space = SearchSpace.from_config(cfg["space"])
     trainer_spec = build(TrainerSpec, cfg["trainer"], "trainer")
@@ -147,13 +144,6 @@ def _parse_method(entry, index: int, seed: int):
     return name, build(_METHOD_CONFIGS[kind], fields, context, **given)
 
 
-def _resolve_out(args, cfg: dict) -> Path:
-    out = getattr(args, "out", None) or cfg.get("output_dir") or os.environ.get("GPBT_OUT_DIR")
-    if not out:
-        raise ConfigError("output_dir", "no output directory (use --out, output_dir, or GPBT_OUT_DIR)")
-    return Path(out)
-
-
 def _check_writable(out: Path):
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -161,7 +151,7 @@ def _check_writable(out: Path):
         probe.write_text("")
         probe.unlink()
     except OSError as exc:
-        raise ConfigError("output_dir", f"not writable: {exc}") from None
+        raise ConfigError("--out", f"not writable: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +233,7 @@ def _write_cell(out: Path, name: str, seed: int, config, result: RunResult,
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
-    out = _resolve_out(args, cfg)
+    out = args.out
     _check_writable(out)
     space, trainer_spec = cfg["_space"], cfg["_trainer_spec"]
     seeds = [args.seed] if args.seed is not None else cfg["seeds"]
@@ -334,16 +324,18 @@ def _load_cells(out: Path, cfg: dict, seeds: list[int]) -> dict[str, dict[int, d
                 raise ConfigError("results", f"{cell} ran under another {differs} than this config")
             try:
                 finals[seed] = {
-                    "val": float(data["final_best_val"]),
-                    "test": float(data["final_best_test"]),
-                    "epochs": int(data["total_epochs"]),
-                    "transfers": sum(map(int, data["transfer_ledger"])),
+                    "val": typed_value(float, data["final_best_val"], "final_best_val"),
+                    "test": typed_value(float, data["final_best_test"], "final_best_test"),
+                    "epochs": typed_value(int, data["total_epochs"], "total_epochs"),
+                    "transfers": sum(typed_value(list[int], data["transfer_ledger"],
+                                                 "transfer_ledger")),
                 }
                 path = cell / "curves.csv"  # the file an error names
                 with open(path, encoding="utf-8") as fh:
                     finals[seed]["curve"] = sorted(
-                        (int(r["epochs_consumed"]), float(r["best_seen_val"]),
-                         float(r["best_seen_test"]))
+                        (int(r["epochs_consumed"]),
+                         typed_value(float, float(r["best_seen_val"]), "best_seen_val"),
+                         typed_value(float, float(r["best_seen_test"]), "best_seen_test"))
                         for r in csv.DictReader(fh)
                     )
                 if spec.kind in _REPLAYABLE:
@@ -383,7 +375,7 @@ def _plot_rows(per_method: dict[str, dict[int, dict]]) -> list[dict]:
 
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
-    out = _resolve_out(args, cfg)
+    out = args.out
     per_method = _load_cells(out, cfg, cfg["seeds"])
     if any(len(finals) == 1 for finals in per_method.values()):
         print("warning: single seed, IQRs reported as 0", file=sys.stderr)
@@ -455,6 +447,12 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _out_dir(text: str) -> Path:
+    if not text:  # as from an unset shell variable; Path("") would be the working directory
+        raise argparse.ArgumentTypeError("must not be empty")
+    return Path(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gpbt", description="Genealogical population-based training experiments"
@@ -467,14 +465,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--deterministic", action="store_true",
                        help="zero wall-clock fields so reruns are byte-identical")
     p_run.add_argument("--verbose", action="store_true", help="log per-generation progress")
-    p_run.add_argument("--out", default=None)
+    p_run.add_argument("--out", type=_out_dir, required=True, help="output directory")
     p_run.set_defaults(fn=cmd_run)
 
     p_cmp = sub.add_parser(
         "compare", help="aggregate written cells into summary.csv/json and plot_data.csv"
     )
     p_cmp.add_argument("config")
-    p_cmp.add_argument("--out", default=None)
+    p_cmp.add_argument("--out", type=_out_dir, required=True, help="output directory")
     p_cmp.set_defaults(fn=cmd_compare)
 
     return parser

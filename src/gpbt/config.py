@@ -8,6 +8,7 @@ __post_init__. A bad value raises ConfigError naming the field's JSON path.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import types
@@ -54,6 +55,11 @@ def typed_value(hint, value, path: str):
     raise ConfigError(path, f"expected {_TYPE_NAMES[hint]}, got {json.dumps(value)}")
 
 
+@functools.cache
+def _type_hints(cls) -> dict:
+    return typing.get_type_hints(cls)
+
+
 def build(cls, entry, context: str, **given):
     """Dataclass `cls` from the JSON object `entry`. The dataclass declares the
     field names, which are required and their defaults; `given` sets fields
@@ -61,7 +67,7 @@ def build(cls, entry, context: str, **given):
     message starts with a field name is reported against that field."""
     if not isinstance(entry, dict):
         raise ConfigError(context, f"expected an object, got {json.dumps(entry)}")
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     fields = {f.name: f for f in dataclasses.fields(cls) if f.name not in given}
     values = dict(given)
     for key, value in entry.items():

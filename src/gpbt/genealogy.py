@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
+from .config import build
 from .space import HpVector
 
 HISTORY_MODES = ("sibling_only", "time_enriched", "pooled")
@@ -157,22 +158,18 @@ class GenealogyTree:
 
     @classmethod
     def load(cls, path) -> "GenealogyTree":
+        """The tree `dump` wrote to `path`; raises ValueError on a record with
+        a missing, unknown or mistyped field, or out of id order."""
         tree = cls()
         with open(path, encoding="utf-8") as fh:
-            records = [json.loads(line) for line in fh if line.strip()]
-        records.sort(key=lambda r: r["id"])
-        for rec in records:
-            if rec["id"] != len(tree._records):
-                raise ValueError(f"non-contiguous record id {rec['id']}")
-            cid = tree.record_child(
-                parent=rec["parent"],
-                hp=tuple(rec["hp"]),
-                val_loss=rec["val_loss"],
-                test_loss=rec["test_loss"],
-                epochs_trained=rec["epochs_trained"],
-                early_stopped=rec["early_stopped"],
-            )
-            if tree._records[cid].generation != rec["generation"]:
-                raise ValueError(f"record {cid} has generation {rec['generation']}, "
+            lines = [line for line in fh if line.strip()]
+        for i, line in enumerate(lines):
+            rec = build(AgentRecord, json.loads(line), f"record {i}")
+            if rec.id != i:
+                raise ValueError(f"non-contiguous record id {rec.id}")
+            tree.record_child(rec.parent, rec.hp, rec.val_loss, rec.test_loss,
+                              rec.epochs_trained, rec.early_stopped)
+            if tree._records[i].generation != rec.generation:
+                raise ValueError(f"record {i} has generation {rec.generation}, "
                                  "not its parent's + 1")
         return tree

@@ -64,13 +64,11 @@ class TestPbt:
         assert all(r.generation == 0 for r in result.tree.records)
         assert result.transfer_ledger == [1]
 
-    def test_truncation_validation(self):
-        with pytest.raises(ValueError):
-            PbtConfig(n=8, t_max=2, truncation=0.75)
-        with pytest.raises(ValueError):
-            PbtConfig(n=8, t_max=2, truncation=0.0)
-        with pytest.raises(ValueError):
-            PbtConfig(n=8, t_max=2, truncation=math.nan)
+    def test_config_validation(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            PbtConfig(n=0, t_max=2)
+        with pytest.raises(ValueError, match="t_g must be >= 1"):
+            PbtConfig(n=8, t_max=2, t_g=0)
         with pytest.raises(ValueError, match="seed"):
             PbtConfig(n=8, t_max=2, seed=-1)
 

@@ -137,12 +137,27 @@ class TestRunCommand:
         tree = GenealogyTree.load(out / "gpbt_tpe" / "0" / "genealogy.ndjson")
         assert len(tree) == 18
 
-    def test_unwritable_out_exits_2_before_compute(self, tmp_path):
+    def test_out_is_required(self, tmp_path, monkeypatch, capsys):
+        # --out is the one source of the output directory: no environment
+        # variable stands in for it, and an empty one is refused.
+        cfg = tiny_config(tmp_path, seeds=[0])
+        monkeypatch.setenv("GPBT_OUT_DIR", str(tmp_path / "envout"))
+        monkeypatch.chdir(tmp_path)
+        for argv in (["run", str(cfg), "--deterministic"], ["compare", str(cfg)],
+                     ["run", str(cfg), "--out", ""], ["compare", str(cfg), "--out", ""]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "--out" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_unwritable_out_exits_2_before_compute(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path)
         blocker = tmp_path / "blocker"
         blocker.write_text("")
         code = main(["run", str(cfg), "--out", str(blocker / "sub")])
         assert code == 2
+        assert capsys.readouterr().err.startswith("config error: --out: not writable")
 
     def test_config_error_names_field(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -212,7 +227,8 @@ class TestRunCommand:
             ("trainer", {"lr_name": "lr"}, "trainer.lr_name"),
             ("config", {"output_dri": "out"}, "config.output_dri"),
             ("config", {"_space": []}, "config._space"),
-            ("config", {"output_dir": 5}, "config.output_dir"),
+            ("config", {"output_dir": 5}, "config.output_dir: unknown field"),
+            ("config", {"output_dir": "out"}, "config.output_dir: unknown field"),
             ("config", {"seeds": [0, 0, 1]}, "seeds: duplicate seed 0"),
             ("method", {"selection_temperature": 0.5},
              "methods[0].selection_temperature: unknown field"),
@@ -229,6 +245,7 @@ class TestRunCommand:
             ("method", {"early_stop": {"level1_window": 2}},
              "methods[0].early_stop.level1_window: unknown field"),
             ("pbt", {"resample_prob": 0.25}, "methods[1].resample_prob: unknown field"),
+            ("pbt", {"truncation": 0.25}, "methods[1].truncation: unknown field"),
             ("method", {"c": 100.0}, "methods[0]: c=100.0 is not usable with n=6"),
             ("pbt", {"name": "gpbt_tpe"}, "methods[1].name: duplicate method name 'gpbt_tpe'"),
             ("method", {"seed_gen0_history": True}, "methods[0].seed_gen0_history: unknown field"),
@@ -237,8 +254,9 @@ class TestRunCommand:
         ids=["dim", "level3", "n", "dynamic_c_typo", "c_and_dynamic_c",
              "c_overflows_float", "timeout_negative", "timeout_zero", "timeout_huge",
              "lr_name", "output_dir_typo", "underscore_key", "output_dir_not_string",
-             "duplicate_seeds", "selection_temperature", "gamma", "pool", "startup",
-             "window", "beta_delta", "level1_window", "resample_prob", "c_unusable",
+             "output_dir", "duplicate_seeds", "selection_temperature", "gamma", "pool",
+             "startup", "window", "beta_delta", "level1_window", "resample_prob",
+             "truncation", "c_unusable",
              "duplicate_name", "gen0_history", "pooled_method"],
     )
     def test_mistyped_field_exits_2(self, tmp_path, capsys, section, fields, named):
@@ -455,12 +473,15 @@ class TestCompareCommand:
         main(["run", str(cfg), "--deterministic", "--out", str(out)])
         path = out / "pbt" / "1" / "result.json"
         text = path.read_text()
-        truncated, mistyped = text[:40], json.dumps({**json.loads(text), "final_best_val": "x"})
-        for bad in (truncated, mistyped):
-            path.write_text(bad)
+        edits = [{"final_best_val": "x"}, {"final_best_val": float("nan")},
+                 {"final_best_test": float("inf")}, {"total_epochs": 15.9},
+                 {"transfer_ledger": [1, 1.5]}, {"transfer_ledger": 3}]
+        for edit in [None, *edits]:  # None: cut short
+            path.write_text(text[:40] if edit is None else json.dumps({**json.loads(text), **edit}))
             assert main(["compare", str(cfg), "--out", str(out)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("config error: results: malformed") and str(path) in err
+            assert all(key in err for key in edit or ())
         assert not (out / "summary.json").exists()
 
     def test_replay_matches_reference_from_genealogy(self, tmp_path):
@@ -556,9 +577,7 @@ class TestCompareCommand:
         config = json.loads(cfg.read_text())
         del config["space"][1]["scale"]  # "linear", the default, left out
         config["trainer"].update(r_max=1, timeout=300.0, command=[])
-        gpbt, pbt, _ = config["methods"]
-        gpbt.update(history_mode="sibling_only", early_stop={"level3": False})
-        pbt.update(truncation=0.25)
+        config["methods"][0].update(history_mode="sibling_only", early_stop={"level3": False})
         cfg.write_text(json.dumps(config))
         assert main(["compare", str(cfg), "--out", str(out)]) == 0
 
@@ -614,7 +633,7 @@ class TestEmitPlotData:
         assert main(["compare", str(cfg), "--out", str(whole)]) == 0
         assert (split / "plot_data.csv").read_bytes() == (whole / "plot_data.csv").read_bytes()
 
-    @pytest.mark.parametrize("edit", ["non_numeric", "missing_column"])
+    @pytest.mark.parametrize("edit", ["non_numeric", "non_finite", "missing_column"])
     def test_malformed_curves_exit_2(self, tmp_path, capsys, edit):
         cfg = tiny_config(tmp_path)
         out = tmp_path / "out"
@@ -623,12 +642,15 @@ class TestEmitPlotData:
         text = path.read_text()
         if edit == "non_numeric":
             text = text.replace(",0.0\n", ",0.0\n" + "pbt,0,3,x,0.5,0.5,0.0\n", 1)
+        elif edit == "non_finite":
+            text = text.replace(",0.0\n", ",0.0\n" + "pbt,0,3,7,inf,0.5,0.0\n", 1)
         else:
             text = text.replace(",best_seen_test,", ",best_seen_tset,", 1)
         path.write_text(text)
         assert main(["compare", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: results: malformed") and str(path) in err
+        assert edit != "non_finite" or "best_seen_val" in err
         assert not (out / "plot_data.csv").exists()
         assert not (out / "summary.json").exists()
 
@@ -642,9 +664,3 @@ class TestBundledConfigs:
 
         cfg = load_config(str(CONFIGS / name))
         assert cfg["_space"].dim >= 4
-
-    def test_env_var_out_dir(self, tmp_path, monkeypatch):
-        cfg = tiny_config(tmp_path, seeds=[0])
-        monkeypatch.setenv("GPBT_OUT_DIR", str(tmp_path / "envout"))
-        assert main(["run", str(cfg), "--deterministic"]) == 0
-        assert (tmp_path / "envout" / "gpbt_tpe" / "0" / "result.json").exists()

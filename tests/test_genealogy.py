@@ -82,6 +82,15 @@ class TestRecordChild:
         with pytest.raises(ValueError, match="non-contiguous record id 2"):
             GenealogyTree.load(path)
 
+    def test_out_of_order_ids_rejected(self, tmp_path):
+        # dump writes records in id order, so a file in another order is not one of its.
+        records = [json.loads(line) for line in generation_zero(3).to_lines()]
+        records[0], records[1] = records[1], records[0]
+        path = tmp_path / "tree.ndjson"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        with pytest.raises(ValueError, match="non-contiguous record id 1"):
+            GenealogyTree.load(path)
+
     def test_zero_epochs_rejected(self):
         tree = generation_zero(2)
         with pytest.raises(ValueError, match="epochs_trained must be >= 1"):
@@ -261,6 +270,24 @@ class TestSerialization:
         for g in (1, 2):
             parents = {r.parent for r in result.tree.generation_records(g)}
             assert result.tree.parents_of(g) == loaded.parents_of(g) == tuple(sorted(parents))
+
+    @pytest.mark.parametrize(
+        "field,value,expected",
+        [
+            ("epochs_trained", 2.7, "an integer"),
+            ("early_stopped", "no", "true or false"),
+            ("parent", True, "an integer"),
+            ("hp", "ab", "a list"),
+        ],
+    )
+    def test_mistyped_field_rejected(self, tmp_path, field, value, expected):
+        # Without type checks these would read as 2, True, record 1 and ('a', 'b').
+        records = [json.loads(line) for line in build_two_by_two(2).to_lines()]
+        records[5][field] = value
+        path = tmp_path / "tree.ndjson"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        with pytest.raises(ValueError, match=f"record 5.{field}: expected {expected}"):
+            GenealogyTree.load(path)
 
     def test_lines_are_json_objects(self):
         tree = build_two_by_two(2)

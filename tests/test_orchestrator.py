@@ -478,7 +478,6 @@ class TestTally:
     @given(
         n=st.integers(1, 12),
         c=st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0, "dynamic"]),
-        truncation=st.sampled_from([0.1, 0.25, 0.4, 0.5]),
         t_max=st.integers(1, 4),
         t_g=st.integers(1, 3),
         level1=st.sampled_from([None, 1e-3, 0.1, 1.0]),
@@ -486,12 +485,12 @@ class TestTally:
         mode=st.sampled_from(["sibling_only", "time_enriched", "pooled"]),
         seed=st.integers(0, 2**16),
     )
-    # PBT with n=5 at truncation 0.5: the top and bottom fractions overlap.
-    @example(n=5, c=1.0, truncation=0.5, t_max=3, t_g=1, level1=None,
-             level3=False, mode="sibling_only", seed=0)
+    # PBT with n=1: the top and bottom fractions overlap.
+    @example(n=1, c=1.0, t_max=3, t_g=1, level1=None, level3=False,
+             mode="sibling_only", seed=0)
     @settings(max_examples=40, deadline=None)
-    def test_epochs_curves_and_ledger(self, method, n, c, truncation, t_max, t_g,
-                                      level1, level3, mode, seed):
+    def test_epochs_curves_and_ledger(self, method, n, c, t_max, t_g, level1, level3,
+                                      mode, seed):
         """The epoch total, the best-seen curve and the ledger agree with the
         records, every record's loss is the replay of its recorded ancestry
         (the model it trained was forked from the parent it names), no state
@@ -515,7 +514,7 @@ class TestTally:
             )
             result = run(config, space, trainer)
         elif method == "pbt":
-            config = PbtConfig(n=n, t_max=t_max, t_g=t_g, truncation=truncation, seed=seed)
+            config = PbtConfig(n=n, t_max=t_max, t_g=t_g, seed=seed)
             result = run_pbt(config, space, trainer)
         else:
             config = NonadaptiveConfig(
