@@ -14,8 +14,11 @@ summary.json, plot_data.csv}.
 
 `run` gives each (method, seed) cell a fresh trainer of its own, made one cell
 ahead: the next cell's trainer is made just before the current cell runs, so
-an external trainer's process starts up while the cell before it runs. At
-most two trainers are open at once, and each one is closed on every exit path.
+an external trainer's process starts up while the cell before it runs. A
+cell's trainer is shut down as soon as its run returns, so that an external
+process exits while the cell's files are written, and closed (its process
+reaped) after them. At most two trainers are open at once, and each one is
+closed on every exit path.
 """
 
 from __future__ import annotations
@@ -170,10 +173,12 @@ def _run_cell(config, space: SearchSpace, trainer, progress=None) -> RunResult:
     return runner(config, space, trainer, progress=progress)
 
 
-def _close(trainer):
-    close = getattr(trainer, "close", None)
-    if close is not None:
-        close()
+def _end(trainer, step: str):
+    """Call the trainer's `shutdown` or `close`, which only a trainer backed by
+    a process has."""
+    method = getattr(trainer, step, None)
+    if method is not None:
+        method()
 
 
 def _curve_rows(name: str, seed: int, result: RunResult, deterministic: bool) -> list[dict]:
@@ -259,11 +264,12 @@ def cmd_run(args) -> int:
                     file=sys.stderr,
                 )
             result = _run_cell(config, space, trainers[0], progress=progress)
-            _close(trainers.pop(0))
+            _end(trainers[0], "shutdown")
             all_rows.extend(_write_cell(out, name, seed, config, result, echo, args.deterministic))
+            _end(trainers.pop(0), "close")
     finally:
         while trainers:
-            _close(trainers.pop(0))
+            _end(trainers.pop(0), "close")
     _atomic_write(out / "curves.csv", _csv_text(all_rows, CURVE_FIELDS))
     print(f"wrote {len(cells)} runs under {out}")
     return 0

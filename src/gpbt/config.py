@@ -41,7 +41,14 @@ def typed_value(hint, value, path: str):
         if origin in (tuple, list):
             if not isinstance(value, list):
                 raise ConfigError(path, f"expected a list, got {json.dumps(value)}")
-            return origin(typed_value(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+            try:
+                return origin([typed_value(args[0], v, path) for v in value])
+            except ConfigError:
+                # Checked again to name the element at fault: formatting each
+                # element's path up front would cost more than its check.
+                for i, v in enumerate(value):
+                    typed_value(args[0], v, f"{path}[{i}]")
+                raise
     if isinstance(value, bool) == (hint is bool):  # true/false is a bool and no number
         if hint is float and isinstance(value, (int, float)):
             try:

@@ -15,10 +15,17 @@ copying is a "fork" message returning a fresh token.
     <- {"ok": true, "state": TOKEN''}
     -> {"cmd": "shutdown"}
 
-The conversation runs in the caller's thread; no thread is used. Each reply
-line must arrive within `spec.timeout` seconds of its request, or the child is
-killed. Every bad reply, exit or timeout raises TrainerProtocolError. The wait
-uses select() on the pipe, so the bridge needs POSIX pipes.
+The conversation runs in the caller's thread; no thread is used. `init` and
+`fork` write their request and return at once with a pending token, whose
+reply is read the first time the token is used or when a later reply is
+needed, so the child works through these requests while the caller does
+other work. `step` and `eval` wait for their replies. The child answers
+every request in order, one line each, and each reply must arrive within
+`spec.timeout` seconds of its own request, or the child is killed. While
+the child's stdin pipe is full, a write reads the child's replies into a
+buffer, because a child blocked on a full stdout reads no more requests.
+Every bad reply, exit or timeout raises TrainerProtocolError. The waits use
+select() on the pipes, so the bridge needs POSIX pipes.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ import os
 import select
 import subprocess
 import time
+from collections import deque
 from typing import Mapping
 
 from .config import ConfigError, typed_value
@@ -35,6 +43,7 @@ from .space import SearchSpace
 from .trainers import TrainerSpec
 
 SHUTDOWN_TIMEOUT = 10.0  # seconds a child has to exit after "shutdown" before it is killed
+_SHUTDOWN = json.dumps({"cmd": "shutdown"}).encode() + b"\n"
 
 
 class TrainerProtocolError(RuntimeError):
@@ -52,105 +61,179 @@ def _loss(value, field: str) -> float:
         ) from None
 
 
+class _Reply:
+    """A sent request's reply: `values` holds its `fields` once it is read.
+    `init` and `fork` return theirs as the pending state token."""
+
+    __slots__ = ("cmd", "fields", "deadline", "values")
+
+    def __init__(self, cmd: str, fields: tuple[str, ...], deadline: float):
+        self.cmd, self.fields, self.deadline = cmd, fields, deadline
+        self.values: list | None = None
+
+
 class ExternalTrainer:
     """Runs the configured command and proxies the trainer contract over pipes."""
 
     def __init__(self, spec: TrainerSpec, space: SearchSpace):
         self.spec = spec
         self.space = space
+        self._space_config = space.as_config()  # every init request's "space"
         try:
             self._proc = subprocess.Popen(
                 list(spec.command), stdin=subprocess.PIPE, stdout=subprocess.PIPE
             )
         except OSError as exc:
             raise TrainerProtocolError(f"could not start trainer command: {exc}") from exc
+        self._stdin = self._proc.stdin.fileno()
+        self._stdout = self._proc.stdout.fileno()
+        os.set_blocking(self._stdin, False)  # see _write
         self._buffer = bytearray()  # stdout bytes read past the last reply line
+        self._unread: deque[_Reply] = deque()  # sent requests whose reply is unread, in order
 
-    def _request(self, msg: dict, *fields: str) -> list:
-        """Send `msg` and return the reply's `fields`, each of which must be present."""
-        if self._proc.poll() is not None:
+    def _send(self, msg: dict, *fields: str) -> _Reply:
+        """Write `msg` and return its reply, due `spec.timeout` seconds from now,
+        whose `fields` must be present."""
+        if self._proc.returncode is not None or self._proc.stdin.closed:
             raise TrainerProtocolError("trainer process is not running")
-        try:
-            self._proc.stdin.write(json.dumps(msg).encode() + b"\n")
-            self._proc.stdin.flush()
-        except (BrokenPipeError, ValueError) as exc:
-            raise TrainerProtocolError(f"trainer pipe closed: {exc}") from exc
-        line = self._read_line(time.monotonic() + self.spec.timeout)
-        try:
-            reply = json.loads(line)
-        except ValueError:  # also bytes that are not UTF-8
-            reply = None
-        if not isinstance(reply, dict) or "ok" not in reply:
-            raise TrainerProtocolError(f"malformed trainer reply: {line.rstrip()!r}")
-        if not reply["ok"]:
-            raise TrainerProtocolError(f"trainer error: {reply.get('error', 'unspecified')}")
-        for field in fields:
-            if field not in reply:
-                raise TrainerProtocolError(f"trainer reply to {msg['cmd']!r} has no {field!r}")
-        return [reply[field] for field in fields]
+        reply = _Reply(msg["cmd"], fields, time.monotonic() + self.spec.timeout)
+        self._write(json.dumps(msg).encode() + b"\n", reply.deadline)
+        self._unread.append(reply)
+        return reply
+
+    def _wait(self, reply: _Reply) -> list:
+        """`reply`'s fields, read after every reply to an earlier request."""
+        while reply.values is None:
+            if not self._unread:
+                raise TrainerProtocolError(
+                    f"trainer reply to {reply.cmd!r} was lost to an earlier failure or shutdown"
+                )
+            head = self._unread.popleft()
+            line = self._read_line(head.deadline)
+            try:
+                obj = json.loads(line)
+            except ValueError:  # also bytes that are not UTF-8
+                obj = None
+            if not isinstance(obj, dict) or "ok" not in obj:
+                raise TrainerProtocolError(f"malformed trainer reply: {line.rstrip()!r}")
+            if not obj["ok"]:
+                raise TrainerProtocolError(f"trainer error: {obj.get('error', 'unspecified')}")
+            for field in head.fields:
+                if field not in obj:
+                    raise TrainerProtocolError(f"trainer reply to {head.cmd!r} has no {field!r}")
+            head.values = [obj[field] for field in head.fields]
+        return reply.values
+
+    def _token(self, state) -> str:
+        """The token of `state`, waiting for its reply when it is pending."""
+        return str(self._wait(state)[0]) if isinstance(state, _Reply) else state
+
+    def _write(self, data: bytes, deadline: float) -> None:
+        """Write `data` to the child's stdin by `deadline`. While the pipe is
+        full, read the child's stdout into the buffer: the child may be
+        blocked writing replies, and then it reads no requests."""
+        view = memoryview(data)
+        while view:
+            try:
+                view = view[os.write(self._stdin, view):]
+                continue
+            except BlockingIOError:
+                pass
+            except BrokenPipeError:
+                raise self._exited(deadline, "stdin") from None
+            readable, writable, _ = select.select(
+                [self._stdout], [self._stdin], [], max(0.0, deadline - time.monotonic())
+            )
+            if readable:
+                self._fill(deadline)
+            elif not writable:
+                self._kill()
+                raise TrainerProtocolError(
+                    f"trainer read no request for {self.spec.timeout}s and was killed"
+                )
 
     def _read_line(self, deadline: float) -> bytes:
-        """The next newline-terminated line from the child's stdout, by `deadline`."""
-        fd = self._proc.stdout.fileno()
+        """The next newline-terminated line from the child's stdout, by
+        `deadline`; a line already waiting in the pipe is taken when late."""
         while (end := self._buffer.find(b"\n")) < 0:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
+            remaining = max(0.0, deadline - time.monotonic())
+            if not select.select([self._stdout], [], [], remaining)[0]:
                 self._kill()
                 raise TrainerProtocolError(f"trainer reply timed out after {self.spec.timeout}s")
-            chunk = os.read(fd, 65536)
-            if not chunk:
-                try:
-                    code = self._proc.wait(timeout=max(0.0, deadline - time.monotonic()))
-                except subprocess.TimeoutExpired:
-                    self._kill()
-                    raise TrainerProtocolError(
-                        f"trainer closed its stdout, did not exit within {self.spec.timeout}s"
-                        " and was killed"
-                    ) from None
-                raise TrainerProtocolError(f"trainer exited with code {code} mid-conversation")
-            self._buffer += chunk
+            self._fill(deadline)
         line = bytes(self._buffer[: end + 1])
         del self._buffer[: end + 1]
         return line
 
+    def _fill(self, deadline: float) -> None:
+        """Append what the child's stdout holds to the buffer; raise at its end."""
+        chunk = os.read(self._stdout, 65536)
+        if not chunk:
+            raise self._exited(deadline, "stdout")
+        self._buffer += chunk
+
+    def _exited(self, deadline: float, pipe: str) -> TrainerProtocolError:
+        """The error for a child that closed its `pipe`: its exit code once
+        reaped, or a kill when it has not exited by `deadline`."""
+        try:
+            code = self._proc.wait(timeout=max(0.0, deadline - time.monotonic()))
+        except subprocess.TimeoutExpired:
+            self._kill()
+            return TrainerProtocolError(
+                f"trainer closed its {pipe}, did not exit within {self.spec.timeout}s"
+                " and was killed"
+            )
+        return TrainerProtocolError(f"trainer exited with code {code} mid-conversation")
+
     # -- trainer contract ----------------------------------------------------
 
-    def init(self, seed: int) -> str:
-        msg = {"cmd": "init", "seed": int(seed), "space": self.space.as_config()}
-        (token,) = self._request(msg, "state")
-        return str(token)
+    def init(self, seed: int) -> _Reply:
+        return self._send({"cmd": "init", "seed": int(seed), "space": self._space_config},
+                          "state")
 
-    def step_many(self, state: str, hp: Mapping[str, float], iters: int) -> str:
+    def step_many(self, state, hp: Mapping[str, float], iters: int):
         if iters < 1:
             return state
-        msg = {"cmd": "step", "state": state, "hp": dict(hp), "iters": int(iters)}
-        (token,) = self._request(msg, "state")
+        msg = {"cmd": "step", "state": self._token(state), "hp": dict(hp), "iters": int(iters)}
+        (token,) = self._wait(self._send(msg, "state"))
         return str(token)
 
-    def evaluate(self, state: str) -> tuple[float, float]:
-        val, test = self._request({"cmd": "eval", "state": state}, "val", "test")
+    def evaluate(self, state) -> tuple[float, float]:
+        reply = self._send({"cmd": "eval", "state": self._token(state)}, "val", "test")
+        val, test = self._wait(reply)
         return _loss(val, "val"), _loss(test, "test")
 
-    def fork(self, state: str) -> str:
-        (token,) = self._request({"cmd": "fork", "state": state}, "state")
-        return str(token)
+    def fork(self, state) -> _Reply:
+        return self._send({"cmd": "fork", "state": self._token(state)}, "state")
 
     # -- lifecycle -----------------------------------------------------------
 
-    def close(self):
-        """Ask the child to shut down, wait for the end of its stdout and reap
-        it; kill it when it has not exited within SHUTDOWN_TIMEOUT seconds."""
+    def shutdown(self):
+        """Ask the child to exit, without waiting: write "shutdown" when its
+        stdin pipe has room and close the pipe, whose end also tells the child
+        to exit. Unread replies are dropped; `close` reaps the child."""
+        if self._proc.stdin.closed:
+            return
+        self._unread.clear()
         try:
-            if self._proc.poll() is None:
-                self._proc.stdin.write(json.dumps({"cmd": "shutdown"}).encode() + b"\n")
-                self._proc.stdin.flush()
-                self._proc.stdin.close()
+            os.write(self._stdin, _SHUTDOWN)  # one line under PIPE_BUF: all of it or nothing
+        except OSError:  # a full pipe, or a child that has exited
+            pass
+        self._proc.stdin.close()
+
+    def close(self):
+        """Shut the child down, wait for the end of its stdout and reap it;
+        kill it when it has not exited within SHUTDOWN_TIMEOUT seconds."""
+        try:
+            self.shutdown()
+            if self._proc.returncode is None:
                 deadline = time.monotonic() + SHUTDOWN_TIMEOUT
                 # Wait for EOF on stdout, dropping any late output: select()
                 # wakes at once, where Popen.wait(timeout) polls in sleeps.
-                fd = self._proc.stdout.fileno()
                 while (remaining := deadline - time.monotonic()) > 0:
-                    if select.select([fd], [], [], remaining)[0] and not os.read(fd, 65536):
+                    if select.select([self._stdout], [], [], remaining)[0] and not os.read(
+                        self._stdout, 65536
+                    ):
                         break
                 self._proc.wait(timeout=max(0.0, deadline - time.monotonic()))
         except (OSError, ValueError, subprocess.TimeoutExpired):

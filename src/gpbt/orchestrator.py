@@ -11,7 +11,9 @@ Runs are sequential and bit-reproducible given the seed: parents are visited
 best first, each parent's children in creation order. `Tally` is the one
 child path (training, recording, live states, epochs, best-seen values,
 curves) shared with the baselines: a parent's last child trains the parent's
-state itself, and only its earlier children train forks of it.
+state itself, and only its earlier children train forks of it. Each call
+asks the trainer for every child's starting state before the first child
+trains.
 """
 
 from __future__ import annotations
@@ -292,25 +294,28 @@ class Tally:
         """Train, evaluate and record one child per (parent, hp) slot, in
         order, for `iters` iterations; keep their states and return their ids.
 
-        A root slot (parent None) inits a state seeded by the record count. A
-        parent (a child of the previous call) hands its state to its last
-        slot; its earlier slots train forks of it. An hp of None is
+        Every slot's starting state is asked for before the first child
+        trains, so that an external trainer works through these requests
+        while the first hp is proposed. A root slot (parent None) inits a
+        state seeded by the record count its child will have. A parent (a
+        child of the previous call) hands its own state to its last slot, and
+        its earlier slots train forks of it. An hp of None is
         `propose(parent)`, asked just before the child trains. With a level-3
         ledger of this generation's first-iteration losses, a child is
         evaluated after one iteration and stops there if the median gate says
         so; without one it trains through in one trainer call."""
         trainer, space, tree, states = self.trainer, self.space, self.tree, self._states
         last = {pid: k for k, (pid, _) in enumerate(slots)}
+        starts = [
+            trainer.init(init_seed(self.seed, len(tree) + k)) if pid is None
+            else states[pid] if last[pid] == k
+            else trainer.fork(states[pid])
+            for k, (pid, _) in enumerate(slots)
+        ]
         children: dict[int, object] = {}
-        for k, (pid, hp) in enumerate(slots):
+        for (pid, hp), state in zip(slots, starts):
             if hp is None:
                 hp = propose(pid)
-            if pid is None:
-                state = trainer.init(init_seed(self.seed, len(tree)))
-            elif last[pid] == k:
-                state = states.pop(pid)
-            else:
-                state = trainer.fork(states[pid])
             hp_named = space.to_dict(hp)
             done = iters if early is None else 1  # iterations before the level-3 gate
             state = trainer.step_many(state, hp_named, done)

@@ -78,6 +78,18 @@ class TestBridgeBasics:
             with pytest.raises(TrainerProtocolError, match="'val' must be a finite number"):
                 trainer.evaluate(trainer.init(0))
 
+    def test_pending_reply_is_due_at_its_own_deadline(self):
+        with closing(ExternalTrainer(external_spec("forksleep", timeout=1.0), space())) as trainer:
+            state = trainer.step_many(trainer.init(0), {"lr": 0.5}, 1)
+            sent = time.monotonic()
+            pending = trainer.fork(state)
+            time.sleep(0.8)
+            with pytest.raises(TrainerProtocolError, match="timed out"):
+                trainer.step_many(pending, {"lr": 0.5}, 1)
+            # Due 1 s after the fork was written, not 1 s after it was first used.
+            assert 1.0 <= time.monotonic() - sent < 1.5
+            assert trainer._proc.returncode == -signal.SIGKILL
+
     def test_timeout(self):
         with closing(ExternalTrainer(external_spec("sleep", timeout=0.5), space())) as trainer:
             s = trainer.init(0)
@@ -107,6 +119,15 @@ class TestBridgeBasics:
         trainer.close()
         assert time.monotonic() - started < external.SHUTDOWN_TIMEOUT / 2
         assert trainer._proc.returncode == 0  # exited on "shutdown", not killed
+
+    def test_shutdown_drops_unread_replies(self):
+        trainer = ExternalTrainer(external_spec(), space())
+        pending = trainer.init(0)
+        trainer.shutdown()
+        with pytest.raises(TrainerProtocolError, match="lost to an earlier failure or shutdown"):
+            trainer.step_many(pending, {"lr": 0.5}, 1)
+        trainer.close()  # reads the unread init reply up to the end of stdout
+        assert trainer._proc.returncode == 0
 
     def test_close_kills_a_child_that_ignores_shutdown(self, monkeypatch):
         monkeypatch.setattr(external, "SHUTDOWN_TIMEOUT", 0.3)
@@ -178,14 +199,16 @@ class TestEndToEnd:
             assert len(result.tree.records) == 8
 
 
-def cli_config(tmp_path, mode, timeout, seeds=(0,)):
+def cli_config(tmp_path, mode, timeout, seeds=(0,), **method):
+    """A one-method config over `mode` of the double: n=4 and c=1 (2 parents
+    with 2 children each) unless `method` overrides them."""
     cfg = {
         "space": [{"name": "lr", "lower": 0.0, "upper": 1.0, "scale": "linear"}],
         "trainer": {"kind": "external", "command": [sys.executable, DOUBLE, mode],
                     "timeout": timeout},
         "seeds": list(seeds),
         "methods": [{"method": "gpbt", "n": 4, "t_max": 3, "t_g": 1, "c": 1.0,
-                     "searcher": {"kind": "random"}}],
+                     "searcher": {"kind": "random"}, **method}],
     }
     path = tmp_path / f"{mode}.json"
     path.write_text(json.dumps(cfg))
@@ -205,9 +228,52 @@ class TestProcessFailures:
         assert proc.stderr.startswith("trainer failure:") and "Traceback" not in proc.stderr
 
     def test_exit_mid_generation_exits_3(self, tmp_path, capsys, reaped_processes):
-        path = cli_config(tmp_path, "exit", 30.0)
+        # With 3 forks per parent (n=8, c=2: 2 parents with 4 children each),
+        # gpbt often meets the exit in a write of a later fork, not a read.
+        for method in ({}, {"n": 8, "c": 2.0}):
+            path = cli_config(tmp_path, "exit", 30.0, **method)
+            assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+            assert "exited with code 7" in capsys.readouterr().err
+        assert [proc.returncode for proc in reaped_processes] == [7, 7]
+
+    def test_failed_fork_exits_3(self, tmp_path, capsys, reaped_processes):
+        path = cli_config(tmp_path, "forkerror", 30.0)
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
-        assert "exited with code 7" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == "trainer failure: trainer error: scripted fork failure\n"
+        assert [proc.returncode for proc in reaped_processes] == [0]  # shut down, not killed
+
+    def test_unanswered_fork_times_out(self, tmp_path, capsys, reaped_processes):
+        path = cli_config(tmp_path, "forksleep", 1.0)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert "timed out after 1.0s" in capsys.readouterr().err
+        assert [proc.returncode for proc in reaped_processes] == [-signal.SIGKILL]
+
+    def test_large_replies_never_block_a_write(self, tmp_path, reaped_processes):
+        # One parent with 64 children: its 63 forks, 8 KB each, are written
+        # before any reply is read, so the child's stdout pipe fills, and then
+        # its stdin pipe. A write that waited on a full pipe would hang, so
+        # an alarm kills the children, which breaks the pipes, and fails.
+        def deadlocked(signum, frame):
+            for proc in reaped_processes:
+                proc.kill()
+            raise TimeoutError("gpbt run did not finish within 60 s")
+
+        method = {"n": 64, "c": 64.0, "t_max": 2}
+        previous = signal.signal(signal.SIGALRM, deadlocked)
+        signal.alarm(60)
+        try:
+            for mode in ("padded", "quad"):
+                path = cli_config(tmp_path, mode, 30.0, **method)
+                assert main(["run", str(path), "--deterministic",
+                             "--out", str(tmp_path / mode)]) == 0
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        padded, quad = (tmp_path / mode / "gpbt" / "0" / "genealogy.ndjson"
+                        for mode in ("padded", "quad"))
+        assert padded.read_bytes() == quad.read_bytes()
+        assert [proc.returncode for proc in reaped_processes] == [0, 0]
 
     def test_failed_cell_closes_the_next_cells_trainer(self, tmp_path, reaped_processes):
         path = cli_config(tmp_path, "exit", 30.0, seeds=(0, 1))

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -278,15 +279,18 @@ class TestSerialization:
             ("early_stopped", "no", "true or false"),
             ("parent", True, "an integer"),
             ("hp", "ab", "a list"),
+            ("hp", [0.1, "x"], "a finite number"),
         ],
     )
     def test_mistyped_field_rejected(self, tmp_path, field, value, expected):
-        # Without type checks these would read as 2, True, record 1 and ('a', 'b').
+        # Without type checks these would read as 2, True, record 1, ('a', 'b')
+        # and (0.1, 'x').
         records = [json.loads(line) for line in build_two_by_two(2).to_lines()]
         records[5][field] = value
         path = tmp_path / "tree.ndjson"
         path.write_text("".join(json.dumps(r) + "\n" for r in records))
-        with pytest.raises(ValueError, match=f"record 5.{field}: expected {expected}"):
+        where = f"{field}[1]" if isinstance(value, list) else field  # a list names its element
+        with pytest.raises(ValueError, match=re.escape(f"record 5.{where}: expected {expected}")):
             GenealogyTree.load(path)
 
     def test_lines_are_json_objects(self):

@@ -15,6 +15,7 @@ from gpbt.orchestrator import (
     EarlyStopConfig,
     FixedC,
     RunConfig,
+    Tally,
     convergence_gate,
     median_gate,
     plan_generation,
@@ -567,6 +568,83 @@ class TestTally:
         assert loaded.records == records
         for g in {r.generation for r in records}:
             assert loaded.parents_of(g) == tree.parents_of(g)
+
+
+class CallLogTrainer(LineageTrainer):
+    """A LineageTrainer that logs each init, fork and step_many as (call, the
+    state passed, the state returned)."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def init(self, seed):
+        state = super().init(seed)
+        self.calls.append(("init", None, state))
+        return state
+
+    def fork(self, state):
+        copy = super().fork(state)
+        self.calls.append(("fork", state, copy))
+        return copy
+
+    def step_many(self, state, hp, iters):
+        stepped = super().step_many(state, hp, iters)
+        self.calls.append(("step", state, stepped))
+        return stepped
+
+
+class TestGrowOrder:
+    """Tally.grow asks for every starting state before the first child trains."""
+
+    @pytest.mark.parametrize("method", ["fixed_c", "dynamic_c", "pbt"])
+    def test_inits_and_forks_come_before_the_first_step(self, method, monkeypatch):
+        from gpbt.baselines import PbtConfig, run_pbt
+
+        trainer = CallLogTrainer()
+        grow = Tally.grow
+
+        def logged_grow(self, slots, *args, **kwargs):
+            # Each call's slots and the states of its parents, by id.
+            trainer.calls.append(("grow", [pid for pid, _ in slots], dict(self._states)))
+            return grow(self, slots, *args, **kwargs)
+
+        monkeypatch.setattr(Tally, "grow", logged_grow)
+        space = SearchSpace([Dimension("lr", -1.0, 1.0)])
+        searcher = SearcherConfig(kind="random")
+        if method == "pbt":
+            run_pbt(PbtConfig(n=8, t_max=4, t_g=2, seed=3), space, trainer)
+        else:
+            c = FixedC(1.0) if method == "fixed_c" else DynamicC(initial_mean=1.0)
+            run(small_config(n=9, t_g=2, c=c, searcher=searcher), space, trainer)
+
+        marks = [i for i, call in enumerate(trainer.calls) if call[0] == "grow"]
+        shared = 0
+        for start, end in zip(marks, marks[1:] + [len(trainer.calls)]):
+            _, pids, parent_states = trainer.calls[start]
+            calls = trainer.calls[start + 1:end]
+            first_step = [name for name, _, _ in calls].index("step")
+            assert all(name == "step" for name, _, _ in calls[first_step:])
+            steps = calls[first_step:]
+            assert len(steps) == len(pids)  # no level 3: one step_many per child
+            # A parent with k slots is forked k - 1 times; its last slot
+            # trains its own state and the earlier slots train those forks.
+            forks = [(src, copy) for name, src, copy in calls if name == "fork"]
+            for pid in set(pids) - {None}:
+                own = parent_states[pid]
+                copies = [copy for src, copy in forks if src is own]
+                trained = [state for p, (_, state, _) in zip(pids, steps) if p == pid]
+                assert len(copies) == pids.count(pid) - 1
+                assert trained[-1] is own
+                assert all(any(s is copy for copy in copies) for s in trained[:-1])
+            assert len(forks) == sum(pids.count(pid) - 1 for pid in set(pids) - {None})
+            if method == "dynamic_c" and pids[0] is not None:
+                # Both halves take the best parent first.
+                assert pids[0] == pids[len(pids) // 2]
+                shared += 1
+            if method == "pbt" and pids[0] is not None:
+                shared += len(forks) > 0  # a top agent copied by a bottom one
+        assert method == "fixed_c" or shared > 0
 
 
 class FourCallTrainer:

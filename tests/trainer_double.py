@@ -12,6 +12,10 @@ Modes (argv[1], default "quad"):
   notutf8   replies to "step" with a line of bytes that are not UTF-8
   closeout  closes its stdout on "step" and keeps running
   exit      exits with code 7 on the second "fork"
+  forkerror replies ok:false to "fork"
+  forksleep never replies to "fork"
+  padded    pads every state token to 8 KB, so each init and fork reply (and
+            each request naming a state) is at least 8 KB long
   noexit    ignores "shutdown" and keeps running (exercises the kill in close)
 """
 
@@ -33,6 +37,8 @@ def fresh(payload):
     global counter
     counter += 1
     token = f"s{counter}"
+    if mode == "padded":
+        token += "." * 8192
     states[token] = payload
     return token
 
@@ -95,6 +101,11 @@ for line in sys.stdin:
         fork_count += 1
         if mode == "exit" and fork_count == 2:
             sys.exit(7)
+        if mode == "forksleep":
+            time.sleep(3600)
+        if mode == "forkerror":
+            reply({"ok": False, "error": "scripted fork failure"})
+            continue
         reply({"ok": True, "state": fresh(dict(states[msg["state"]]))})
     else:
         reply({"ok": False, "error": f"unknown command {cmd!r}"})
