@@ -20,10 +20,13 @@ The conversation runs in the caller's thread; no thread is used. `init` and
 reply is read the first time the token is used or when a later reply is
 needed, so the child works through these requests while the caller does
 other work. `step` and `eval` wait for their replies. The child answers
-every request in order, one line each, and each reply must arrive within
-`spec.timeout` seconds of its own request, or the child is killed. While
-the child's stdin pipe is full, a write reads the child's replies into a
-buffer, because a child blocked on a full stdout reads no more requests.
+every request in order, one line each. While the bridge waits on the child,
+a reply is due `spec.timeout` seconds after the later of the latest request
+written and the latest reply read, or the child is killed: a reply's time
+counts from when the child could start on its request, so requests queued
+ahead of it do not use it up. While the child's stdin pipe is full, a write
+reads the child's replies into a buffer, because a child blocked on a full
+stdout reads no more requests.
 Every bad reply, exit or timeout raises TrainerProtocolError. The waits use
 select() on the pipes, so the bridge needs POSIX pipes.
 """
@@ -65,10 +68,10 @@ class _Reply:
     """A sent request's reply: `values` holds its `fields` once it is read.
     `init` and `fork` return theirs as the pending state token."""
 
-    __slots__ = ("cmd", "fields", "deadline", "values")
+    __slots__ = ("cmd", "fields", "values")
 
-    def __init__(self, cmd: str, fields: tuple[str, ...], deadline: float):
-        self.cmd, self.fields, self.deadline = cmd, fields, deadline
+    def __init__(self, cmd: str, fields: tuple[str, ...]):
+        self.cmd, self.fields = cmd, fields
         self.values: list | None = None
 
 
@@ -90,16 +93,22 @@ class ExternalTrainer:
         os.set_blocking(self._stdin, False)  # see _write
         self._buffer = bytearray()  # stdout bytes read past the last reply line
         self._unread: deque[_Reply] = deque()  # sent requests whose reply is unread, in order
+        # The later of the latest request written and the latest reply line
+        # read: the child has spec.timeout seconds from it to answer.
+        self._since = time.monotonic()
 
     def _send(self, msg: dict, *fields: str) -> _Reply:
-        """Write `msg` and return its reply, due `spec.timeout` seconds from now,
-        whose `fields` must be present."""
+        """Write `msg` and return its reply, whose `fields` must be present."""
         if self._proc.returncode is not None or self._proc.stdin.closed:
             raise TrainerProtocolError("trainer process is not running")
-        reply = _Reply(msg["cmd"], fields, time.monotonic() + self.spec.timeout)
-        self._write(json.dumps(msg).encode() + b"\n", reply.deadline)
+        reply = _Reply(msg["cmd"], fields)
+        self._write(json.dumps(msg).encode() + b"\n")
         self._unread.append(reply)
         return reply
+
+    def _remaining(self) -> float:
+        """Seconds left before the child's current reply is due."""
+        return max(0.0, self._since + self.spec.timeout - time.monotonic())
 
     def _wait(self, reply: _Reply) -> list:
         """`reply`'s fields, read after every reply to an earlier request."""
@@ -109,7 +118,7 @@ class ExternalTrainer:
                     f"trainer reply to {reply.cmd!r} was lost to an earlier failure or shutdown"
                 )
             head = self._unread.popleft()
-            line = self._read_line(head.deadline)
+            line = self._read_line()
             try:
                 obj = json.loads(line)
             except ValueError:  # also bytes that are not UTF-8
@@ -128,10 +137,10 @@ class ExternalTrainer:
         """The token of `state`, waiting for its reply when it is pending."""
         return str(self._wait(state)[0]) if isinstance(state, _Reply) else state
 
-    def _write(self, data: bytes, deadline: float) -> None:
-        """Write `data` to the child's stdin by `deadline`. While the pipe is
-        full, read the child's stdout into the buffer: the child may be
-        blocked writing replies, and then it reads no requests."""
+    def _write(self, data: bytes) -> None:
+        """Write `data` to the child's stdin. While the pipe is full, read the
+        child's stdout into the buffer: the child may be blocked writing
+        replies, and then it reads no requests."""
         view = memoryview(data)
         while view:
             try:
@@ -140,43 +149,45 @@ class ExternalTrainer:
             except BlockingIOError:
                 pass
             except BrokenPipeError:
-                raise self._exited(deadline, "stdin") from None
+                raise self._exited("stdin") from None
             readable, writable, _ = select.select(
-                [self._stdout], [self._stdin], [], max(0.0, deadline - time.monotonic())
+                [self._stdout], [self._stdin], [], self._remaining()
             )
             if readable:
-                self._fill(deadline)
+                self._fill()
             elif not writable:
                 self._kill()
                 raise TrainerProtocolError(
                     f"trainer read no request for {self.spec.timeout}s and was killed"
                 )
+        self._since = time.monotonic()
 
-    def _read_line(self, deadline: float) -> bytes:
-        """The next newline-terminated line from the child's stdout, by
-        `deadline`; a line already waiting in the pipe is taken when late."""
+    def _read_line(self) -> bytes:
+        """The next newline-terminated line from the child's stdout, by its
+        due time; a line already waiting in the pipe is taken when late."""
         while (end := self._buffer.find(b"\n")) < 0:
-            remaining = max(0.0, deadline - time.monotonic())
-            if not select.select([self._stdout], [], [], remaining)[0]:
+            if not select.select([self._stdout], [], [], self._remaining())[0]:
                 self._kill()
                 raise TrainerProtocolError(f"trainer reply timed out after {self.spec.timeout}s")
-            self._fill(deadline)
+            self._fill()
         line = bytes(self._buffer[: end + 1])
         del self._buffer[: end + 1]
         return line
 
-    def _fill(self, deadline: float) -> None:
+    def _fill(self) -> None:
         """Append what the child's stdout holds to the buffer; raise at its end."""
         chunk = os.read(self._stdout, 65536)
         if not chunk:
-            raise self._exited(deadline, "stdout")
+            raise self._exited("stdout")
+        if b"\n" in chunk:  # a reply is complete, so the child may start on the next request
+            self._since = time.monotonic()
         self._buffer += chunk
 
-    def _exited(self, deadline: float, pipe: str) -> TrainerProtocolError:
+    def _exited(self, pipe: str) -> TrainerProtocolError:
         """The error for a child that closed its `pipe`: its exit code once
-        reaped, or a kill when it has not exited by `deadline`."""
+        reaped, or a kill when it has not exited by its reply's due time."""
         try:
-            code = self._proc.wait(timeout=max(0.0, deadline - time.monotonic()))
+            code = self._proc.wait(timeout=self._remaining())
         except subprocess.TimeoutExpired:
             self._kill()
             return TrainerProtocolError(

@@ -308,12 +308,14 @@ class Tally:
         last = {pid: k for k, (pid, _) in enumerate(slots)}
         starts = [
             trainer.init(init_seed(self.seed, len(tree) + k)) if pid is None
-            else states[pid] if last[pid] == k
+            else states.pop(pid) if last[pid] == k
             else trainer.fork(states[pid])
             for k, (pid, _) in enumerate(slots)
         ]
+        starts.reverse()  # taken from the end, so each is released as its child trains
         children: dict[int, object] = {}
-        for (pid, hp), state in zip(slots, starts):
+        for pid, hp in slots:
+            state = starts.pop()
             if hp is None:
                 hp = propose(pid)
             hp_named = space.to_dict(hp)

@@ -78,7 +78,7 @@ class TestBridgeBasics:
             with pytest.raises(TrainerProtocolError, match="'val' must be a finite number"):
                 trainer.evaluate(trainer.init(0))
 
-    def test_pending_reply_is_due_at_its_own_deadline(self):
+    def test_pending_reply_is_due_from_its_request_not_its_first_use(self):
         with closing(ExternalTrainer(external_spec("forksleep", timeout=1.0), space())) as trainer:
             state = trainer.step_many(trainer.init(0), {"lr": 0.5}, 1)
             sent = time.monotonic()
@@ -89,6 +89,14 @@ class TestBridgeBasics:
             # Due 1 s after the fork was written, not 1 s after it was first used.
             assert 1.0 <= time.monotonic() - sent < 1.5
             assert trainer._proc.returncode == -signal.SIGKILL
+
+    def test_queued_replies_are_due_from_the_reply_before(self):
+        # Four forks of 0.2 s each, written at once: the last is answered
+        # 0.8 s after it was written, but within 0.5 s of the reply before it.
+        with closing(ExternalTrainer(external_spec("slowfork", timeout=0.5), space())) as trainer:
+            state = trainer.step_many(trainer.init(0), {"lr": 0.5}, 1)
+            forks = [trainer.fork(state) for _ in range(4)]
+            assert trainer.evaluate(trainer.step_many(forks[-1], {"lr": 0.5}, 1))[0] < 1.0
 
     def test_timeout(self):
         with closing(ExternalTrainer(external_spec("sleep", timeout=0.5), space())) as trainer:
@@ -248,6 +256,14 @@ class TestProcessFailures:
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
         assert "timed out after 1.0s" in capsys.readouterr().err
         assert [proc.returncode for proc in reaped_processes] == [-signal.SIGKILL]
+
+    def test_slow_queued_forks_complete_a_run(self, tmp_path, reaped_processes):
+        # Two parents with 6 children each: each parent's 5 forks of 0.2 s
+        # are written at once, and the last is answered 1 s after it was
+        # written, twice the timeout, but 0.2 s after the reply before it.
+        path = cli_config(tmp_path, "slowfork", 0.5, n=12, c=3.0, t_max=2)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert [proc.returncode for proc in reaped_processes] == [0]
 
     def test_large_replies_never_block_a_write(self, tmp_path, reaped_processes):
         # One parent with 64 children: its 63 forks, 8 KB each, are written

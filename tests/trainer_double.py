@@ -14,6 +14,7 @@ Modes (argv[1], default "quad"):
   exit      exits with code 7 on the second "fork"
   forkerror replies ok:false to "fork"
   forksleep never replies to "fork"
+  slowfork  takes 0.2 s to answer each "fork"
   padded    pads every state token to 8 KB, so each init and fork reply (and
             each request naming a state) is at least 8 KB long
   noexit    ignores "shutdown" and keeps running (exercises the kill in close)
@@ -103,6 +104,8 @@ for line in sys.stdin:
             sys.exit(7)
         if mode == "forksleep":
             time.sleep(3600)
+        if mode == "slowfork":
+            time.sleep(0.2)
         if mode == "forkerror":
             reply({"ok": False, "error": "scripted fork failure"})
             continue
