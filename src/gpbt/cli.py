@@ -9,8 +9,14 @@ genealogy.ndjson, curves.csv} plus a combined <out>/curves.csv of the last
 invocation; `compare` reads every seed cell on disk of the config's methods
 (each cell's genealogy.ndjson too when the trainer's expected loss has a
 closed form, to replay its final schedule), refuses any cell that ran under
-another space, trainer or method config, and writes <out>/{summary.csv,
+another space, trainer or method config or whose curve does not end at its
+result.json's final epochs and losses, and writes <out>/{summary.csv,
 summary.json, plot_data.csv}.
+
+A cell's files are written in one order: its old result.json is removed, then
+genealogy.ndjson and curves.csv are written, and result.json last. A cell
+whose writes stop part of the way (an interrupt, a full disk) thus has no
+result.json, and `compare` lists it as missing.
 
 `run` gives each (method, seed) cell a fresh trainer of its own, made one cell
 ahead: the next cell's trainer is made just before the current cell runs, so
@@ -40,17 +46,6 @@ from .genealogy import GenealogyTree
 from .orchestrator import DynamicC, FixedC, RunConfig, RunResult, run
 from .space import SearchSpace
 from .trainers import TrainerSpec, expected_schedule_loss, make_trainer
-
-CURVE_FIELDS = (
-    "method",
-    "seed",
-    "generation",
-    "epochs_consumed",
-    "best_seen_val",
-    "best_seen_test",
-    "wall_ms",
-)
-
 
 _REQUIRED = ("space", "trainer", "seeds", "methods")
 
@@ -182,25 +177,15 @@ def _end(trainer, step: str):
 
 
 def _curve_rows(name: str, seed: int, result: RunResult, deterministic: bool) -> list[dict]:
-    rows = []
-    for p in result.curves:
-        rows.append(
-            {
-                "method": name,
-                "seed": seed,
-                "generation": p.generation,
-                "epochs_consumed": p.epochs_consumed,
-                "best_seen_val": repr(p.best_seen_val),
-                "best_seen_test": repr(p.best_seen_test),
-                "wall_ms": "0.0" if deterministic else repr(p.wall_ms),
-            }
-        )
-    return rows
+    zeroed = {"wall_ms": 0.0} if deterministic else {}
+    return [{"method": name, "seed": seed, **vars(p), **zeroed} for p in result.curves]
 
 
-def _csv_text(rows: list[dict], fields: tuple[str, ...]) -> str:
+def _csv_text(rows: list[dict]) -> str:
+    """CSV text of `rows`, which share their keys and key order: the header
+    is the first row's keys."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
     return buf.getvalue()
@@ -215,6 +200,12 @@ def _write_cell(out: Path, name: str, seed: int, config, result: RunResult,
                 cfg_echo: dict, deterministic: bool) -> list[dict]:
     cell = out / name / str(seed)
     cell.mkdir(parents=True, exist_ok=True)
+    # result.json goes last: a cell whose writes stop part of the way has none,
+    # so compare lists it as missing instead of reading it beside older files.
+    (cell / "result.json").unlink(missing_ok=True)
+    result.tree.dump(cell / "genealogy.ndjson")
+    rows = _curve_rows(name, seed, result, deterministic)
+    _atomic_write(cell / "curves.csv", _csv_text(rows))
     best = result.best_agent
     payload = {
         "method": name,
@@ -230,9 +221,6 @@ def _write_cell(out: Path, name: str, seed: int, config, result: RunResult,
         "dynamic_c_trace": result.dynamic_c_trace,
     }
     _atomic_write(cell / "result.json", json.dumps(payload, sort_keys=True, indent=1) + "\n")
-    result.tree.dump(cell / "genealogy.ndjson")
-    rows = _curve_rows(name, seed, result, deterministic)
-    _atomic_write(cell / "curves.csv", _csv_text(rows, CURVE_FIELDS))
     return rows
 
 
@@ -270,7 +258,7 @@ def cmd_run(args) -> int:
     finally:
         while trainers:
             _end(trainers.pop(0), "close")
-    _atomic_write(out / "curves.csv", _csv_text(all_rows, CURVE_FIELDS))
+    _atomic_write(out / "curves.csv", _csv_text(all_rows))
     print(f"wrote {len(cells)} runs under {out}")
     return 0
 
@@ -303,9 +291,10 @@ def _final_replay(path: Path, space: SearchSpace, spec: TrainerSpec) -> float:
 def _load_cells(out: Path, cfg: dict, seeds: list[int]) -> dict[str, dict[int, dict]]:
     """By method and seed, the final stats, the schedule replay on a replayable
     trainer and the sorted (epochs, val, test) curve points of every written
-    cell; raises when a cell of `seeds` is missing, or when a cell's
+    cell; raises when a cell of `seeds` is missing, when a cell's
     result.json says it ran under another space, trainer or method config
-    than `cfg` gives its seed."""
+    than `cfg` gives its seed, or when a cell's curve does not end at the
+    (epochs, val, test) of its result.json."""
     space, spec = cfg["_space"], cfg["_trainer_spec"]
     missing = []
     per_method: dict[str, dict[int, dict]] = {}
@@ -349,6 +338,12 @@ def _load_cells(out: Path, cfg: dict, seeds: list[int]) -> dict[str, dict[int, d
                     finals[seed]["replay"] = _final_replay(path, space, spec)
             except _MALFORMED as exc:
                 raise ConfigError("results", f"malformed {path}: {exc!r}") from None
+            final = finals[seed]
+            end = (final["epochs"], final["val"], final["test"])
+            if not final["curve"] or final["curve"][-1] != end:
+                ends = f"ends at {final['curve'][-1]}" if final["curve"] else "is empty"
+                raise ConfigError("results", f"{cell}: curves.csv {ends}, but result.json"
+                                  f" at {end} (epochs, val, test)")
     if missing:
         raise ConfigError("results", "missing cells: " + ", ".join(missing))
     return per_method
@@ -370,10 +365,10 @@ def _plot_rows(per_method: dict[str, dict[int, dict]]) -> list[dict]:
                 {
                     "method": method,
                     "epochs": e,
-                    "mean_val": repr(float(np.mean(vals))),
-                    "std_val": repr(std(vals)),
-                    "mean_test": repr(float(np.mean(tests))),
-                    "std_test": repr(std(tests)),
+                    "mean_val": float(np.mean(vals)),
+                    "std_val": std(vals),
+                    "mean_test": float(np.mean(tests)),
+                    "std_test": std(tests),
                 }
             )
     return rows
@@ -423,15 +418,12 @@ def cmd_compare(args) -> int:
             wins = sum(1.0 if va < vb else (0.5 if va == vb else 0.0) for va, vb in pairs)
             win_rates[a][b] = wins / len(pairs)
 
-    fields = ("method", "seeds", "median_val", "iqr_val", "median_test", "iqr_test",
-              "median_replay", "iqr_replay", "median_epochs", "median_transfers")
-    _atomic_write(out / "summary.csv", _csv_text(summary, fields))
+    _atomic_write(out / "summary.csv", _csv_text(summary))
     _atomic_write(
         out / "summary.json",
         json.dumps({"summary": summary, "win_rates": win_rates}, sort_keys=True, indent=1) + "\n",
     )
-    plot_fields = ("method", "epochs", "mean_val", "std_val", "mean_test", "std_test")
-    _atomic_write(out / "plot_data.csv", _csv_text(_plot_rows(per_method), plot_fields))
+    _atomic_write(out / "plot_data.csv", _csv_text(_plot_rows(per_method)))
 
     width = max(len(r["method"]) for r in summary)
     print(f"{'method':<{width}}  median_val    iqr_val       epochs   transfers")

@@ -5,11 +5,11 @@ import pytest
 from gpbt.external import ExternalTrainer
 
 
-@pytest.fixture
+@pytest.fixture(autouse=True)
 def reaped_processes(monkeypatch):
     """The list of every process started during the test (the trainer
     processes of gpbt.external); after the test, each must have exited and
-    been reaped by its owner.
+    been reaped by its owner. Every test uses it.
 
     ExternalTrainer's finalizer kills its process when the trainer is garbage
     collected, which would hide a trainer that nothing closed, so it is turned

@@ -9,6 +9,7 @@ import pytest
 
 import gpbt.cli
 from gpbt.cli import main
+from gpbt.genealogy import GenealogyTree
 from gpbt.trainers import TrainerSpec, expected_schedule_loss
 
 CONFIGS = Path(__file__).resolve().parents[1] / "src" / "gpbt" / "configs"
@@ -110,6 +111,23 @@ class TestRunCommand:
             by_cell.setdefault((r["method"], r["seed"]), []).append(float(r["best_seen_val"]))
         for vals in by_cell.values():
             assert all(a >= b for a, b in zip(vals, vals[1:]))
+
+    def test_stopped_rerun_leaves_the_cell_without_result_json(self, tmp_path, monkeypatch, capsys):
+        # A rerun into the same directory that stops between a cell's writes
+        # leaves no result.json in it, not a new one beside the older files.
+        cfg = tiny_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--deterministic", "--out", str(out)]) == 0
+
+        def disk_full(tree, path):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(GenealogyTree, "dump", disk_full)
+        with pytest.raises(OSError):
+            main(["run", str(cfg), "--deterministic", "--out", str(out)])
+        assert not (out / "gpbt_tpe" / "0" / "result.json").exists()
+        assert main(["compare", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.endswith("missing cells: gpbt_tpe/0\n")
 
     def test_result_json_embeds_config(self, tmp_path):
         cfg = tiny_config(tmp_path)
@@ -483,6 +501,29 @@ class TestCompareCommand:
             assert err.startswith("config error: results: malformed") and str(path) in err
             assert all(key in err for key in edit or ())
         assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("edit", ["last_val_tripled", "header_only"])
+    def test_curve_not_ending_at_result_exits_2(self, tmp_path, capsys, edit):
+        # The finals come from result.json and the bands from curves.csv, so
+        # a cell whose two files disagree is refused before anything is written.
+        cfg = tiny_config(tmp_path)
+        out = tmp_path / "out"
+        main(["run", str(cfg), "--deterministic", "--out", str(out)])
+        cell = out / ("gpbt_tpe/0" if edit == "last_val_tripled" else "pbt/1")
+        lines = (cell / "curves.csv").read_text().splitlines(keepends=True)
+        if edit == "last_val_tripled":
+            fields = lines[-1].split(",")
+            fields[4] = repr(3 * float(fields[4]))
+            lines[-1] = ",".join(fields)
+        else:
+            lines = lines[:1]
+        (cell / "curves.csv").write_text("".join(lines))
+        assert main(["compare", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: results: {cell}: curves.csv ")
+        assert ("is empty" if edit == "header_only" else "ends at") in err
+        assert not any((out / name).exists()
+                       for name in ("summary.csv", "summary.json", "plot_data.csv"))
 
     def test_replay_matches_reference_from_genealogy(self, tmp_path):
         # A cell's replay is the expected loss of its final generation's best

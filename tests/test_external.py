@@ -151,6 +151,39 @@ class TestBridgeBasics:
             make_trainer(external_spec())
 
 
+class TestWriteFailures:
+    # A request written to a child that has closed its stdin, or that reads
+    # none: each raises, and the child is reaped.
+    def test_closed_stdin_then_exit(self, reaped_processes):
+        with closing(ExternalTrainer(external_spec("closein"), space())) as trainer:
+            state = trainer.init(0)
+            with pytest.raises(TrainerProtocolError, match="exited with code 5 mid-conversation"):
+                trainer.step_many(state, {"lr": 0.5}, 1)
+        assert [proc.returncode for proc in reaped_processes] == [5]
+
+    def test_closed_stdin_while_running_is_killed(self, reaped_processes):
+        spec = TrainerSpec(kind="external", command=(sys.executable, DOUBLE, "closein", "stay"),
+                           timeout=0.5)
+        with closing(ExternalTrainer(spec, space())) as trainer:
+            state = trainer.init(0)
+            started = time.monotonic()
+            with pytest.raises(TrainerProtocolError, match=r"closed its stdin, did not exit within"
+                               r" 0\.5s and was killed"):
+                trainer.step_many(state, {"lr": 0.5}, 1)
+            assert 0.4 <= time.monotonic() - started < 3.0
+        assert [proc.returncode for proc in reaped_processes] == [-signal.SIGKILL]
+
+    def test_request_larger_than_a_pipe_to_a_child_that_reads_none(self, reaped_processes):
+        wide = SearchSpace([Dimension(f"x{i}", 0.0, 1.0, "linear") for i in range(30_000)])
+        assert len(json.dumps(wide.as_config())) > 1 << 20  # more than any pipe holds
+        with closing(ExternalTrainer(external_spec("deaf", timeout=0.5), wide)) as trainer:
+            started = time.monotonic()
+            with pytest.raises(TrainerProtocolError, match=r"read no request for 0\.5s and was killed"):
+                trainer.init(0)
+            assert time.monotonic() - started < 3.0
+        assert [proc.returncode for proc in reaped_processes] == [-signal.SIGKILL]
+
+
 class TestEndToEnd:
     def test_orchestrator_runs_through_bridge(self):
         with closing(ExternalTrainer(external_spec(), space())) as trainer:

@@ -18,6 +18,9 @@ Modes (argv[1], default "quad"):
   padded    pads every state token to 8 KB, so each init and fork reply (and
             each request naming a state) is at least 8 KB long
   noexit    ignores "shutdown" and keeps running (exercises the kill in close)
+  closein   closes its stdin on "init", answers it and exits with code 5; with
+            argv[2] "stay" it keeps running instead of exiting
+  deaf      never reads stdin
 """
 
 import json
@@ -26,7 +29,7 @@ import sys
 import time
 
 mode = sys.argv[1] if len(sys.argv) > 1 else "quad"
-bad_val = json.loads(sys.argv[2]) if len(sys.argv) > 2 else "abc"
+bad_val = json.loads(sys.argv[2]) if mode == "badval" and len(sys.argv) > 2 else "abc"
 states = {}
 counter = 0
 eval_count = 0
@@ -49,6 +52,9 @@ def reply(obj):
     sys.stdout.flush()
 
 
+if mode == "deaf":
+    time.sleep(3600)
+
 for line in sys.stdin:
     msg_count += 1
     if mode == "malformed" and msg_count == 2:
@@ -62,7 +68,13 @@ for line in sys.stdin:
             time.sleep(3600)
         break
     if cmd == "init":
+        if mode == "closein":
+            os.close(sys.stdin.fileno())
         reply({"ok": True, "state": fresh({"x": 1.0 + (msg["seed"] % 7) * 0.1, "steps": 0})})
+        if mode == "closein":
+            if sys.argv[2:] == ["stay"]:
+                time.sleep(3600)
+            sys.exit(5)
     elif cmd == "step":
         if mode == "sleep":
             time.sleep(3600)
