@@ -16,6 +16,10 @@ from .space import HpVector
 
 HISTORY_MODES = ("sibling_only", "time_enriched", "pooled")
 
+# `json.dumps(obj, sort_keys=True)` builds a new encoder per call; one shared
+# encoder with the same settings writes the same bytes.
+_encode_record = json.JSONEncoder(sort_keys=True).encode
+
 
 @dataclass(frozen=True)
 class AgentRecord:
@@ -149,7 +153,7 @@ class GenealogyTree:
     def to_lines(self) -> Iterable[str]:
         for r in self._records:
             # vars, not dataclasses.asdict: the same JSON without a per-field deep copy
-            yield json.dumps(vars(r), sort_keys=True)
+            yield _encode_record(vars(r))
 
     def dump(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -149,7 +149,8 @@ def _pairwise_sum(term, lo: int, hi: int) -> np.ndarray:
     NumPy's `pairwise_sum`, which reduces a contiguous last axis: fewer than 8
     terms in sequence; up to `_PAIRWISE_BLOCK` terms through 8 partial sums over
     the full blocks of 8, combined pairwise, then the rest in sequence; more
-    than that as two halves split at a multiple of 8."""
+    than that as two halves split at a multiple of 8. It adds into the arrays
+    that `term` returns."""
     n = hi - lo
     if n < 8:
         total = term(lo)
@@ -184,29 +185,33 @@ def tpe_score(
     uniform density 1 on the cube. `bandwidths` is the (good, bad) pair; the
     bad entry may be None when bad is empty.
 
-    One pass serves both densities: the squared scaled distances to all
-    G + B centers are added one dimension at a time, in the order of NumPy's
-    pairwise reduction over a last axis, and split into the good and the bad
-    kernel sums only after the exp. Each density therefore equals the one
-    summed from `(z * z).sum(axis=2)` over its own (m, H, d) array z bit for
-    bit, while no array larger than (m, G + B) is built.
+    One pass serves both densities. The scaled differences of every candidate
+    to all G + B centers along every dimension form one (d, m, G + B) array
+    from one broadcast subtract, one divide and one square; its d planes are
+    added in the order of NumPy's pairwise reduction over a last axis and split
+    into the good and the bad kernel sums only after the exp. Each density
+    therefore equals the one summed from `(z * z).sum(axis=2)` over its own
+    (m, H, d) array z bit for bit.
     """
     good_bw, bad_bw = bandwidths
     m, d = candidates.shape
     n_good = good.shape[0]
-    points = candidates.T.copy()  # (d, m)
-    centers = np.concatenate((good, bad)).T.copy()  # (d, G + B), contiguous rows
+    # The candidates are spread over a (d, m, G + B) array first, so that
+    # subtracting the (d, 1, G + B) centers, dividing by their bandwidths and
+    # squaring all work in place, along contiguous rows of G + B.
+    centers = np.empty((d, 1, n_good + len(bad)))
+    centers[:, 0, :n_good] = good.T
+    centers[:, 0, n_good:] = bad.T
     bw = np.empty_like(centers)
-    bw[:, :n_good] = good_bw[:, None]
+    bw[:, 0, :n_good] = good_bw[:, None]
     if len(bad):
-        bw[:, n_good:] = bad_bw[:, None]
-
-    def squared(k: int) -> np.ndarray:  # (m, G + B) squared scaled distances along dimension k
-        z = points[k, :, None] - centers[k]
-        z /= bw[k]
-        return np.square(z, out=z)
-
-    kernels = _pairwise_sum(squared, 0, d)
+        bw[:, 0, n_good:] = bad_bw[:, None]
+    z = np.empty((d, m, centers.shape[2]))
+    z[...] = candidates.T[:, :, None]
+    z -= centers
+    z /= bw
+    np.square(z, out=z)
+    kernels = _pairwise_sum(z.__getitem__, 0, d)  # adds into the planes of z
     kernels *= -0.5
     np.exp(kernels, out=kernels)
 
@@ -339,8 +344,16 @@ def sobol_pool(d: int, seed: int) -> np.ndarray:
     strict lower triangles are used, with unit diagonals. Only the directions
     the pool uses are scrambled.
     """
-    # One draw serves both: the stream is the same as scipy's two calls.
-    bits = np.random.default_rng(seed).integers(0, 2, d * SOBOL_BITS * (1 + SOBOL_BITS), np.uint32)
+    # scipy's two calls are one `integers(0, 2, n, np.uint32)` stream. NumPy
+    # takes each bit from one 32-bit draw x as (2 * x) >> 32, the top bit of x
+    # (Lemire's method). It redraws only when the low word of 2 * x is below
+    # 2**32 % 2, which is 0, so a range of 2 never rejects. PCG64 hands out the
+    # low half of each 64-bit output before its high half: bits 2i and 2i + 1
+    # are bits 31 and 63 of raw output i.
+    raw = np.random.PCG64(seed).random_raw(d * SOBOL_BITS * (1 + SOBOL_BITS) // 2)
+    bits = np.empty(2 * raw.size, np.uint32)
+    bits[0::2] = raw >> 31 & 1
+    bits[1::2] = raw >> 63
     lms = bits[d * SOBOL_BITS :].reshape(d, SOBOL_BITS, SOBOL_BITS)
     # Row p of a matrix, read as an integer with column 0 as its most
     # significant bit, selects the bits of a direction whose parity is bit p

@@ -93,6 +93,31 @@ class TestSuggestContract:
         with pytest.raises(ValueError):
             suggest(SearcherConfig(kind=kind), space, hist, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_suggest_leaves_its_inputs_unchanged(self, kind, monkeypatch):
+        # History keeps a caller's float arrays without copying, and TPE's
+        # scoring works in place: neither may write into what it was given.
+        scored = []
+
+        def checked_score(candidates, good, bad, bandwidths):
+            inputs = (candidates, good, bad)
+            before = [a.tobytes() for a in inputs]
+            score = tpe_score(candidates, good, bad, bandwidths)
+            assert [a.tobytes() for a in inputs] == before
+            scored.append(len(good) + len(bad))
+            return score
+
+        monkeypatch.setattr(searchers, "tpe_score", checked_score)
+        space = unit_space(5)
+        for h in (0, 3, 40):
+            rng = np.random.default_rng(h)
+            u, loss = rng.random((h, 5)), rng.random(h)
+            hist = History(u, loss)
+            before = hist.u.tobytes(), hist.loss.tobytes()
+            suggest(SearcherConfig(kind=kind), space, hist, np.random.default_rng(7))
+            assert (hist.u.tobytes(), hist.loss.tobytes()) == before
+        assert scored == ([40] if kind == "tpe" else [])
+
     def test_random_matches_sample_uniform(self):
         space = unit_space(3)
         a = suggest(SearcherConfig(kind="random"), space, history(space, [], []),
@@ -190,6 +215,9 @@ class TestTpeScore:
         m=st.integers(1, 30),
         seed=st.integers(0, 2**32 - 1),
     )
+    @example(d=8, h=40, m=24, seed=0)  # the first 8-way sum
+    @example(d=129, h=40, m=24, seed=1)  # the first split into halves
+    @example(d=5, h=0, m=24, seed=2)  # no centers at all
     @settings(max_examples=200, deadline=None)
     def test_kde_sums_in_numpy_order(self, d, h, m, seed):
         # `tpe_score` sums its squared distances to the good and the bad
