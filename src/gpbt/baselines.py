@@ -109,7 +109,7 @@ def run_pbt(
         tally.end(t)
 
     ledger = [1] + [k] * (config.t_max - 1)  # the initial model, then k copies
-    return RunResult(tree, tally.curves, tally.epochs, ledger)
+    return RunResult(tree, tally.marks, ledger)
 
 
 def run_nonadaptive(
@@ -132,4 +132,4 @@ def run_nonadaptive(
         tally.grow([(None, None)], config.t_total, propose)
         tally.end(kth)
 
-    return RunResult(tally.tree, tally.curves, tally.epochs, [1])
+    return RunResult(tally.tree, tally.marks, [1])

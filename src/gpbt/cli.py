@@ -6,12 +6,13 @@ flag --out gives.
 
 Results layout: `run` writes <out>/<method>/<seed>/{result.json,
 genealogy.ndjson, curves.csv} plus a combined <out>/curves.csv of the last
-invocation; `compare` reads every seed cell on disk of the config's methods
-(each cell's genealogy.ndjson too when the trainer's expected loss has a
-closed form, to replay its final schedule), refuses any cell that ran under
-another space, trainer or method config or whose curve does not end at its
-result.json's final epochs and losses, and writes <out>/{summary.csv,
-summary.json, plot_data.csv}.
+invocation; the curves.csv files are for people and the benchmark. `compare`
+reads the result.json and genealogy.ndjson of every seed cell on disk of the
+config's methods, derives each cell's curve from its genealogy (and, when the
+trainer's expected loss has a closed form, replays its final schedule),
+refuses any cell that ran under another space, trainer or method config or
+whose result.json's final epochs and losses are not its genealogy's, and
+writes <out>/{summary.csv, summary.json, plot_data.csv}.
 
 A cell's files are written in one order: its old result.json is removed, then
 genealogy.ndjson and curves.csv are written, and result.json last. A cell
@@ -267,7 +268,7 @@ def cmd_run(args) -> int:
 # Aggregation
 
 # What reading a truncated, mistyped or unreadable results file can raise.
-_MALFORMED = (OSError, ValueError, KeyError, TypeError, IndexError, csv.Error)
+_MALFORMED = (OSError, ValueError, KeyError, TypeError, IndexError)
 
 
 def _seed_cells(method_dir: Path) -> dict[int, Path]:
@@ -277,24 +278,33 @@ def _seed_cells(method_dir: Path) -> dict[int, Path]:
     return dict(sorted((int(s), c) for s, c in seeds if s.isdecimal() and s == str(int(s))))
 
 
-def _final_replay(path: Path, space: SearchSpace, spec: TrainerSpec) -> float:
-    """Expected loss of the schedule of the final generation's best agent in the
-    genealogy at `path`, each of its hps held for the steps its record trained."""
-    tree = GenealogyTree.load(path)
-    best = tree.best_agent(tree.records[-1].generation)
+def _final_replay(tree: GenealogyTree, space: SearchSpace, spec: TrainerSpec) -> float:
+    """Expected loss of the schedule of the final generation's best agent in
+    `tree`, each of its hps held for the steps its record trained."""
+    best = tree.best_agent(tree.get(len(tree) - 1).generation)
     chain = [tree.get(a) for a in tree.ancestry(best)]
     return expected_schedule_loss(
         spec, [space.to_dict(r.hp) for r in chain], [r.epochs_trained for r in chain]
     )
 
 
+def _tree_result(tree: GenealogyTree, per_trial: bool) -> RunResult:
+    """The result of the run that wrote `tree`, its curve marked where the run
+    marked it: at each generation's last record, or at every record (trial)
+    of a non-adaptive run. Its wall times are 0 and its ledger is empty."""
+    records = tree.records  # an empty genealogy raises IndexError below
+    ends = [r.id for r, nxt in zip(records, records[1:])
+            if per_trial or nxt.generation != r.generation] + [records[-1].id]
+    return RunResult(tree, [(k, end + 1, 0.0) for k, end in enumerate(ends)], [])
+
+
 def _load_cells(out: Path, cfg: dict, seeds: list[int]) -> dict[str, dict[int, dict]]:
     """By method and seed, the final stats, the schedule replay on a replayable
-    trainer and the sorted (epochs, val, test) curve points of every written
-    cell; raises when a cell of `seeds` is missing, when a cell's
-    result.json says it ran under another space, trainer or method config
-    than `cfg` gives its seed, or when a cell's curve does not end at the
-    (epochs, val, test) of its result.json."""
+    trainer and the (epochs, val, test) curve points, read from the
+    genealogy, of every written cell; raises when a cell of `seeds` is
+    missing, when a cell's result.json says it ran under another space,
+    trainer or method config than `cfg` gives its seed, or when its
+    (epochs, val, test) are not its genealogy's."""
     space, spec = cfg["_space"], cfg["_trainer_spec"]
     missing = []
     per_method: dict[str, dict[int, dict]] = {}
@@ -318,32 +328,28 @@ def _load_cells(out: Path, cfg: dict, seeds: list[int]) -> dict[str, dict[int, d
             if differs:
                 raise ConfigError("results", f"{cell} ran under another {differs} than this config")
             try:
-                finals[seed] = {
+                final = finals[seed] = {
                     "val": typed_value(float, data["final_best_val"], "final_best_val"),
                     "test": typed_value(float, data["final_best_test"], "final_best_test"),
                     "epochs": typed_value(int, data["total_epochs"], "total_epochs"),
                     "transfers": sum(typed_value(list[int], data["transfer_ledger"],
                                                  "transfer_ledger")),
                 }
-                path = cell / "curves.csv"  # the file an error names
-                with open(path, encoding="utf-8") as fh:
-                    finals[seed]["curve"] = sorted(
-                        (int(r["epochs_consumed"]),
-                         typed_value(float, float(r["best_seen_val"]), "best_seen_val"),
-                         typed_value(float, float(r["best_seen_test"]), "best_seen_test"))
-                        for r in csv.DictReader(fh)
-                    )
+                path = cell / "genealogy.ndjson"  # the file an error names
+                tree = GenealogyTree.load(path)
+                derived = _tree_result(tree, isinstance(config, NonadaptiveConfig))
+                final["curve"] = [(p.epochs_consumed, p.best_seen_val, p.best_seen_test)
+                                  for p in derived.curves]
                 if spec.kind in _REPLAYABLE:
-                    path = cell / "genealogy.ndjson"
-                    finals[seed]["replay"] = _final_replay(path, space, spec)
+                    final["replay"] = _final_replay(tree, space, spec)
             except _MALFORMED as exc:
                 raise ConfigError("results", f"malformed {path}: {exc!r}") from None
-            final = finals[seed]
-            end = (final["epochs"], final["val"], final["test"])
-            if not final["curve"] or final["curve"][-1] != end:
-                ends = f"ends at {final['curve'][-1]}" if final["curve"] else "is empty"
-                raise ConfigError("results", f"{cell}: curves.csv {ends}, but result.json"
-                                  f" at {end} (epochs, val, test)")
+            held = (final["epochs"], final["val"], final["test"])
+            given = (derived.total_epochs, derived.final_best_val, derived.final_best_test)
+            if held != given:
+                raise ConfigError("results", f"{cell}: result.json holds {held}, but its"
+                                  f" genealogy.ndjson gives {given}"
+                                  " (total_epochs, final_best_val, final_best_test)")
     if missing:
         raise ConfigError("results", "missing cells: " + ", ".join(missing))
     return per_method

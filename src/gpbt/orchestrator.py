@@ -9,11 +9,12 @@ the virtual root, and each of its children starts from a fresh trainer state.
 
 Runs are sequential and bit-reproducible given the seed: parents are visited
 best first, each parent's children in creation order. `Tally` is the one
-child path (training, recording, live states, epochs, best-seen values,
-curves) shared with the baselines: a parent's last child trains the parent's
-state itself, and only its earlier children train forks of it. Each call
-asks the trainer for every child's starting state before the first child
-trains.
+child path (training, recording, live states, curve marks) shared with the
+baselines: a parent's last child trains the parent's state itself, and only
+its earlier children train forks of it. Each call asks the trainer for every
+child's starting state before the first child trains. The curves, the epoch
+total and the best-seen losses are not kept beside the tree: `curve_points`
+derives them from its records.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 import time
 from dataclasses import asdict, dataclass
 from statistics import median
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -233,17 +234,43 @@ class CurvePoint:
 
 ProgressFn = Callable[[CurvePoint], None]
 
+Mark = tuple[int, int, float]  # (generation or trial, record count, wall ms) at its end
+
+
+def curve_points(tree: GenealogyTree, marks: Iterable[Mark]) -> Iterator[CurvePoint]:
+    """One best-seen point per mark, in count order: the epochs of the first
+    `count` records and the losses of the first of them with the least val
+    loss (the record `GenealogyTree.ranked` puts first), reading each record
+    once. Points are made as asked for, so iterating a list of marks that
+    grows between asks yields each point once its mark is appended."""
+    epochs, best, start = 0, None, 0
+    for generation, count, wall_ms in marks:
+        for i in range(start, count):
+            record = tree.get(i)
+            epochs += record.epochs_trained
+            if best is None or record.val_loss < best.val_loss:
+                best = record
+        start = count
+        yield CurvePoint(generation, epochs, best.val_loss, best.test_loss, wall_ms)
+
 
 @dataclass
 class RunResult:
-    """A run's genealogy, curves, epoch total, transfer ledger and dynamic-c
-    trace; the best agent and its schedule are read from the tree."""
+    """A run's genealogy, curve marks, transfer ledger and dynamic-c trace.
+    Its `curves`, `total_epochs`, `final_best_val` and `final_best_test` are
+    derived from the tree and the marks once, when it is made; the best
+    agent and its schedule are read from the tree."""
 
     tree: GenealogyTree
-    curves: list[CurvePoint]
-    total_epochs: int
+    marks: list[Mark]
     transfer_ledger: list[int]
     dynamic_c_trace: list[dict] | None = None
+
+    def __post_init__(self):
+        self.curves = list(curve_points(self.tree, self.marks))
+        last = self.curves[-1]
+        self.total_epochs = last.epochs_consumed
+        self.final_best_val, self.final_best_test = last.best_seen_val, last.best_seen_test
 
     @property
     def best_agent(self) -> int:
@@ -254,22 +281,13 @@ class RunResult:
     def best_schedule(self) -> list[HpVector]:
         return self.tree.schedule(self.best_agent)
 
-    @property
-    def final_best_val(self) -> float:
-        return self.curves[-1].best_seen_val
-
-    @property
-    def final_best_test(self) -> float:
-        return self.curves[-1].best_seen_test
-
 
 class Tally:
     """Bookkeeping shared by every loop: the one child path (`grow`), which
     trains each child and records it in the genealogy tree, the model states
     of the last call's children, the searchers' unit-space view of the
-    records, the epoch total, best-seen val/test, and one curve point per
-    generation (or trial) with the progress callback. Root slots init from
-    the run seed `seed`."""
+    records, and one curve mark per generation (or trial) with the progress
+    callback. Root slots init from the run seed `seed`."""
 
     def __init__(self, trainer: Trainer, space: SearchSpace, seed: int,
                  progress: ProgressFn | None):
@@ -280,10 +298,8 @@ class Tally:
         # Each record's unit-space point and val loss by id; doubled when full.
         self._u = np.empty((64, space.dim))
         self._loss = np.empty(64)
-        self.curves: list[CurvePoint] = []
-        self.epochs = 0
-        self.best_val = math.inf
-        self.best_test = math.inf
+        self.marks: list[Mark] = []
+        self._points = curve_points(self.tree, self.marks)  # advanced by each end()
         self._states: dict[int, object] = {}  # the last grow's children by id
         self._progress = progress
         self._t_start = time.perf_counter()
@@ -336,9 +352,6 @@ class Tally:
                 self._u = np.concatenate([self._u, np.empty_like(self._u)])
                 self._loss = np.concatenate([self._loss, np.empty_like(self._loss)])
             self._u[cid], self._loss[cid] = u, val
-            self.epochs += done
-            if val < self.best_val:
-                self.best_val, self.best_test = val, test
             children[cid] = state
         self._states = children
         return list(children)
@@ -348,15 +361,17 @@ class Tally:
         rows = np.asarray(ids, dtype=np.intp)
         return History(self._u.take(rows, axis=0), self._loss.take(rows))
 
-    def end(self, generation: int) -> None:
-        """Append the curve point timed since the previous one (the first since
-        construction), report it as progress, and start timing the next."""
-        point = CurvePoint(generation, self.epochs, self.best_val, self.best_test,
-                           (time.perf_counter() - self._t_start) * 1000.0)
-        self.curves.append(point)
+    def end(self, generation: int) -> CurvePoint:
+        """Append the curve mark timed since the previous one (the first since
+        construction), report its point as progress, return the point, and
+        start timing the next."""
+        self.marks.append((generation, len(self.tree),
+                           (time.perf_counter() - self._t_start) * 1000.0))
+        point = next(self._points)
         if self._progress is not None:
             self._progress(point)
         self._t_start = time.perf_counter()
+        return point
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +400,10 @@ def run(
     dyn_trace: list[dict] | None = [] if dyn_cfg else None
 
     ranking: list[int] = []  # the previous generation's ids, best first
+    best_seen: list[float] = []  # the level-1 gate's view of the curve
     for t in range(config.t_max):
         if es.level1_threshold is not None and convergence_gate(
-            [p.best_seen_val for p in tally.curves], es.level1_threshold, LEVEL1_WINDOW
+            best_seen, es.level1_threshold, LEVEL1_WINDOW
         ):
             break
 
@@ -438,6 +454,6 @@ def run(
         # The distinct parents of the generation (the two dynamic-c halves
         # may share one); the root stands for the initial model.
         ledger.append(len(tree.parents_of(t)) or 1)
-        tally.end(t)
+        best_seen.append(tally.end(t).best_seen_val)
 
-    return RunResult(tree, tally.curves, tally.epochs, ledger, dyn_trace)
+    return RunResult(tree, tally.marks, ledger, dyn_trace)

@@ -110,14 +110,15 @@ class SearchSpace:
 
     def from_unit(self, u: Sequence[float]) -> HpVector:
         """Map unit-cube coordinates back to native units (inverse of to_unit)."""
-        if len(u) != self.dim:
-            raise ValueError(f"expected {self.dim} coordinates, got {len(u)}")
-        for i, x in enumerate(u):
+        xs = u.tolist() if isinstance(u, np.ndarray) else [float(x) for x in u]
+        if len(xs) != self.dim:
+            raise ValueError(f"expected {self.dim} coordinates, got {len(xs)}")
+        hp = []
+        for i, (d, x) in enumerate(zip(self.dims, xs)):
             if not 0.0 <= x <= 1.0:
-                raise ValueError(
-                    f"unit coordinate {i} ({self.names[i]!r}) outside [0, 1]: {x}"
-                )
-        return tuple(d.from_unit(float(x)) for d, x in zip(self.dims, u))
+                raise ValueError(f"unit coordinate {i} ({d.name!r}) outside [0, 1]: {x}")
+            hp.append(d.from_unit(x))
+        return tuple(hp)
 
     def sample_uniform(self, rng: np.random.Generator) -> HpVector:
         """Draw uniformly in unit space, then map to native units.

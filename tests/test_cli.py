@@ -502,28 +502,39 @@ class TestCompareCommand:
             assert all(key in err for key in edit or ())
         assert not (out / "summary.json").exists()
 
-    @pytest.mark.parametrize("edit", ["last_val_tripled", "header_only"])
-    def test_curve_not_ending_at_result_exits_2(self, tmp_path, capsys, edit):
-        # The finals come from result.json and the bands from curves.csv, so
-        # a cell whose two files disagree is refused before anything is written.
+    @pytest.mark.parametrize("key", ["final_best_val", "total_epochs"])
+    def test_result_disagreeing_with_genealogy_exits_2(self, tmp_path, capsys, key):
+        # The finals come from result.json and the bands from the genealogy,
+        # so a cell whose two files disagree is refused before anything is written.
+        cell = {"final_best_val": "gpbt_tpe/0", "total_epochs": "random_search/1"}[key]
         cfg = tiny_config(tmp_path)
         out = tmp_path / "out"
         main(["run", str(cfg), "--deterministic", "--out", str(out)])
-        cell = out / ("gpbt_tpe/0" if edit == "last_val_tripled" else "pbt/1")
-        lines = (cell / "curves.csv").read_text().splitlines(keepends=True)
-        if edit == "last_val_tripled":
-            fields = lines[-1].split(",")
-            fields[4] = repr(3 * float(fields[4]))
-            lines[-1] = ",".join(fields)
-        else:
-            lines = lines[:1]
-        (cell / "curves.csv").write_text("".join(lines))
+        path = out / cell / "result.json"
+        data = json.loads(path.read_text())
+        path.write_text(json.dumps({**data, key: data[key] + 1}))
         assert main(["compare", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"config error: results: {cell}: curves.csv ")
-        assert ("is empty" if edit == "header_only" else "ends at") in err
+        assert err.startswith(f"config error: results: {out / cell}: result.json holds ")
+        assert "genealogy.ndjson" in err and "malformed" not in err
         assert not any((out / name).exists()
                        for name in ("summary.csv", "summary.json", "plot_data.csv"))
+
+    def test_curves_csv_not_read(self, tmp_path):
+        # Each cell's curve comes from its genealogy: compare writes the same
+        # bytes with every cell's curves.csv gone.
+        cfg = tiny_config(tmp_path)
+        out = tmp_path / "out"
+        main(["run", str(cfg), "--deterministic", "--out", str(out)])
+        names = ("summary.csv", "summary.json", "plot_data.csv")
+        assert main(["compare", str(cfg), "--out", str(out)]) == 0
+        written = {name: (out / name).read_bytes() for name in names}
+        cell_curves = list(out.glob("*/*/curves.csv"))
+        assert len(cell_curves) == 6
+        for path in [*cell_curves, *(out / name for name in names)]:
+            path.unlink()
+        assert main(["compare", str(cfg), "--out", str(out)]) == 0
+        assert {name: (out / name).read_bytes() for name in names} == written
 
     def test_replay_matches_reference_from_genealogy(self, tmp_path):
         # A cell's replay is the expected loss of its final generation's best
@@ -673,27 +684,6 @@ class TestEmitPlotData:
         main(["run", str(cfg), "--deterministic", "--out", str(whole)])
         assert main(["compare", str(cfg), "--out", str(whole)]) == 0
         assert (split / "plot_data.csv").read_bytes() == (whole / "plot_data.csv").read_bytes()
-
-    @pytest.mark.parametrize("edit", ["non_numeric", "non_finite", "missing_column"])
-    def test_malformed_curves_exit_2(self, tmp_path, capsys, edit):
-        cfg = tiny_config(tmp_path)
-        out = tmp_path / "out"
-        main(["run", str(cfg), "--deterministic", "--out", str(out)])
-        path = out / "pbt" / "0" / "curves.csv"
-        text = path.read_text()
-        if edit == "non_numeric":
-            text = text.replace(",0.0\n", ",0.0\n" + "pbt,0,3,x,0.5,0.5,0.0\n", 1)
-        elif edit == "non_finite":
-            text = text.replace(",0.0\n", ",0.0\n" + "pbt,0,3,7,inf,0.5,0.0\n", 1)
-        else:
-            text = text.replace(",best_seen_test,", ",best_seen_tset,", 1)
-        path.write_text(text)
-        assert main(["compare", str(cfg), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: results: malformed") and str(path) in err
-        assert edit != "non_finite" or "best_seen_val" in err
-        assert not (out / "plot_data.csv").exists()
-        assert not (out / "summary.json").exists()
 
 
 class TestBundledConfigs:

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from gpbt.genealogy import GenealogyTree
 from gpbt.orchestrator import (
+    LEVEL1_WINDOW,
+    CurvePoint,
     DynamicC,
     DynamicCState,
     EarlyStopConfig,
@@ -472,6 +474,15 @@ class LineageTrainer:
         return Box(self._log(state))
 
 
+class TiedValTrainer(LineageTrainer):
+    """A LineageTrainer whose val loss is rounded to a whole number, so that
+    records often tie on val loss while their test losses differ."""
+
+    def evaluate(self, state):
+        loss, _ = super().evaluate(state)
+        return float(round(loss)), loss
+
+
 class TestTally:
     """The bookkeeping shared by run, run_pbt and run_nonadaptive."""
 
@@ -568,6 +579,59 @@ class TestTally:
         assert loaded.records == records
         for g in {r.generation for r in records}:
             assert loaded.parents_of(g) == tree.parents_of(g)
+
+    @pytest.mark.parametrize("method", ["gpbt", "pbt", "nonadaptive"])
+    @given(
+        n=st.integers(2, 10),
+        c=st.sampled_from([0.5, 1.0, 2.0, "dynamic"]),
+        t_max=st.integers(1, 5),
+        t_g=st.integers(1, 3),
+        level1=st.sampled_from([None, 0.1, 10.0]),
+        level3=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_curves_are_a_fold_of_the_records(self, method, n, c, t_max, t_g, level1,
+                                              level3, seed):
+        """The curves, the epoch total and the final losses are those of the
+        records: each curve point holds the epochs of the records up to its
+        generation (its trial, for non-adaptive search) and the losses of
+        the first of them with the least val loss, ties on val included."""
+        from gpbt.baselines import NonadaptiveConfig, PbtConfig, run_nonadaptive, run_pbt
+
+        space = SearchSpace([Dimension("lr", -1.0, 1.0)])
+        if method == "gpbt":
+            c = DynamicC(initial_mean=1.5) if c == "dynamic" else FixedC(c)
+            assume(isinstance(c, DynamicC) or valid_c(n, c.c))
+            config = small_config(
+                n=n, t_max=t_max, t_g=t_g, c=c, searcher=SearcherConfig(kind="random"),
+                seed=seed, early_stop=EarlyStopConfig(level1_threshold=level1, level3=level3),
+            )
+            result = run(config, space, TiedValTrainer())
+        elif method == "pbt":
+            result = run_pbt(PbtConfig(n=n, t_max=t_max, t_g=t_g, seed=seed), space,
+                             TiedValTrainer())
+        else:
+            config = NonadaptiveConfig(trials=n, t_total=t_g, seed=seed)
+            result = run_nonadaptive(config, space, TiedValTrainer())
+        records = result.tree.records
+        groups: dict[int, list] = {}
+        for r in records:
+            groups.setdefault(r.id if method == "nonadaptive" else r.generation, []).append(r)
+        expected, seen = [], []
+        for k in sorted(groups):
+            seen += groups[k]
+            best = min(seen, key=lambda r: (r.val_loss, r.id))
+            expected.append(CurvePoint(k, sum(r.epochs_trained for r in seen),
+                                       best.val_loss, best.test_loss))
+        assert [replace(p, wall_ms=0.0) for p in result.curves] == expected
+        assert result.total_epochs == sum(r.epochs_trained for r in records)
+        best = result.tree.get(result.best_agent)
+        assert (result.final_best_val, result.final_best_test) == (best.val_loss, best.test_loss)
+        if method == "gpbt" and level1 == 10.0:
+            # Each generation improves the best-seen val by at most t_g + 1, so
+            # level 1 halts the run once it has three curve points.
+            assert len(result.curves) == min(t_max, LEVEL1_WINDOW + 1)
 
 
 class CallLogTrainer(LineageTrainer):
