@@ -30,14 +30,11 @@ def typed_value(hint, value, path: str):
     module reads, nor an integer too large for a float) and stores a JSON
     integer as a float."""
     if hint not in _TYPE_NAMES:  # scalars skip the slower typing checks
-        if dataclasses.is_dataclass(hint):
+        origin, args = _shape(hint)
+        if origin is dataclasses.dataclass:
             return build(hint, value, path)
-        origin, args = typing.get_origin(hint), typing.get_args(hint)
         if origin is types.UnionType:  # X | None
-            if value is None:
-                return None
-            (hint,) = [a for a in args if a is not type(None)]
-            return typed_value(hint, value, path)
+            return None if value is None else typed_value(args[0], value, path)
         if origin in (tuple, list):
             if not isinstance(value, list):
                 raise ConfigError(path, f"expected a list, got {json.dumps(value)}")
@@ -63,8 +60,25 @@ def typed_value(hint, value, path: str):
 
 
 @functools.cache
-def _type_hints(cls) -> dict:
-    return typing.get_type_hints(cls)
+def _shape(hint) -> tuple:
+    """(origin, args) of a non-scalar annotation, read once: the dataclass
+    decorator for a dataclass, and for `X | None` the union and (X,)."""
+    if dataclasses.is_dataclass(hint):
+        return dataclasses.dataclass, ()
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:
+        (hint,) = [a for a in args if a is not type(None)]
+        return origin, (hint,)
+    return origin, args
+
+
+@functools.cache
+def _schema(cls) -> dict:
+    """Each field of dataclass `cls` by name: its type hint and whether it is
+    required (has no default)."""
+    hints, missing = typing.get_type_hints(cls), dataclasses.MISSING
+    return {f.name: (hints[f.name], f.default is missing and f.default_factory is missing)
+            for f in dataclasses.fields(cls)}
 
 
 def build(cls, entry, context: str, **given):
@@ -74,21 +88,19 @@ def build(cls, entry, context: str, **given):
     message starts with a field name is reported against that field."""
     if not isinstance(entry, dict):
         raise ConfigError(context, f"expected an object, got {json.dumps(entry)}")
-    hints = _type_hints(cls)
-    fields = {f.name: f for f in dataclasses.fields(cls) if f.name not in given}
+    schema = _schema(cls)
     values = dict(given)
     for key, value in entry.items():
-        if key not in fields:
+        if key not in schema or key in given:
             raise ConfigError(f"{context}.{key}", "unknown field")
-        values[key] = typed_value(hints[key], value, f"{context}.{key}")
-    for name, f in fields.items():
-        missing = dataclasses.MISSING
-        if name not in values and f.default is missing and f.default_factory is missing:
+        values[key] = typed_value(schema[key][0], value, f"{context}.{key}")
+    for name, (_, required) in schema.items():
+        if required and name not in values:
             raise ConfigError(f"{context}.{name}", "missing required field")
     try:
         return cls(**values)
     except ValueError as exc:
         field, _, rest = str(exc).partition(" ")
-        if field in fields:
+        if field in schema and field not in given:
             raise ConfigError(f"{context}.{field}", rest) from None
         raise ConfigError(context, str(exc)) from None

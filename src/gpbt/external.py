@@ -28,17 +28,31 @@ ahead of it do not use it up. While the child's stdin pipe is full, a write
 reads the child's replies into a buffer, because a child blocked on a full
 stdout reads no more requests.
 Every bad reply, exit or timeout raises TrainerProtocolError. The waits use
-select() on the pipes, so the bridge needs POSIX pipes.
+select() on the pipes, so the bridge needs POSIX pipes. A wait for a reply
+first polls the child's stdout for up to POLL_BUDGET seconds and only then
+sleeps in select() until the reply is due: a child on another CPU often
+answers within the budget, and waking from a sleep costs more than the
+answer. On one CPU (or where os.sched_getaffinity is missing) it does not
+poll, since polling would only keep the child from running.
+
+Requests are assembled from byte templates, byte for byte the line
+`json.dumps(msg).encode() + b"\n"` of each message: the search space is
+encoded once per bridge, and a step's hp only when it is not the hp of the
+step before (a level-3 child sends one hp twice). Replies are decoded as
+UTF-8 before json.loads, so bytes that are not UTF-8 and data after the
+reply's object are malformed.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import os
 import select
 import subprocess
 import time
 from collections import deque
+from json.encoder import encode_basestring_ascii as _quote  # json.dumps's str encoding
 from typing import Mapping
 
 from .config import ConfigError, typed_value
@@ -46,6 +60,7 @@ from .space import SearchSpace
 from .trainers import TrainerSpec
 
 SHUTDOWN_TIMEOUT = 10.0  # seconds a child has to exit after "shutdown" before it is killed
+POLL_BUDGET = 100e-6  # seconds a wait for a reply polls the child's stdout before it sleeps
 _SHUTDOWN = json.dumps({"cmd": "shutdown"}).encode() + b"\n"
 
 
@@ -75,13 +90,23 @@ class _Reply:
         self.values: list | None = None
 
 
+def _can_poll() -> bool:
+    """Whether this process may run on more than one CPU, so that the child
+    can answer while the caller polls."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return affinity is not None and len(affinity(0)) > 1
+
+
 class ExternalTrainer:
     """Runs the configured command and proxies the trainer contract over pipes."""
 
     def __init__(self, spec: TrainerSpec, space: SearchSpace):
         self.spec = spec
         self.space = space
-        self._space_config = space.as_config()  # every init request's "space"
+        self._space_json = json.dumps(space.as_config())  # every init request's "space"
+        self._hp_key: tuple = ()  # the keys and values of the last step's hp, and
+        self._hp_json = ""  # the JSON they encode to
+        self._poll_budget = POLL_BUDGET if _can_poll() else 0.0
         try:
             self._proc = subprocess.Popen(
                 list(spec.command), stdin=subprocess.PIPE, stdout=subprocess.PIPE
@@ -97,12 +122,13 @@ class ExternalTrainer:
         # read: the child has spec.timeout seconds from it to answer.
         self._since = time.monotonic()
 
-    def _send(self, msg: dict, *fields: str) -> _Reply:
-        """Write `msg` and return its reply, whose `fields` must be present."""
+    def _send(self, cmd: str, body: str, *fields: str) -> _Reply:
+        """Write the request `cmd`, whose JSON line ends with `body`, and
+        return its reply, whose `fields` must be present."""
         if self._proc.returncode is not None or self._proc.stdin.closed:
             raise TrainerProtocolError("trainer process is not running")
-        reply = _Reply(msg["cmd"], fields)
-        self._write(json.dumps(msg).encode() + b"\n")
+        reply = _Reply(cmd, fields)
+        self._write(f'{{"cmd": "{cmd}", {body}}}\n'.encode())
         self._unread.append(reply)
         return reply
 
@@ -120,7 +146,7 @@ class ExternalTrainer:
             head = self._unread.popleft()
             line = self._read_line()
             try:
-                obj = json.loads(line)
+                obj = json.loads(line.decode())
             except ValueError:  # also bytes that are not UTF-8
                 obj = None
             if not isinstance(obj, dict) or "ok" not in obj:
@@ -134,8 +160,17 @@ class ExternalTrainer:
         return reply.values
 
     def _token(self, state) -> str:
-        """The token of `state`, waiting for its reply when it is pending."""
-        return str(self._wait(state)[0]) if isinstance(state, _Reply) else state
+        """The JSON string of `state`'s token, waiting for its reply when it
+        is pending."""
+        return _quote(str(self._wait(state)[0]) if isinstance(state, _Reply) else state)
+
+    def _hp(self, hp: Mapping[str, float]) -> str:
+        """The JSON object of `hp`, encoded again only when one of its keys or
+        values is not the very object it was in the last step's hp."""
+        key = (*hp, *hp.values())
+        if len(key) != len(self._hp_key) or not all(map(operator.is_, key, self._hp_key)):
+            self._hp_key, self._hp_json = key, json.dumps(dict(hp))
+        return self._hp_json
 
     def _write(self, data: bytes) -> None:
         """Write `data` to the child's stdin. While the pipe is full, read the
@@ -166,13 +201,26 @@ class ExternalTrainer:
         """The next newline-terminated line from the child's stdout, by its
         due time; a line already waiting in the pipe is taken when late."""
         while (end := self._buffer.find(b"\n")) < 0:
-            if not select.select([self._stdout], [], [], self._remaining())[0]:
+            if not self._poll() and not select.select(
+                [self._stdout], [], [], self._remaining()
+            )[0]:
                 self._kill()
                 raise TrainerProtocolError(f"trainer reply timed out after {self.spec.timeout}s")
             self._fill()
         line = bytes(self._buffer[: end + 1])
         del self._buffer[: end + 1]
         return line
+
+    def _poll(self) -> bool:
+        """Whether the child's stdout is readable within the poll budget, or
+        by the reply's due time if that comes first, asking without sleeping."""
+        if not self._poll_budget:
+            return False
+        until = min(time.monotonic() + self._poll_budget, self._since + self.spec.timeout)
+        while not select.select([self._stdout], [], [], 0)[0]:
+            if time.monotonic() >= until:
+                return False
+        return True
 
     def _fill(self) -> None:
         """Append what the child's stdout holds to the buffer; raise at its end."""
@@ -199,23 +247,21 @@ class ExternalTrainer:
     # -- trainer contract ----------------------------------------------------
 
     def init(self, seed: int) -> _Reply:
-        return self._send({"cmd": "init", "seed": int(seed), "space": self._space_config},
-                          "state")
+        return self._send("init", f'"seed": {int(seed)}, "space": {self._space_json}', "state")
 
     def step_many(self, state, hp: Mapping[str, float], iters: int):
         if iters < 1:
             return state
-        msg = {"cmd": "step", "state": self._token(state), "hp": dict(hp), "iters": int(iters)}
-        (token,) = self._wait(self._send(msg, "state"))
+        body = f'"state": {self._token(state)}, "hp": {self._hp(hp)}, "iters": {int(iters)}'
+        (token,) = self._wait(self._send("step", body, "state"))
         return str(token)
 
     def evaluate(self, state) -> tuple[float, float]:
-        reply = self._send({"cmd": "eval", "state": self._token(state)}, "val", "test")
-        val, test = self._wait(reply)
+        val, test = self._wait(self._send("eval", f'"state": {self._token(state)}', "val", "test"))
         return _loss(val, "val"), _loss(test, "test")
 
     def fork(self, state) -> _Reply:
-        return self._send({"cmd": "fork", "state": self._token(state)}, "state")
+        return self._send("fork", f'"state": {self._token(state)}', "state")
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -68,16 +68,12 @@ class GenealogyTree:
     ) -> int:
         """Append a child of `parent` (None for the root); its generation is
         0 under the root and otherwise one past the parent's."""
-        generation = 0 if parent is None else self.get(parent).generation + 1
-        if epochs_trained < 1:
-            raise ValueError("epochs_trained must be >= 1")
+        generation = self._next_generation(parent, epochs_trained)
         for name, loss in (("val_loss", val_loss), ("test_loss", test_loss)):
             if not math.isfinite(loss):
                 raise ValueError(f"{name} must be finite")
-        new_id = len(self._records)
-        self._children.setdefault(parent, []).append(new_id)
-        record = AgentRecord(
-            id=new_id,
+        return self._append(AgentRecord(
+            id=len(self._records),
             parent=parent,
             generation=generation,
             hp=tuple(hp),
@@ -85,10 +81,22 @@ class GenealogyTree:
             test_loss=float(test_loss),
             epochs_trained=int(epochs_trained),
             early_stopped=bool(early_stopped),
-        )
+        ))
+
+    def _next_generation(self, parent: int | None, epochs_trained: int) -> int:
+        """The generation of a new child of `parent`, which must train at
+        least one epoch."""
+        generation = 0 if parent is None else self.get(parent).generation + 1
+        if epochs_trained < 1:
+            raise ValueError("epochs_trained must be >= 1")
+        return generation
+
+    def _append(self, record: AgentRecord) -> int:
+        """Append `record`, whose id is the record count, and return its id."""
         self._records.append(record)
-        self._generations.setdefault(generation, []).append(record)
-        return new_id
+        self._children.setdefault(record.parent, []).append(record.id)
+        self._generations.setdefault(record.generation, []).append(record)
+        return record.id
 
     def ancestry(self, agent_id: int) -> list[int]:
         """Root-first chain of ids ending at agent_id."""
@@ -163,7 +171,8 @@ class GenealogyTree:
     @classmethod
     def load(cls, path) -> "GenealogyTree":
         """The tree `dump` wrote to `path`; raises ValueError on a record with
-        a missing, unknown or mistyped field, or out of id order."""
+        a missing, unknown or mistyped field, or out of id order, and on a
+        record `record_child` would refuse or give another generation."""
         tree = cls()
         with open(path, encoding="utf-8") as fh:
             lines = [line for line in fh if line.strip()]
@@ -171,9 +180,9 @@ class GenealogyTree:
             rec = build(AgentRecord, json.loads(line), f"record {i}")
             if rec.id != i:
                 raise ValueError(f"non-contiguous record id {rec.id}")
-            tree.record_child(rec.parent, rec.hp, rec.val_loss, rec.test_loss,
-                              rec.epochs_trained, rec.early_stopped)
-            if tree._records[i].generation != rec.generation:
+            # build has checked that both losses are finite.
+            if tree._next_generation(rec.parent, rec.epochs_trained) != rec.generation:
                 raise ValueError(f"record {i} has generation {rec.generation}, "
                                  "not its parent's + 1")
+            tree._append(rec)
         return tree

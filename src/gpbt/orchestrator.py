@@ -237,12 +237,14 @@ ProgressFn = Callable[[CurvePoint], None]
 Mark = tuple[int, int, float]  # (generation or trial, record count, wall ms) at its end
 
 
-def curve_points(tree: GenealogyTree, marks: Iterable[Mark]) -> Iterator[CurvePoint]:
-    """One best-seen point per mark, in count order: the epochs of the first
-    `count` records and the losses of the first of them with the least val
-    loss (the record `GenealogyTree.ranked` puts first), reading each record
-    once. Points are made as asked for, so iterating a list of marks that
-    grows between asks yields each point once its mark is appended."""
+def curve_points(tree: GenealogyTree,
+                 marks: Iterable[Mark]) -> Iterator[tuple[CurvePoint, int]]:
+    """One best-seen point per mark, in count order, with the id of its best
+    record: the epochs of the first `count` records and the losses of the
+    first of them with the least val loss (the record `GenealogyTree.ranked`
+    puts first), reading each record once. Points are made as asked for, so
+    iterating a list of marks that grows between asks yields each point once
+    its mark is appended."""
     epochs, best, start = 0, None, 0
     for generation, count, wall_ms in marks:
         for i in range(start, count):
@@ -251,15 +253,16 @@ def curve_points(tree: GenealogyTree, marks: Iterable[Mark]) -> Iterator[CurvePo
             if best is None or record.val_loss < best.val_loss:
                 best = record
         start = count
-        yield CurvePoint(generation, epochs, best.val_loss, best.test_loss, wall_ms)
+        yield CurvePoint(generation, epochs, best.val_loss, best.test_loss, wall_ms), best.id
 
 
 @dataclass
 class RunResult:
     """A run's genealogy, curve marks, transfer ledger and dynamic-c trace.
-    Its `curves`, `total_epochs`, `final_best_val` and `final_best_test` are
-    derived from the tree and the marks once, when it is made; the best
-    agent and its schedule are read from the tree."""
+    Its `curves`, `total_epochs`, `final_best_val`, `final_best_test` and
+    `best_agent` (the first-ranked record of the whole run) are derived from
+    the tree and the marks once, when it is made; the last mark counts every
+    record. The best agent's schedule is read from the tree."""
 
     tree: GenealogyTree
     marks: list[Mark]
@@ -267,15 +270,11 @@ class RunResult:
     dynamic_c_trace: list[dict] | None = None
 
     def __post_init__(self):
-        self.curves = list(curve_points(self.tree, self.marks))
-        last = self.curves[-1]
+        points = list(curve_points(self.tree, self.marks))
+        self.curves = [point for point, _ in points]
+        last, self.best_agent = points[-1]
         self.total_epochs = last.epochs_consumed
         self.final_best_val, self.final_best_test = last.best_seen_val, last.best_seen_test
-
-    @property
-    def best_agent(self) -> int:
-        """The first-ranked record of the whole run."""
-        return self.tree.ranked(range(len(self.tree)))[0]
 
     @property
     def best_schedule(self) -> list[HpVector]:
@@ -367,7 +366,7 @@ class Tally:
         start timing the next."""
         self.marks.append((generation, len(self.tree),
                            (time.perf_counter() - self._t_start) * 1000.0))
-        point = next(self._points)
+        point, _ = next(self._points)
         if self._progress is not None:
             self._progress(point)
         self._t_start = time.perf_counter()

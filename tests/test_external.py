@@ -151,6 +151,79 @@ class TestBridgeBasics:
             make_trainer(external_spec())
 
 
+class TestWireFormat:
+    def test_requests_are_json_dumps_bytes(self, monkeypatch):
+        """Each request is the bytes `json.dumps` gives its message, for
+        tokens holding '"', '\\' or non-ASCII characters or sent as a JSON
+        number, and for an hp sent twice, changed in place, or replaced."""
+        sent = []
+        write = ExternalTrainer._write
+
+        def record(self, data):
+            sent.append(data)
+            write(self, data)
+
+        monkeypatch.setattr(ExternalTrainer, "_write", record)
+        wide = SearchSpace([Dimension("lr", 0.0, 1.0), Dimension("wd", 1e-5, 1e-1, "log")])
+        hp = {"lr": 0.5, "wd": 1e-3}
+        with closing(ExternalTrainer(external_spec("oddtokens"), wide)) as trainer:
+            s0 = trainer.init(3)
+            s1 = trainer.step_many(s0, hp, 1)
+            s2 = trainer.step_many(s1, hp, 2)
+            hp["lr"] = 0.125
+            s3 = trainer.step_many(s2, hp, 1)
+            s4 = trainer.step_many(s3, {"lr": 0.25, "wd": 1.5e-05}, 3)
+            val, _ = trainer.evaluate(s4)
+            fork = trainer.fork(s4)
+            assert trainer.evaluate(fork)[0] == val
+        tokens = ['s1"q', "s2\\b", "s3é★", "4", 's5"q', "s6\\b"]
+        assert [s1, s2, s3, s4] == tokens[1:5]
+        messages = [
+            {"cmd": "init", "seed": 3, "space": wide.as_config()},
+            {"cmd": "step", "state": tokens[0], "hp": {"lr": 0.5, "wd": 1e-3}, "iters": 1},
+            {"cmd": "step", "state": tokens[1], "hp": {"lr": 0.5, "wd": 1e-3}, "iters": 2},
+            {"cmd": "step", "state": tokens[2], "hp": {"lr": 0.125, "wd": 1e-3}, "iters": 1},
+            {"cmd": "step", "state": tokens[3], "hp": {"lr": 0.25, "wd": 1.5e-05}, "iters": 3},
+            {"cmd": "eval", "state": tokens[4]},
+            {"cmd": "fork", "state": tokens[4]},
+            {"cmd": "eval", "state": tokens[5]},
+        ]
+        assert sent == [json.dumps(msg).encode() + b"\n" for msg in messages]
+
+    @pytest.mark.parametrize("mode", ["trailing", "notutf8"])
+    def test_reply_must_be_one_utf8_object(self, mode):
+        with closing(ExternalTrainer(external_spec(mode), space())) as trainer:
+            with pytest.raises(TrainerProtocolError, match="malformed trainer reply"):
+                trainer.step_many(trainer.init(0), {"lr": 0.5}, 1)
+
+    def test_reply_after_the_poll_budget_is_read(self):
+        with closing(ExternalTrainer(external_spec("slowstep", timeout=5.0), space())) as trainer:
+            state = trainer.init(0)
+            trainer.evaluate(state)  # the child is up and has answered
+            started = time.monotonic()
+            state = trainer.step_many(state, {"lr": 0.5}, 1)
+            assert time.monotonic() - started >= 0.02 > 100 * external.POLL_BUDGET
+            assert trainer.evaluate(state)[0] == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("cpus", [{0}, None, {0, 1}], ids=["one_cpu", "no_affinity", "two"])
+    def test_polls_only_on_more_than_one_cpu(self, monkeypatch, cpus):
+        if cpus is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        timeouts = []
+        wait = external.select.select
+
+        def select(r, w, x, timeout):
+            timeouts.append(timeout)
+            return wait(r, w, x, timeout)
+
+        monkeypatch.setattr(external.select, "select", select)
+        with closing(ExternalTrainer(external_spec("slowstep"), space())) as trainer:
+            trainer.evaluate(trainer.step_many(trainer.init(0), {"lr": 0.5}, 1))
+        assert timeouts and (0 in timeouts) == (cpus == {0, 1})
+
+
 class TestWriteFailures:
     # A request written to a child that has closed its stdin, or that reads
     # none: each raises, and the child is reaped.

@@ -626,7 +626,9 @@ class TestTally:
                                        best.val_loss, best.test_loss))
         assert [replace(p, wall_ms=0.0) for p in result.curves] == expected
         assert result.total_epochs == sum(r.epochs_trained for r in records)
-        best = result.tree.get(result.best_agent)
+        tree = result.tree
+        assert result.best_agent == tree.ranked(range(len(tree)))[0]
+        best = tree.get(result.best_agent)
         assert (result.final_best_val, result.final_best_test) == (best.val_loss, best.test_loss)
         if method == "gpbt" and level1 == 10.0:
             # Each generation improves the best-seen val by at most t_g + 1, so

@@ -10,6 +10,10 @@ Modes (argv[1], default "quad"):
   nostate   replies {"ok": true} without "state" to "step"
   badval    replies to "eval" with "val": "abc", or with the JSON value in argv[2]
   notutf8   replies to "step" with a line of bytes that are not UTF-8
+  trailing  replies to "step" with a reply object followed by more data
+  slowstep  takes 20 ms to answer each "step"
+  oddtokens names its states in turn with a '"', a '\\', non-ASCII characters
+            and a bare JSON number (held under the number's digits)
   closeout  closes its stdout on "step" and keeps running
   exit      exits with code 7 on the second "fork"
   forkerror replies ok:false to "fork"
@@ -43,6 +47,10 @@ def fresh(payload):
     token = f"s{counter}"
     if mode == "padded":
         token += "." * 8192
+    if mode == "oddtokens":
+        token = [counter, f's{counter}"q', f"s{counter}\\b", f"s{counter}\u00e9\u2605"][counter % 4]
+        states[str(token)] = payload
+        return token
     states[token] = payload
     return token
 
@@ -88,10 +96,16 @@ for line in sys.stdin:
             sys.stdout.buffer.write(b'{"ok": true, "state": "\xff\xfe"}\n')
             sys.stdout.buffer.flush()
             continue
+        if mode == "trailing":
+            sys.stdout.write('{"ok": true, "state": "s1"} {"ok": true}\n')
+            sys.stdout.flush()
+            continue
         if mode == "closeout":
             os.close(sys.stdout.fileno())
             time.sleep(60)
             break
+        if mode == "slowstep":
+            time.sleep(0.02)
         st = dict(states[msg["state"]])
         if mode != "echo":
             lr = float(msg["hp"].get("lr", 0.0))
