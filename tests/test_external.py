@@ -155,7 +155,7 @@ class TestWireFormat:
     def test_requests_are_json_dumps_bytes(self, monkeypatch):
         """Each request is the bytes `json.dumps` gives its message, for
         tokens holding '"', '\\' or non-ASCII characters or sent as a JSON
-        number, and for an hp sent twice, changed in place, or replaced."""
+        number, and for one hp sent twice and then another."""
         sent = []
         write = ExternalTrainer._write
 
@@ -170,31 +170,34 @@ class TestWireFormat:
             s0 = trainer.init(3)
             s1 = trainer.step_many(s0, hp, 1)
             s2 = trainer.step_many(s1, hp, 2)
-            hp["lr"] = 0.125
-            s3 = trainer.step_many(s2, hp, 1)
-            s4 = trainer.step_many(s3, {"lr": 0.25, "wd": 1.5e-05}, 3)
-            val, _ = trainer.evaluate(s4)
-            fork = trainer.fork(s4)
+            s3 = trainer.step_many(s2, {"lr": 0.25, "wd": 1.5e-05}, 3)
+            val, _ = trainer.evaluate(s3)
+            fork = trainer.fork(s3)
             assert trainer.evaluate(fork)[0] == val
-        tokens = ['s1"q', "s2\\b", "s3é★", "4", 's5"q', "s6\\b"]
-        assert [s1, s2, s3, s4] == tokens[1:5]
+        tokens = ['s1"q', "s2\\b", "s3\u00e9\u2605", "4", 's5"q']
+        assert [s1, s2, s3] == tokens[1:4]
         messages = [
             {"cmd": "init", "seed": 3, "space": wide.as_config()},
-            {"cmd": "step", "state": tokens[0], "hp": {"lr": 0.5, "wd": 1e-3}, "iters": 1},
-            {"cmd": "step", "state": tokens[1], "hp": {"lr": 0.5, "wd": 1e-3}, "iters": 2},
-            {"cmd": "step", "state": tokens[2], "hp": {"lr": 0.125, "wd": 1e-3}, "iters": 1},
-            {"cmd": "step", "state": tokens[3], "hp": {"lr": 0.25, "wd": 1.5e-05}, "iters": 3},
+            {"cmd": "step", "state": tokens[0], "hp": hp, "iters": 1},
+            {"cmd": "step", "state": tokens[1], "hp": hp, "iters": 2},
+            {"cmd": "step", "state": tokens[2], "hp": {"lr": 0.25, "wd": 1.5e-05}, "iters": 3},
+            {"cmd": "eval", "state": tokens[3]},
+            {"cmd": "fork", "state": tokens[3]},
             {"cmd": "eval", "state": tokens[4]},
-            {"cmd": "fork", "state": tokens[4]},
-            {"cmd": "eval", "state": tokens[5]},
         ]
         assert sent == [json.dumps(msg).encode() + b"\n" for msg in messages]
 
-    @pytest.mark.parametrize("mode", ["trailing", "notutf8"])
+    @pytest.mark.parametrize("mode", ["trailing", "notutf8", "bom"])
     def test_reply_must_be_one_utf8_object(self, mode):
+        """Data after the reply's object and bytes that are not UTF-8 are
+        malformed; a leading UTF-8 byte order mark is dropped."""
         with closing(ExternalTrainer(external_spec(mode), space())) as trainer:
+            state = trainer.init(0)
+            if mode == "bom":
+                assert trainer.evaluate(trainer.step_many(state, {"lr": 0.5}, 1))[0] == 0.25
+                return
             with pytest.raises(TrainerProtocolError, match="malformed trainer reply"):
-                trainer.step_many(trainer.init(0), {"lr": 0.5}, 1)
+                trainer.step_many(state, {"lr": 0.5}, 1)
 
     def test_reply_after_the_poll_budget_is_read(self):
         with closing(ExternalTrainer(external_spec("slowstep", timeout=5.0), space())) as trainer:

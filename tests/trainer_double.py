@@ -11,6 +11,7 @@ Modes (argv[1], default "quad"):
   badval    replies to "eval" with "val": "abc", or with the JSON value in argv[2]
   notutf8   replies to "step" with a line of bytes that are not UTF-8
   trailing  replies to "step" with a reply object followed by more data
+  bom       starts each reply to "step" with a UTF-8 byte order mark
   slowstep  takes 20 ms to answer each "step"
   oddtokens names its states in turn with a '"', a '\\', non-ASCII characters
             and a bare JSON number (held under the number's digits)
@@ -112,6 +113,8 @@ for line in sys.stdin:
             for _ in range(int(msg["iters"])):
                 st["x"] *= 1.0 - lr
         st["steps"] += int(msg["iters"])
+        if mode == "bom":
+            sys.stdout.buffer.write(b"\xef\xbb\xbf")  # the text layer holds nothing unflushed
         reply({"ok": True, "state": fresh(st)})
     elif cmd == "eval":
         st = states[msg["state"]]
