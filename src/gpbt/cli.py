@@ -6,10 +6,11 @@ flag --out gives.
 
 Results layout: `run` writes <out>/<method>/<seed>/{result.json,
 genealogy.ndjson, curves.csv} plus a combined <out>/curves.csv of the last
-invocation; the curves.csv files are for people and the benchmark. `compare`
-reads the result.json and genealogy.ndjson of every seed cell on disk of the
-config's methods, derives each cell's curve from its genealogy (and, when the
-trainer's expected loss has a closed form, replays its final schedule),
+invocation; the curves.csv files, one point per generation (per trial for
+`nonadaptive`), are for people and the benchmark. `compare` reads the
+result.json and genealogy.ndjson of every seed cell on disk of the config's
+methods, folds each genealogy into a curve of one point per record (and, when
+the trainer's expected loss has a closed form, replays its final schedule),
 refuses any cell that ran under another space, trainer or method config or
 whose result.json's final epochs and losses are not its genealogy's, and
 writes <out>/{summary.csv, summary.json, plot_data.csv}.
@@ -44,22 +45,18 @@ from .baselines import NonadaptiveConfig, PbtConfig, run_nonadaptive, run_pbt
 from .config import ConfigError, build, typed_value
 from .external import TrainerProtocolError
 from .genealogy import GenealogyTree
-from .orchestrator import DynamicC, FixedC, RunConfig, RunResult, run
+from .orchestrator import DynamicC, FixedC, RunConfig, RunResult, curve_points, run
 from .space import SearchSpace
-from .trainers import TrainerSpec, expected_schedule_loss, make_trainer
+from .trainers import CLOSED_FORM_KINDS, TrainerSpec, expected_schedule_loss, make_trainer
 
 _REQUIRED = ("space", "trainer", "seeds", "methods")
 
 # A method's cell directory is <out>/<name>, so a name cannot leave <out> or take
-# the name of a file that the CLI writes there: the write probe, and each top
-# file through a ".tmp" sibling.
+# the name of a file that the CLI writes there, in any case: the write probe, and
+# each top file through a ".tmp" sibling.
 _PROBE = ".write-probe"
 _TOP_FILES = ("curves.csv", "summary.csv", "summary.json", "plot_data.csv")
 _RESERVED_NAMES = {".", "..", _PROBE, *_TOP_FILES, *(f"{f}.tmp" for f in _TOP_FILES)}
-
-# Trainer kinds whose expected loss has a closed form, so compare can replay a
-# schedule on it.
-_REPLAYABLE = ("noisy_quadratic", "phase_surrogate")
 
 
 def load_config(path: str) -> dict:
@@ -95,8 +92,9 @@ def load_config(path: str) -> dict:
     parsed = []
     for i, entry in enumerate(methods):
         name, config = _parse_method(entry, i, seed=seeds[0])
-        if any(name == other for other, _ in parsed):
-            raise ConfigError(f"methods[{i}].name", f"duplicate method name {name!r}")
+        same = [other for other, _ in parsed if other.casefold() == name.casefold()]
+        if same:  # in any case, as a case-insensitive filesystem gives both one directory
+            raise ConfigError(f"methods[{i}].name", f"duplicate method name {name!r} (as {same[0]!r})")
         parsed.append((name, config))
 
     cfg["_space"] = space
@@ -130,7 +128,7 @@ def _parse_method(entry, index: int, seed: int):
         raise ConfigError(f"{context}.method", f"unknown method {kind!r}")
     if not isinstance(name, str) or not name:
         raise ConfigError(f"{context}.name", "expected a non-empty string")
-    if name in _RESERVED_NAMES or any(ch in name for ch in "/\\\0"):
+    if name.casefold() in _RESERVED_NAMES or any(ch in name for ch in "/\\\0"):
         raise ConfigError(f"{context}.name", f"{name!r} cannot name a cell directory")
     given = {"seed": seed}
     if kind == "gpbt":
@@ -288,30 +286,23 @@ def _final_replay(tree: GenealogyTree, space: SearchSpace, spec: TrainerSpec) ->
     )
 
 
-def _tree_result(tree: GenealogyTree, per_trial: bool) -> RunResult:
-    """The result of the run that wrote `tree`, its curve marked where the run
-    marked it: at each generation's last record, or at every record (trial)
-    of a non-adaptive run. Its wall times are 0 and its ledger is empty."""
-    records = tree.records  # an empty genealogy raises IndexError below
-    ends = [r.id for r, nxt in zip(records, records[1:])
-            if per_trial or nxt.generation != r.generation] + [records[-1].id]
-    return RunResult(tree, [(k, end + 1, 0.0) for k, end in enumerate(ends)], [])
-
-
 def _load_cells(out: Path, cfg: dict, seeds: list[int]) -> dict[str, dict[int, dict]]:
-    """By method and seed, the final stats, the schedule replay on a replayable
-    trainer and the (epochs, val, test) curve points, read from the
-    genealogy, of every written cell; raises when a cell of `seeds` is
-    missing, when a cell's result.json says it ran under another space,
-    trainer or method config than `cfg` gives its seed, or when its
-    (epochs, val, test) are not its genealogy's."""
+    """By method and seed, the final stats, the schedule replay (None on a
+    trainer with no closed-form expected loss) and the (epochs, val, test)
+    curve, one point per record of the genealogy, of every written cell;
+    raises when a cell of `seeds` is missing, when a cell's result.json says
+    it ran under another space, trainer or method config than `cfg` gives its
+    seed, or when its final (epochs, val, test) are not its genealogy's."""
     space, spec = cfg["_space"], cfg["_trainer_spec"]
+    replayed = spec.kind in CLOSED_FORM_KINDS
     missing = []
     per_method: dict[str, dict[int, dict]] = {}
     for name, config in cfg["_methods"]:
         cells = _seed_cells(out / name)
         missing += [f"{name}/{seed}" for seed in seeds if seed not in cells]
         finals = per_method[name] = {}
+        # Through JSON, as result.json holds it: tuples become lists.
+        run_config = json.loads(json.dumps(_run_config(config)))
         for seed, cell in cells.items():
             path = cell / "result.json"
             try:
@@ -321,9 +312,8 @@ def _load_cells(out: Path, cfg: dict, seeds: list[int]) -> dict[str, dict[int, d
                        "run_config": data["run_config"]}
             except _MALFORMED as exc:
                 raise ConfigError("results", f"malformed {path}: {exc!r}") from None
-            # Through JSON, as result.json holds it: tuples become lists.
-            method = json.loads(json.dumps(_run_config(dataclasses.replace(config, seed=seed))))
-            expected = {"space": space.dims, "trainer": spec, "run_config": method}
+            expected = {"space": space.dims, "trainer": spec,
+                        "run_config": {**run_config, "seed": seed}}
             differs = " and ".join(part for part in expected if ran[part] != expected[part])
             if differs:
                 raise ConfigError("results", f"{cell} ran under another {differs} than this config")
@@ -337,15 +327,14 @@ def _load_cells(out: Path, cfg: dict, seeds: list[int]) -> dict[str, dict[int, d
                 }
                 path = cell / "genealogy.ndjson"  # the file an error names
                 tree = GenealogyTree.load(path)
-                derived = _tree_result(tree, isinstance(config, NonadaptiveConfig))
-                final["curve"] = [(p.epochs_consumed, p.best_seen_val, p.best_seen_test)
-                                  for p in derived.curves]
-                if spec.kind in _REPLAYABLE:
-                    final["replay"] = _final_replay(tree, space, spec)
+                points = curve_points(tree, ((k, k + 1, 0.0) for k in range(len(tree))))
+                curve = final["curve"] = [(p.epochs_consumed, p.best_seen_val, p.best_seen_test)
+                                          for p, _ in points]
+                given = curve[-1]  # an empty genealogy raises IndexError
+                final["replay"] = _final_replay(tree, space, spec) if replayed else None
             except _MALFORMED as exc:
                 raise ConfigError("results", f"malformed {path}: {exc!r}") from None
             held = (final["epochs"], final["val"], final["test"])
-            given = (derived.total_epochs, derived.final_best_val, derived.final_best_test)
             if held != given:
                 raise ConfigError("results", f"{cell}: result.json holds {held}, but its"
                                   f" genealogy.ndjson gives {given}"
@@ -357,26 +346,28 @@ def _load_cells(out: Path, cfg: dict, seeds: list[int]) -> dict[str, dict[int, d
 
 def _plot_rows(per_method: dict[str, dict[int, dict]]) -> list[dict]:
     """Mean/std bands per method over epochs: at each epoch count any seed
-    reached, each seed's last curve point at or before it."""
-    std = (lambda xs: float(np.std(xs, ddof=1)) if len(xs) > 1 else 0.0)
+    reached, over each seed's last curve point at or before it (a seed with
+    none yet is left out), read in one pass over the points in epoch order."""
     rows = []
     for method in sorted(per_method):
         curves = [cell["curve"] for cell in per_method[method].values()]
-        for e in sorted({e for pts in curves for e, _, _ in pts}):
-            reached = [[p for p in pts if p[0] <= e] for pts in curves]
-            # A seed with no curve point yet at e is left out.
-            vals = [r[-1][1] for r in reached if r]
-            tests = [r[-1][2] for r in reached if r]
-            rows.append(
-                {
-                    "method": method,
-                    "epochs": e,
-                    "mean_val": float(np.mean(vals)),
-                    "std_val": std(vals),
-                    "mean_test": float(np.mean(tests)),
-                    "std_test": std(tests),
-                }
-            )
+        points = sorted(((e, s, v, t) for s, pts in enumerate(curves) for e, v, t in pts),
+                        key=lambda p: p[0])
+        vals, tests = [np.nan] * len(curves), [np.nan] * len(curves)  # each seed's so far
+        epochs, bands = [], []
+        for k, (e, s, v, t) in enumerate(points):
+            vals[s], tests[s] = v, t
+            if k + 1 == len(points) or points[k + 1][0] != e:
+                epochs.append(e)
+                bands.append((vals[:], tests[:]))
+        bands = np.array(bands)  # (epoch, val or test, seed)
+        n = np.count_nonzero(~np.isnan(bands), axis=2)
+        mean = np.nansum(bands, axis=2) / n
+        sq = np.nansum((bands - mean[:, :, None]) ** 2, axis=2)
+        std = np.where(n > 1, np.sqrt(sq / np.maximum(n - 1, 1)), 0.0)  # ddof=1
+        rows += [{"method": method, "epochs": e, "mean_val": m[0], "std_val": d[0],
+                  "mean_test": m[1], "std_test": d[1]}
+                 for e, m, d in zip(epochs, mean.tolist(), std.tolist())]
     return rows
 
 
@@ -392,11 +383,11 @@ def cmd_compare(args) -> int:
             return 0.0
         return float(np.percentile(xs, 75) - np.percentile(xs, 25))
 
-    replayed = cfg["_trainer_spec"].kind in _REPLAYABLE
     summary = []
     for name, finals in per_method.items():
-        stats = {key: [f.get(key) for f in finals.values()]
+        stats = {key: [f[key] for f in finals.values()]
                  for key in ("val", "test", "replay", "epochs", "transfers")}
+        replayed = None not in stats["replay"]
         summary.append(
             {
                 "method": name,

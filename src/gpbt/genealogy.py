@@ -170,14 +170,19 @@ class GenealogyTree:
 
     @classmethod
     def load(cls, path) -> "GenealogyTree":
-        """The tree `dump` wrote to `path`; raises ValueError on a record with
-        a missing, unknown or mistyped field, or out of id order, and on a
-        record `record_child` would refuse or give another generation."""
+        """The tree `dump` wrote to `path`, its lines decoded as the items of
+        one JSON array; raises ValueError unless that array is valid with one
+        item per line, on a record with a missing, unknown or mistyped field,
+        or out of id order, and on a record `record_child` would refuse or
+        give another generation."""
         tree = cls()
         with open(path, encoding="utf-8") as fh:
             lines = [line for line in fh if line.strip()]
-        for i, line in enumerate(lines):
-            rec = build(AgentRecord, json.loads(line), f"record {i}")
+        entries = json.loads("[" + ",".join(lines) + "]")
+        if len(entries) != len(lines):
+            raise ValueError(f"{len(entries)} JSON values on {len(lines)} lines")
+        for i, entry in enumerate(entries):
+            rec = build(AgentRecord, entry, f"record {i}")
             if rec.id != i:
                 raise ValueError(f"non-contiguous record id {rec.id}")
             # build has checked that both losses are finite.

@@ -32,6 +32,7 @@ _TEST_GAP_TAG = 7701
 _THETA_TAG = 4242
 
 TRAINER_KINDS = ("noisy_quadratic", "phase_surrogate", "weight_sensitive", "external")
+CLOSED_FORM_KINDS = ("noisy_quadratic", "phase_surrogate")  # see expected_schedule_loss
 
 
 @dataclass(frozen=True)
@@ -255,7 +256,10 @@ def expected_schedule_loss(
     steps: Sequence[int],
 ) -> float:
     """Exact expected loss of a per-generation hp schedule, phase k lasting
-    steps[k] steps, from the expectation v = 1 of a standard-normal init."""
+    steps[k] steps, from the expectation v = 1 of a standard-normal init;
+    raises ValueError for a trainer kind outside CLOSED_FORM_KINDS."""
+    if spec.kind not in CLOSED_FORM_KINDS:
+        raise ValueError(f"a {spec.kind} trainer has no closed-form expected loss")
     h = spec.h
     v = np.ones(spec.dim)
     for hp, k in zip(schedule, steps, strict=True):

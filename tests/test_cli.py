@@ -295,7 +295,8 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "name",
         ["../escaped", "a/b", "a\\b", "nul\0", ".", "..", "curves.csv", "summary.csv",
-         "summary.json", "plot_data.csv", "curves.csv.tmp", ".write-probe"],
+         "summary.json", "plot_data.csv", "curves.csv.tmp", ".write-probe", "Curves.csv",
+         "PLOT_DATA.CSV", ".Write-Probe"],
     )
     def test_method_name_outside_its_cell_exits_2(self, tmp_path, capsys, name):
         # A cell is <out>/<name>/<seed>: the name must be one path component
@@ -308,6 +309,21 @@ class TestRunCommand:
         assert main(["run", str(path), "--deterministic", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("config error: methods[1].name:")
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_method_names_differing_in_case_exit_2(self, tmp_path, capsys, command):
+        # A case-insensitive filesystem (the macOS default) maps both names to
+        # one cell directory, where the second cell would overwrite the first.
+        cfg = json.loads(tiny_config(tmp_path).read_text())
+        cfg["methods"][0]["name"], cfg["methods"][2]["name"] = "pbt_a", "PBT_A"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main([command, str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: methods[2].name: duplicate method name 'PBT_A'"
+                              " (as 'pbt_a')")
+        assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["directory", "huge_integer", "not_utf8"])
     def test_unreadable_config_exits_2(self, tmp_path, capsys, kind):
@@ -634,6 +650,47 @@ class TestCompareCommand:
         assert main(["compare", str(cfg), "--out", str(out)]) == 0
 
 
+def genealogy_curve(cell):
+    """(epochs, best-seen val, its test) at every record of the cell's
+    genealogy.ndjson, read from its raw lines in id order."""
+    records = map(json.loads, (cell / "genealogy.ndjson").read_text().splitlines())
+    curve, epochs, best = [], 0, None
+    for r in records:
+        epochs += r["epochs_trained"]
+        if best is None or r["val_loss"] < best["val_loss"]:
+            best = r
+        curve.append((epochs, best["val_loss"], best["test_loss"]))
+    return curve
+
+
+def expected_bands(out, method, seeds):
+    """The plot_data.csv rows of `method` recomputed from its cells'
+    genealogies: at each epoch count any seed's curve reaches, the mean and
+    sample std over the seeds that have reached it of their last points."""
+    curves = [genealogy_curve(out / method / str(seed)) for seed in seeds]
+    std = (lambda xs: float(np.std(xs, ddof=1)) if len(xs) > 1 else 0.0)
+    rows = []
+    for e in sorted({p[0] for curve in curves for p in curve}):
+        last = [[p for p in curve if p[0] <= e][-1] for curve in curves if curve[0][0] <= e]
+        vals, tests = [p[1] for p in last], [p[2] for p in last]
+        rows.append({"method": method, "epochs": e, "mean_val": float(np.mean(vals)),
+                     "std_val": std(vals), "mean_test": float(np.mean(tests)),
+                     "std_test": std(tests)})
+    return rows
+
+
+def assert_bands_recomputed(out, config):
+    plot = read_csv(out / "plot_data.csv")
+    assert list(plot[0]) == ["method", "epochs", "mean_val", "std_val", "mean_test", "std_test"]
+    expected = [row for entry in sorted(config["methods"], key=lambda m: m["name"])
+                for row in expected_bands(out, entry["name"], config["seeds"])]
+    assert [(r["method"], int(r["epochs"])) for r in plot] == [
+        (r["method"], r["epochs"]) for r in expected]
+    for got, want in zip(plot, expected):
+        for key in ("mean_val", "std_val", "mean_test", "std_test"):
+            assert float(got[key]) == pytest.approx(want[key], rel=1e-12, abs=1e-15)
+
+
 class TestEmitPlotData:
     # compare writes plot_data.csv beside the summary.
     def test_band_math_matches_recomputation(self, tmp_path):
@@ -641,28 +698,34 @@ class TestEmitPlotData:
         out = tmp_path / "out"
         main(["run", str(cfg), "--deterministic", "--out", str(out)])
         assert main(["compare", str(cfg), "--out", str(out)]) == 0
-        plot = read_csv(out / "plot_data.csv")
-        assert list(plot[0]) == ["method", "epochs", "mean_val", "std_val", "mean_test", "std_test"]
-        assert {r["method"] for r in plot} == {"gpbt_tpe", "pbt", "random_search"}
+        assert_bands_recomputed(out, json.loads(cfg.read_text()))
 
-        curves = read_csv(out / "curves.csv")
-        # recompute one band point by hand: per seed, last value at epochs <= e
-        method, e = "gpbt_tpe", None
-        pts = {}
-        for r in curves:
-            if r["method"] != method:
-                continue
-            pts.setdefault(r["seed"], []).append((int(r["epochs_consumed"]), float(r["best_seen_val"])))
-        e = max(min(ep for ep, _ in p) for p in pts.values())
-        vals = []
-        for p in pts.values():
-            reached = [v for ep, v in sorted(p) if ep <= e]
-            vals.append(reached[-1])
-        expected_mean = float(np.mean(vals))
-        expected_std = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
-        row = next(r for r in plot if r["method"] == method and int(r["epochs"]) == e)
-        assert float(row["mean_val"]) == pytest.approx(expected_mean)
-        assert float(row["std_val"]) == pytest.approx(expected_std)
+    def test_gpbt_band_has_a_point_per_record(self, tmp_path):
+        # Under the level-3 gate each seed's records train 1 or t_g=3 epochs,
+        # so the seeds reach different epoch counts; every record of every
+        # seed gives the band a grid epoch, not only each generation's last.
+        method = {"name": "gated", "method": "gpbt", "n": 6, "t_max": 3, "t_g": 3, "c": 1.5,
+                  "searcher": {"kind": "random"}, "early_stop": {"level3": True}}
+        cfg = tiny_config(tmp_path, seeds=[0, 1, 2, 3], methods=[method])
+        out = tmp_path / "out"
+        main(["run", str(cfg), "--deterministic", "--out", str(out)])
+        assert main(["compare", str(cfg), "--out", str(out)]) == 0
+        assert_bands_recomputed(out, json.loads(cfg.read_text()))
+        grid = {int(r["epochs"]) for r in read_csv(out / "plot_data.csv")}
+        for seed in range(4):
+            curve = genealogy_curve(out / "gated" / str(seed))
+            assert len(curve) == 18 and {e for e, _, _ in curve} <= grid
+        assert len(grid) > 18
+
+    def test_seed_without_a_point_yet_is_left_out(self):
+        from gpbt.cli import _plot_rows
+
+        curves = {0: {"curve": [(2, 1.0, 2.0), (4, 0.5, 1.0)]}, 1: {"curve": [(3, 3.0, 4.0)]}}
+        rows = _plot_rows({"m": curves})
+        assert [(r["epochs"], r["mean_val"], r["mean_test"]) for r in rows] == [
+            (2, 1.0, 2.0), (3, 2.0, 3.0), (4, 1.75, 2.5)]
+        assert [r["std_val"] for r in rows] == [0.0, pytest.approx(2 ** 0.5),
+                                                pytest.approx(2.5 / 2 ** 0.5)]
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = tiny_config(tmp_path)

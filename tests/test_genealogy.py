@@ -92,6 +92,17 @@ class TestRecordChild:
         with pytest.raises(ValueError, match="non-contiguous record id 1"):
             GenealogyTree.load(path)
 
+    def test_two_records_on_one_line_rejected(self, tmp_path):
+        # The lines are decoded as the items of one array: a line holding
+        # two records would otherwise read as two items.
+        lines = list(generation_zero(3).to_lines())
+        path = tmp_path / "tree.ndjson"
+        path.write_text(lines[0] + "\n" + lines[1] + ", " + lines[2] + "\n")
+        with pytest.raises(ValueError, match="3 JSON values on 2 lines"):
+            GenealogyTree.load(path)
+        path.write_text("".join(line + "\n\n" for line in lines))  # blank lines are skipped
+        assert GenealogyTree.load(path).records == generation_zero(3).records
+
     def test_zero_epochs_rejected(self):
         tree = generation_zero(2)
         with pytest.raises(ValueError, match="epochs_trained must be >= 1"):

@@ -270,6 +270,14 @@ class TestBruteForceOracle:
             schedule = [grid[int(i)] for i in rng.integers(0, len(grid), size=4)]
             assert expected_schedule_loss(spec, schedule, (3,) * 4) >= best - 1e-15
 
+    @pytest.mark.parametrize("kind", ["weight_sensitive", "external"])
+    def test_no_closed_form_raises(self, kind):
+        # The noisy-quadratic recursion ignores a weight_sensitive lineage's
+        # hidden latent and knows nothing of an external trainer.
+        spec = TrainerSpec(kind=kind, dim=2, command=("trainer",) if kind == "external" else ())
+        with pytest.raises(ValueError, match=f"{kind} trainer has no closed-form"):
+            expected_schedule_loss(spec, [{"lr": 0.5}], [3])
+
 
 def test_make_trainer_dispatch():
     assert isinstance(make_trainer(TrainerSpec(kind="noisy_quadratic")), NoisyQuadraticTrainer)
