@@ -95,7 +95,7 @@ def run_pbt(
     k = math.ceil(PBT_TRUNCATION * config.n)
     for t in range(config.t_max):
         if t == 0:
-            slots = [(None, None)] * config.n
+            slots = [(None, space.sample_uniform(rng_search)) for _ in range(config.n)]
         else:
             # Each agent keeps its slot; a bottom agent's slot copies a top one.
             by_agent = {a: (a, tree.get(a).hp) for a in agents}
@@ -105,7 +105,7 @@ def run_pbt(
                 src = top[int(rng_algo.integers(0, len(top)))]
                 by_agent[a] = (src, _explore(tree.get(src).hp, space, rng_algo))
             slots = list(by_agent.values())
-        agents = tally.grow(slots, config.t_g, lambda _: space.sample_uniform(rng_search))
+        agents = tally.grow(slots, config.t_g)  # every hp is given: one wave
         tally.end(t)
 
     ledger = [1] + [k] * (config.t_max - 1)  # the initial model, then k copies
@@ -128,8 +128,10 @@ def run_nonadaptive(
         history = tally.history(tally.tree.lineage_history(None, "pooled", False))
         return suggest(config.searcher, space, history, rng_search)
 
+    draw = config.searcher.kind == "random"  # suggest's random branch, without a history
     for kth in range(config.trials):
-        tally.grow([(None, None)], config.t_total, propose)
+        hp = space.sample_uniform(rng_search) if draw else None
+        tally.grow([(None, hp)], config.t_total, propose)
         tally.end(kth)
 
     return RunResult(tally.tree, tally.marks, [1])

@@ -15,19 +15,22 @@ copying is a "fork" message returning a fresh token.
     <- {"ok": true, "state": TOKEN''}
     -> {"cmd": "shutdown"}
 
-The conversation runs in the caller's thread; no thread is used. `init` and
-`fork` write their request and return at once with a pending token, whose
-reply is read the first time the token is used or when a later reply is
-needed, so the child works through these requests while the caller does
-other work. `step` and `eval` wait for their replies. The child answers
-every request in order, one line each. While the bridge waits on the child,
-a reply is due `spec.timeout` seconds after the later of the latest request
+The conversation runs in the caller's thread; no thread is used. No call
+waits for its own reply: `init`, `fork` and `step` write their request and
+return at once with a pending token, whose reply is read the first time the
+token is used or when a later reply is needed, and `evaluate` returns its
+two losses as an iterator that reads the reply when it is unpacked. So a
+caller can write many requests before it reads a reply, and the child works
+through them while the caller does other work. The child answers every
+request in order, one line each. While the bridge waits on the child, a
+reply is due `spec.timeout` seconds after the later of the latest request
 written and the latest reply read, or the child is killed: a reply's time
 counts from when the child could start on its request, so requests queued
 ahead of it do not use it up. While the child's stdin pipe is full, a write
 reads the child's replies into a buffer, because a child blocked on a full
 stdout reads no more requests.
-Every bad reply, exit or timeout raises TrainerProtocolError. The waits use
+Every bad reply, exit or timeout raises TrainerProtocolError, from whichever
+call reads that reply or writes the next request. The waits use
 select() on the pipes, so the bridge needs POSIX pipes. A wait for a reply
 first polls the child's stdout for up to POLL_BUDGET seconds and only then
 sleeps in select() until the reply is due. That pays when the child answers
@@ -54,7 +57,7 @@ import subprocess
 import time
 from collections import deque
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps's str encoding
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .config import ConfigError, typed_value
 from .space import SearchSpace
@@ -82,7 +85,7 @@ def _loss(value, field: str) -> float:
 
 class _Reply:
     """A sent request's reply: `values` holds its `fields` once it is read.
-    `init` and `fork` return theirs as the pending state token."""
+    `init`, `fork` and `step` return theirs as the pending state token."""
 
     __slots__ = ("cmd", "fields", "values")
 
@@ -245,12 +248,16 @@ class ExternalTrainer:
             return state
         hp_json = json.dumps(dict(hp))
         body = f'"state": {self._token(state)}, "hp": {hp_json}, "iters": {int(iters)}'
-        (token,) = self._wait(self._send("step", body, "state"))
-        return str(token)
+        return self._send("step", body, "state")
 
-    def evaluate(self, state) -> tuple[float, float]:
-        val, test = self._wait(self._send("eval", f'"state": {self._token(state)}', "val", "test"))
-        return _loss(val, "val"), _loss(test, "test")
+    def evaluate(self, state) -> Iterator[float]:
+        return self._losses(self._send("eval", f'"state": {self._token(state)}', "val", "test"))
+
+    def _losses(self, reply: _Reply) -> Iterator[float]:
+        """The val and test losses of an "eval" reply, read when unpacked."""
+        val, test = self._wait(reply)
+        yield _loss(val, "val")
+        yield _loss(test, "test")
 
     def fork(self, state) -> _Reply:
         return self._send("fork", f'"state": {self._token(state)}', "state")

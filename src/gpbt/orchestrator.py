@@ -12,7 +12,12 @@ best first, each parent's children in creation order. `Tally` is the one
 child path (training, recording, live states, curve marks) shared with the
 baselines: a parent's last child trains the parent's state itself, and only
 its earlier children train forks of it. Each call asks the trainer for every
-child's starting state before the first child trains. The curves, the epoch
+child's starting state before the first child trains. Children whose hps are
+drawn before the generation trains (under the random searcher, which reads
+no history, and in PBT) train as one wave: every child's first step and eval
+are asked for before any loss is read, so that an external trainer answers
+them back to back. A child whose hp a searcher proposes from the history
+trains alone, once the child before it is recorded. The curves, the epoch
 total and the best-seen losses are not kept beside the tree: `curve_points`
 derives them from its records.
 """
@@ -223,7 +228,7 @@ def update_dynamic_c(state: DynamicCState, winner: float, n: int) -> DynamicCSta
 # Results
 
 
-@dataclass(frozen=True)
+@dataclass  # not frozen: a frozen dataclass's __init__ costs several times as much
 class CurvePoint:
     generation: int
     epochs_consumed: int
@@ -304,7 +309,7 @@ class Tally:
         self._t_start = time.perf_counter()
 
     def grow(self, slots: Sequence[tuple[int | None, HpVector | None]], iters: int,
-             propose: Callable[[int | None], HpVector],
+             propose: Callable[[int | None], HpVector] | None = None,
              early: list[float] | None = None) -> list[int]:
         """Train, evaluate and record one child per (parent, hp) slot, in
         order, for `iters` iterations; keep their states and return their ids.
@@ -314,11 +319,20 @@ class Tally:
         while the first hp is proposed. A root slot (parent None) inits a
         state seeded by the record count its child will have. A parent (a
         child of the previous call) hands its own state to its last slot, and
-        its earlier slots train forks of it. An hp of None is
-        `propose(parent)`, asked just before the child trains. With a level-3
-        ledger of this generation's first-iteration losses, a child is
-        evaluated after one iteration and stops there if the median gate says
-        so; without one it trains through in one trainer call."""
+        its earlier slots train forks of it.
+
+        Children train in waves. A maximal run of consecutive slots whose hp
+        is given is one wave. A slot whose hp is None is a wave of one: its
+        hp is `propose(parent)`, asked just before it trains, when every
+        earlier child is recorded. A wave asks for every child's first step
+        and eval before it reads any loss, so that an external trainer
+        answers them back to back; the in-process trainers see the same
+        calls on the same states, in another order. With a level-3 ledger of
+        this generation's first-iteration losses, a child is evaluated after
+        one iteration and stops there if the median gate, read in slot order
+        against the ledger as the slots before it left it, says so; without
+        one it trains through in one trainer call. Last, the wave records its
+        children in slot order."""
         trainer, space, tree, states = self.trainer, self.space, self.tree, self._states
         last = {pid: k for k, (pid, _) in enumerate(slots)}
         starts = [
@@ -328,30 +342,45 @@ class Tally:
             for k, (pid, _) in enumerate(slots)
         ]
         starts.reverse()  # taken from the end, so each is released as its child trains
+        first = iters if early is None else 1  # iterations before the level-3 gate
         children: dict[int, object] = {}
-        for pid, hp in slots:
-            state = starts.pop()
+        k = 0
+        while k < len(slots):
+            pid, hp = slots[k]
             if hp is None:
-                hp = propose(pid)
-            hp_named = space.to_dict(hp)
-            done = iters if early is None else 1  # iterations before the level-3 gate
-            state = trainer.step_many(state, hp_named, done)
-            val, test = trainer.evaluate(state)
-            stopped = False
+                wave = [(pid, propose(pid))]
+                k += 1
+            else:
+                end = k + 1
+                while end < len(slots) and slots[end][1] is not None:
+                    end += 1
+                wave, k = slots[k:end], end
+            named, trained = [], []
+            for _, hp in wave:
+                hp_named = space.to_dict(hp)
+                named.append(hp_named)
+                trained.append(trainer.step_many(starts.pop(), hp_named, first))
+            losses = list(map(trainer.evaluate, trained))
+            stopped = [False] * len(wave)
             if early is not None:
-                stopped = median_gate(early, val)
-                early.append(val)
-                if not stopped:
-                    state = trainer.step_many(state, hp_named, iters - 1)
-                    val, test = trainer.evaluate(state)
-                    done = iters
-            u = space.to_unit(hp)
-            cid = tree.record_child(pid, hp, val, test, done, stopped)
-            if cid == self._loss.shape[0]:
-                self._u = np.concatenate([self._u, np.empty_like(self._u)])
-                self._loss = np.concatenate([self._loss, np.empty_like(self._loss)])
-            self._u[cid], self._loss[cid] = u, val
-            children[cid] = state
+                # A child the gate lets through asks for its remaining
+                # iterations at once, and for its eval after the last gate.
+                for i, (val, test) in enumerate(losses):
+                    losses[i] = val, test
+                    stopped[i] = median_gate(early, val)
+                    early.append(val)
+                    if not stopped[i]:
+                        trained[i] = trainer.step_many(trained[i], named[i], iters - 1)
+                for i, stop in enumerate(stopped):
+                    if not stop:
+                        losses[i] = trainer.evaluate(trained[i])
+            for (pid, hp), state, (val, test), stop in zip(wave, trained, losses, stopped):
+                cid = tree.record_child(pid, hp, val, test, 1 if stop else iters, stop)
+                if cid == self._loss.shape[0]:
+                    self._u = np.concatenate([self._u, np.empty_like(self._u)])
+                    self._loss = np.concatenate([self._loss, np.empty_like(self._loss)])
+                self._u[cid], self._loss[cid] = space.to_unit(hp), val
+                children[cid] = state
         self._states = children
         return list(children)
 
@@ -390,6 +419,7 @@ def run(
     rng_search = search_stream(config.seed)
     rng_algo = np.random.default_rng(derive_seed(config.seed, STREAM_ALGO))
     gate3 = es.level3 and config.t_g > 1  # inert with a single iteration
+    draw = config.searcher.kind == "random"  # suggest's random branch, without a history
 
     tally = Tally(trainer, space, config.seed, progress)
     tree = tally.tree
@@ -420,12 +450,15 @@ def run(
 
         # Child slots in evaluation order: group by group, best parent first
         # (weaker parents' children then face a low level-3 median), each
-        # parent's children in creation order.
-        slots = [(None, None)] * config.n if t == 0 else []
+        # parent's children in creation order. A random searcher reads no
+        # history, so its hps are drawn here, in slot order, and the whole
+        # generation trains as one wave; any other searcher's are proposed
+        # child by child.
+        parents = [None] * config.n if t == 0 else []
         for size, c in groups:
-            counts = plan_generation(size, c)
-            for pid, count in zip(ranking, counts):
-                slots += [(pid, None)] * count
+            for pid, count in zip(ranking, plan_generation(size, c)):
+                parents += [pid] * count
+        slots = [(pid, space.sample_uniform(rng_search) if draw else None) for pid in parents]
 
         def propose(pid):
             history = tally.history(tree.lineage_history(pid, config.history_mode, False))

@@ -74,7 +74,10 @@ class TrainerSpec:
 class Trainer(Protocol):
     """What the generation loop needs from any trainer backend: a fresh state
     from a seed, `iters` iterations under one hp mapping, (val, test) losses,
-    and an independent copy of a state."""
+    and an independent copy of a state. Calls on different states come in
+    any order (a wave steps every child before it evaluates any), and the
+    loop unpacks each `evaluate` result once, so a backend may return a pair
+    that reads its losses only then."""
 
     def init(self, seed: int): ...
     def step_many(self, state, hp: Mapping[str, float], iters: int): ...

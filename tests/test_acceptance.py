@@ -85,7 +85,7 @@ def test_criterion_2_history_isolation():
             c = 1.0
         config = RunConfig(
             n=n, t_max=t_max, t_g=int(rng.integers(1, 3)), c=FixedC(c),
-            searcher=SearcherConfig(kind="random"), history_mode=mode,
+            searcher=SearcherConfig(kind="tpe"), history_mode=mode,
             seed=int(rng.integers(0, 10**6)),
         )
         trainer = make_trainer(

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import signal
@@ -39,7 +40,8 @@ class TestBridgeBasics:
             assert val == pytest.approx((1.3 * 0.5) ** 2)
             assert test == pytest.approx(val * 1.01)
             s2 = trainer.step_many(s1, {"lr": 0.5}, 2)
-            assert trainer.evaluate(s2)[0] < val
+            val2, _ = trainer.evaluate(s2)
+            assert val2 < val
 
     def test_fork_then_diverge(self):
         with closing(ExternalTrainer(external_spec(), space())) as trainer:
@@ -47,9 +49,10 @@ class TestBridgeBasics:
             b = trainer.fork(a)
             a2 = trainer.step_many(a, {"lr": 0.9}, 1)
             b2 = trainer.step_many(b, {"lr": 0.1}, 1)
-            assert trainer.evaluate(a2) != trainer.evaluate(b2)
+            assert tuple(trainer.evaluate(a2)) != tuple(trainer.evaluate(b2))
             # the fork source is still addressable and unchanged
-            assert trainer.evaluate(b)[0] == pytest.approx(1.0)
+            val, _ = trainer.evaluate(b)
+            assert val == pytest.approx(1.0)
 
     def test_dead_command_is_handshake_error(self):
         spec = TrainerSpec(kind="external", command=("/nonexistent/trainer-binary",))
@@ -58,15 +61,15 @@ class TestBridgeBasics:
 
     def test_scripted_error_reply(self):
         with closing(ExternalTrainer(external_spec("error"), space())) as trainer:
-            s = trainer.init(0)
+            s = trainer.step_many(trainer.init(0), {"lr": 0.5}, 1)
             with pytest.raises(TrainerProtocolError, match="scripted failure"):
-                trainer.step_many(s, {"lr": 0.5}, 1)
+                trainer.evaluate(s)  # reads the pending step's reply
 
     def test_malformed_reply_names_line(self):
         with closing(ExternalTrainer(external_spec("malformed"), space())) as trainer:
-            s = trainer.init(0)
+            s = trainer.step_many(trainer.init(0), {"lr": 0.5}, 1)
             with pytest.raises(TrainerProtocolError, match="not json"):
-                trainer.step_many(s, {"lr": 0.5}, 1)
+                trainer.evaluate(s)
 
     @pytest.mark.parametrize(
         "val", ["true", "1" + "0" * 400, "NaN", "Infinity", "-Infinity"],
@@ -75,8 +78,9 @@ class TestBridgeBasics:
     def test_eval_needs_numbers(self, val):
         spec = TrainerSpec(kind="external", command=(sys.executable, DOUBLE, "badval", val))
         with closing(ExternalTrainer(spec, space())) as trainer:
+            losses = trainer.evaluate(trainer.init(0))
             with pytest.raises(TrainerProtocolError, match="'val' must be a finite number"):
-                trainer.evaluate(trainer.init(0))
+                tuple(losses)  # the reply is read when the pair is unpacked
 
     def test_pending_reply_is_due_from_its_request_not_its_first_use(self):
         with closing(ExternalTrainer(external_spec("forksleep", timeout=1.0), space())) as trainer:
@@ -96,13 +100,15 @@ class TestBridgeBasics:
         with closing(ExternalTrainer(external_spec("slowfork", timeout=0.5), space())) as trainer:
             state = trainer.step_many(trainer.init(0), {"lr": 0.5}, 1)
             forks = [trainer.fork(state) for _ in range(4)]
-            assert trainer.evaluate(trainer.step_many(forks[-1], {"lr": 0.5}, 1))[0] < 1.0
+            val, _ = trainer.evaluate(trainer.step_many(forks[-1], {"lr": 0.5}, 1))
+            assert val < 1.0
 
     def test_timeout(self):
         with closing(ExternalTrainer(external_spec("sleep", timeout=0.5), space())) as trainer:
             s = trainer.init(0)
+            stepped = trainer.step_many(s, {"lr": 0.5}, 1)
             with pytest.raises(TrainerProtocolError, match="timed out"):
-                trainer.step_many(s, {"lr": 0.5}, 1)
+                trainer.evaluate(stepped)
             # the timed-out child was killed and reaped
             with pytest.raises(TrainerProtocolError, match="not running"):
                 trainer.evaluate(s)
@@ -173,9 +179,10 @@ class TestWireFormat:
             s3 = trainer.step_many(s2, {"lr": 0.25, "wd": 1.5e-05}, 3)
             val, _ = trainer.evaluate(s3)
             fork = trainer.fork(s3)
-            assert trainer.evaluate(fork)[0] == val
+            fork_val, _ = trainer.evaluate(fork)
+            assert fork_val == val
         tokens = ['s1"q', "s2\\b", "s3\u00e9\u2605", "4", 's5"q']
-        assert [s1, s2, s3] == tokens[1:4]
+        assert [str(s.values[0]) for s in (s1, s2, s3)] == tokens[1:4]  # the steps' replies
         messages = [
             {"cmd": "init", "seed": 3, "space": wide.as_config()},
             {"cmd": "step", "state": tokens[0], "hp": hp, "iters": 1},
@@ -192,21 +199,21 @@ class TestWireFormat:
         """Data after the reply's object and bytes that are not UTF-8 are
         malformed; a leading UTF-8 byte order mark is dropped."""
         with closing(ExternalTrainer(external_spec(mode), space())) as trainer:
-            state = trainer.init(0)
+            state = trainer.step_many(trainer.init(0), {"lr": 0.5}, 1)
             if mode == "bom":
-                assert trainer.evaluate(trainer.step_many(state, {"lr": 0.5}, 1))[0] == 0.25
+                assert tuple(trainer.evaluate(state))[0] == 0.25
                 return
             with pytest.raises(TrainerProtocolError, match="malformed trainer reply"):
-                trainer.step_many(state, {"lr": 0.5}, 1)
+                trainer.evaluate(state)
 
     def test_reply_after_the_poll_budget_is_read(self):
         with closing(ExternalTrainer(external_spec("slowstep", timeout=5.0), space())) as trainer:
             state = trainer.init(0)
-            trainer.evaluate(state)  # the child is up and has answered
+            tuple(trainer.evaluate(state))  # the child is up and has answered
             started = time.monotonic()
-            state = trainer.step_many(state, {"lr": 0.5}, 1)
+            val, _ = trainer.evaluate(trainer.step_many(state, {"lr": 0.5}, 1))
             assert time.monotonic() - started >= 0.02 > 100 * external.POLL_BUDGET
-            assert trainer.evaluate(state)[0] == pytest.approx(0.25)
+            assert val == pytest.approx(0.25)
 
     @pytest.mark.parametrize("cpus", [{0}, None, {0, 1}], ids=["one_cpu", "no_affinity", "two"])
     def test_polls_only_on_more_than_one_cpu(self, monkeypatch, cpus):
@@ -316,6 +323,73 @@ class TestEndToEnd:
             assert len(result.tree.records) == 8
 
 
+class TestWaves:
+    """A generation whose hps are all drawn before it trains (the random
+    searcher) is one wave: every child's step is written before any step's
+    reply is read, and every eval before any loss is read."""
+
+    @staticmethod
+    def config(kind, **overrides):
+        return RunConfig(**{
+            "n": 8, "t_max": 3, "t_g": 1, "c": FixedC(2.0),
+            "searcher": SearcherConfig(kind=kind), "seed": 0, **overrides,
+        })
+
+    @pytest.mark.parametrize("kind", ["random", "tpe"])
+    def test_every_step_of_a_wave_is_written_before_a_reply_is_read(self, kind, monkeypatch):
+        events = []  # ("write", cmd) and ("read", cmd of the request it answers), in order
+        write, read_line = ExternalTrainer._write, ExternalTrainer._read_line
+
+        def logged_write(self, data):
+            events.append(("write", json.loads(data)["cmd"]))
+            write(self, data)
+
+        def logged_read_line(self):
+            # Replies come in request order, so the k-th read answers the k-th write.
+            writes = [cmd for event, cmd in events if event == "write"]
+            events.append(("read", writes[sum(event == "read" for event, _ in events)]))
+            return read_line(self)
+
+        monkeypatch.setattr(ExternalTrainer, "_write", logged_write)
+        monkeypatch.setattr(ExternalTrainer, "_read_line", logged_read_line)
+        with closing(ExternalTrainer(external_spec(), space())) as trainer:
+            run(self.config(kind), space(), trainer)
+        at = {key: [i for i, e in enumerate(events) if e == key]
+              for key in [(e, cmd) for e in ("write", "read") for cmd in ("step", "eval")]}
+        assert len(at["write", "step"]) == len(at["read", "eval"]) == 24
+        for g in range(3):  # n = 8 children a generation
+            if kind == "random":
+                assert at["write", "step"][8 * g + 7] < at["read", "step"][8 * g]
+                assert at["write", "eval"][8 * g + 7] < at["read", "eval"][8 * g]
+        if kind == "tpe":  # each child is recorded before the next one's hp is proposed
+            for k in range(23):
+                assert at["read", "eval"][k] < at["write", "step"][k + 1]
+
+    @pytest.mark.parametrize("mode, message", [
+        ("error", "trainer error: scripted failure"),
+        ("nostate", "trainer reply to 'step' has no 'state'"),
+        ("badval", "trainer reply to 'eval': 'val' must be a finite number, got 'abc'"),
+        ("notutf8", "malformed trainer reply: "),
+        ("trailing", "malformed trainer reply: "),
+        ("malformed", "malformed trainer reply: b'this is not json'"),
+        ("closeout", "trainer closed its stdout, did not exit within 0.5s and was killed"),
+        ("sleep", "trainer reply timed out after 0.5s"),
+        ("exit", "trainer exited with code 7 mid-conversation"),
+        ("forkerror", "trainer error: scripted fork failure"),
+    ])
+    def test_failure_mid_wave_raises_as_one_child_at_a_time(self, mode, message):
+        # The same error, word for word, from a wave (random) and from
+        # children trained one at a time (TPE).
+        config = {"t_g": 2, "early_stop": EarlyStopConfig(level3=True)}
+        errors = []
+        for kind in ("random", "tpe"):
+            with closing(ExternalTrainer(external_spec(mode, timeout=0.5), space())) as trainer:
+                with pytest.raises(TrainerProtocolError, match=re.escape(message)) as caught:
+                    run(self.config(kind, **config), space(), trainer)
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1]
+
+
 def cli_config(tmp_path, mode, timeout, seeds=(0,), **method):
     """A one-method config over `mode` of the double: n=4 and c=1 (2 parents
     with 2 children each) unless `method` overrides them."""
@@ -333,7 +407,8 @@ def cli_config(tmp_path, mode, timeout, seeds=(0,), **method):
 
 
 class TestProcessFailures:
-    @pytest.mark.parametrize("mode", ["nostate", "badval", "notutf8", "closeout"])
+    @pytest.mark.parametrize("mode", ["nostate", "badval", "notutf8", "closeout",
+                                      "error", "malformed", "trailing", "sleep"])
     def test_bad_reply_exits_3(self, tmp_path, mode):
         # in a subprocess, so that a hang fails the test instead of the suite
         env = dict(os.environ)
@@ -377,14 +452,17 @@ class TestProcessFailures:
     def test_large_replies_never_block_a_write(self, tmp_path, reaped_processes):
         # One parent with 64 children: its 63 forks, 8 KB each, are written
         # before any reply is read, so the child's stdout pipe fills, and then
-        # its stdin pipe. A write that waited on a full pipe would hang, so
+        # its stdin pipe. Each generation (random searcher) is one wave,
+        # whose 64 steps, 8 KB each, are written before any step's reply is
+        # read, and level 3 sends a second wave of steps for the children it
+        # lets through. A write that waited on a full pipe would hang, so
         # an alarm kills the children, which breaks the pipes, and fails.
         def deadlocked(signum, frame):
             for proc in reaped_processes:
                 proc.kill()
             raise TimeoutError("gpbt run did not finish within 60 s")
 
-        method = {"n": 64, "c": 64.0, "t_max": 2}
+        method = {"n": 64, "c": 64.0, "t_max": 2, "t_g": 2, "early_stop": {"level3": True}}
         previous = signal.signal(signal.SIGALRM, deadlocked)
         signal.alarm(60)
         try:
@@ -398,6 +476,7 @@ class TestProcessFailures:
         padded, quad = (tmp_path / mode / "gpbt" / "0" / "genealogy.ndjson"
                         for mode in ("padded", "quad"))
         assert padded.read_bytes() == quad.read_bytes()
+        assert b'"early_stopped": true' in quad.read_bytes()
         assert [proc.returncode for proc in reaped_processes] == [0, 0]
 
     def test_failed_cell_closes_the_next_cells_trainer(self, tmp_path, reaped_processes):

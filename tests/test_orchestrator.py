@@ -379,7 +379,7 @@ class TestHistoryModes:
         assume(valid_c(n, c))
         config = small_config(
             n=n, t_max=4, t_g=t_g, c=FixedC(c), history_mode=mode, seed=seed,
-            searcher=SearcherConfig(kind="random"),
+            searcher=SearcherConfig(kind="tpe"),
         )
         result, calls = run_with_histories(config, small_space(), small_trainer())
         tree = result.tree
@@ -711,6 +711,62 @@ class TestGrowOrder:
             if method == "pbt" and pids[0] is not None:
                 shared += len(forks) > 0  # a top agent copied by a bottom one
         assert method == "fixed_c" or shared > 0
+
+
+class EvalLogTrainer(CallLogTrainer):
+    """A CallLogTrainer that also logs each evaluate as ("eval", the state
+    passed, None)."""
+
+    def evaluate(self, state):
+        self.calls.append(("eval", state, None))
+        return super().evaluate(state)
+
+
+class TestWaves:
+    """A run of slots whose hps are given trains as one wave; a slot whose hp
+    is proposed trains alone."""
+
+    @pytest.mark.parametrize("method", ["random", "pbt", "tpe"])
+    def test_wave_asks_every_first_step_and_eval_before_the_gate(self, method, monkeypatch):
+        from gpbt.baselines import PbtConfig, run_pbt
+
+        trainer = EvalLogTrainer()
+        grow = Tally.grow
+        grown = []  # each grow call's first log index and the children it recorded
+
+        def logged_grow(self, *args, **kwargs):
+            start = len(trainer.calls)
+            ids = grow(self, *args, **kwargs)
+            grown.append((start, [self.tree.get(i) for i in ids]))
+            return ids
+
+        monkeypatch.setattr(Tally, "grow", logged_grow)
+        space = SearchSpace([Dimension("lr", -1.0, 1.0)])
+        if method == "pbt":
+            run_pbt(PbtConfig(n=8, t_max=3, t_g=2, seed=3), space, trainer)
+        else:
+            config = small_config(n=9, t_max=3, t_g=3, c=FixedC(1.0),
+                                  searcher=SearcherConfig(kind=method),
+                                  early_stop=EarlyStopConfig(level3=True))
+            run(config, space, trainer)
+
+        stopped_any = False
+        for (start, children), (end, _) in zip(grown, grown[1:] + [(len(trainer.calls), [])]):
+            names = [name for name, _, _ in trainer.calls[start:end] if name in ("step", "eval")]
+            through = sum(not r.early_stopped for r in children)
+            stopped_any |= through < len(children)
+            n = len(children)
+            if method == "pbt":  # no level 3
+                assert names == ["step"] * n + ["eval"] * n
+            elif method == "random":
+                assert names == (["step"] * n + ["eval"] * n
+                                 + ["step"] * through + ["eval"] * through)
+            else:
+                expected = []
+                for r in children:
+                    expected += ["step", "eval"] * (1 if r.early_stopped else 2)
+                assert names == expected
+        assert method == "pbt" or stopped_any
 
 
 class FourCallTrainer:
