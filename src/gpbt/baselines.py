@@ -12,14 +12,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .orchestrator import (
-    STREAM_ALGO,
-    ProgressFn,
-    RunResult,
-    Tally,
-    derive_seed,
-    search_stream,
-)
+from .config import check_sizes
+from .orchestrator import STREAM_ALGO, ProgressFn, RunResult, Tally, derive_seed
+# `suggest` is not called here; it stays importable because the benchmark
+# tracer (bench/tracing.py) patches gpbt.baselines.suggest by name.
 from .searchers import SearcherConfig, suggest
 from .space import SearchSpace
 from .trainers import Trainer
@@ -40,9 +36,7 @@ class PbtConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n", "t_max", "t_g"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        check_sizes(self, "n", "t_max", "t_g")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -55,9 +49,7 @@ class NonadaptiveConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("trials", "t_total"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        check_sizes(self, "trials", "t_total")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -86,16 +78,17 @@ def run_pbt(
     explores, and all n agents keep training. Copies are made from records by
     id, so an agent in both fractions (only at n = 1) is still copied as recorded.
     Transfer ledger counts the exploit copies."""
-    rng_search = search_stream(config.seed)
     rng_algo = np.random.default_rng(derive_seed(config.seed, STREAM_ALGO))
-    tally = Tally(trainer, space, config.seed, progress)
+    # Generation 0 is PBT's random init: hps drawn uniformly, as the random
+    # searcher draws them.
+    tally = Tally(trainer, space, SearcherConfig(kind="random"), "pooled", config.seed, progress)
     tree = tally.tree
     agents: list[int] = []  # each agent's latest record id
 
     k = math.ceil(PBT_TRUNCATION * config.n)
     for t in range(config.t_max):
         if t == 0:
-            slots = [(None, space.sample_uniform(rng_search)) for _ in range(config.n)]
+            slots = [(None, None)] * config.n
         else:
             # Each agent keeps its slot; a bottom agent's slot copies a top one.
             by_agent = {a: (a, tree.get(a).hp) for a in agents}
@@ -105,7 +98,7 @@ def run_pbt(
                 src = top[int(rng_algo.integers(0, len(top)))]
                 by_agent[a] = (src, _explore(tree.get(src).hp, space, rng_algo))
             slots = list(by_agent.values())
-        agents = tally.grow(slots, config.t_g)  # every hp is given: one wave
+        agents = tally.grow(slots, config.t_g)  # every hp is known: one wave
         tally.end(t)
 
     ledger = [1] + [k] * (config.t_max - 1)  # the initial model, then k copies
@@ -121,17 +114,9 @@ def run_nonadaptive(
 ) -> RunResult:
     """Sequential constant-HP search: each trial trains a fresh lineage for the
     whole horizon under one hyperparameter vector chosen by the searcher."""
-    rng_search = search_stream(config.seed)
-    tally = Tally(trainer, space, config.seed, progress)
-
-    def propose(_):
-        history = tally.history(tally.tree.lineage_history(None, "pooled", False))
-        return suggest(config.searcher, space, history, rng_search)
-
-    draw = config.searcher.kind == "random"  # suggest's random branch, without a history
+    tally = Tally(trainer, space, config.searcher, "pooled", config.seed, progress)
     for kth in range(config.trials):
-        hp = space.sample_uniform(rng_search) if draw else None
-        tally.grow([(None, hp)], config.t_total, propose)
+        tally.grow([(None, None)], config.t_total)
         tally.end(kth)
 
     return RunResult(tally.tree, tally.marks, [1])

@@ -67,8 +67,15 @@ def load_config(path: str) -> dict:
         raise ConfigError("config", f"file not found: {path}") from None
     except OSError as exc:
         raise ConfigError("config", f"cannot read {path}: {exc.strerror}") from None
-    except ValueError as exc:  # also a non-UTF-8 file or an integer of over 4300 digits
+    except (ValueError, RecursionError) as exc:  # also non-UTF-8, over 4300 digits, too deep
         raise ConfigError("config", f"invalid JSON: {exc}") from None
+    try:
+        return _parse_config(cfg)
+    except (OverflowError, RecursionError) as exc:  # such as a list too deep to quote
+        raise ConfigError("config", f"cannot read a value: {exc}") from None
+
+
+def _parse_config(cfg) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("config", "top level must be an object")
     for key in cfg:
@@ -265,8 +272,9 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 # Aggregation
 
-# What reading a truncated, mistyped or unreadable results file can raise.
-_MALFORMED = (OSError, ValueError, KeyError, TypeError, IndexError)
+# What reading a truncated, mistyped, too deeply nested or unreadable results
+# file can raise.
+_MALFORMED = (OSError, ValueError, KeyError, TypeError, IndexError, RecursionError)
 
 
 def _seed_cells(method_dir: Path) -> dict[int, Path]:

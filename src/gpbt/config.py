@@ -11,6 +11,7 @@ import dataclasses
 import functools
 import json
 import math
+import sys
 import types
 import typing
 
@@ -18,6 +19,17 @@ import typing
 class ConfigError(ValueError):
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
+
+
+def check_sizes(obj, *names: str) -> None:
+    """Raise ValueError naming the first of the fields `names` of `obj` that
+    is not a size the run can index: 1 to sys.maxsize, the longest a list or
+    a NumPy dimension can be."""
+    for name in names:
+        if getattr(obj, name) < 1:
+            raise ValueError(f"{name} must be >= 1")
+        if getattr(obj, name) > sys.maxsize:
+            raise ValueError(f"{name} must be <= {sys.maxsize}")
 
 
 _TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
@@ -84,8 +96,9 @@ def _schema(cls) -> dict:
 def build(cls, entry, context: str, **given):
     """Dataclass `cls` from the JSON object `entry`. The dataclass declares the
     field names, which are required and their defaults; `given` sets fields
-    that are not read from JSON. A ValueError from cls.__post_init__ whose
-    message starts with a field name is reported against that field."""
+    that are not read from JSON. A ValueError (or an OverflowError or
+    RecursionError) from cls.__post_init__ whose message starts with a field
+    name is reported against that field."""
     if not isinstance(entry, dict):
         raise ConfigError(context, f"expected an object, got {json.dumps(entry)}")
     schema = _schema(cls)
@@ -99,7 +112,7 @@ def build(cls, entry, context: str, **given):
             raise ConfigError(f"{context}.{name}", "missing required field")
     try:
         return cls(**values)
-    except ValueError as exc:
+    except (ValueError, OverflowError, RecursionError) as exc:
         field, _, rest = str(exc).partition(" ")
         if field in schema and field not in given:
             raise ConfigError(f"{context}.{field}", rest) from None

@@ -149,7 +149,7 @@ class ExternalTrainer:
             line = self._read_line()
             try:
                 obj = json.loads(line.decode("utf-8-sig"))
-            except ValueError:  # also bytes that are not UTF-8
+            except (ValueError, RecursionError):  # also not UTF-8, or nested too deep
                 obj = None
             if not isinstance(obj, dict) or "ok" not in obj:
                 raise TrainerProtocolError(f"malformed trainer reply: {line.rstrip()!r}")

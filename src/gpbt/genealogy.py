@@ -120,7 +120,7 @@ class GenealogyTree:
 
         A parent's children are one generation past it, and ids follow
         evaluation order, so concatenating S root first keeps id order.
-        Both runners pass `roots` False; it stays a parameter only because
+        `Tally` passes `roots` False; it stays a parameter only because
         the benchmark tracer (bench/tracing.py) wraps this method as a
         function of exactly four arguments.
         """

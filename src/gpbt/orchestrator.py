@@ -9,12 +9,14 @@ the virtual root, and each of its children starts from a fresh trainer state.
 
 Runs are sequential and bit-reproducible given the seed: parents are visited
 best first, each parent's children in creation order. `Tally` is the one
-child path (training, recording, live states, curve marks) shared with the
-baselines: a parent's last child trains the parent's state itself, and only
-its earlier children train forks of it. Each call asks the trainer for every
-child's starting state before the first child trains. Children whose hps are
-drawn before the generation trains (under the random searcher, which reads
-no history, and in PBT) train as one wave: every child's first step and eval
+child path (hp choice, training, recording, live states, curve marks) shared
+with the baselines: a runner names each child's parent, and gives its hp or
+leaves it to `Tally`, which asks the run's searcher for it from the child's
+lineage history. A parent's last child trains the parent's state itself, and
+only its earlier children train forks of it. Each call asks the trainer for
+every child's starting state before the first child trains. Children whose
+hps are known before they train (given, or drawn by the random searcher,
+which reads no history) train as one wave: every child's first step and eval
 are asked for before any loss is read, so that an external trainer answers
 them back to back. A child whose hp a searcher proposes from the history
 trains alone, once the child before it is recorded. The curves, the epoch
@@ -32,6 +34,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .config import check_sizes
 from .genealogy import HISTORY_MODES, GenealogyTree
 from .searchers import History, SearcherConfig, suggest
 from .space import HpVector, SearchSpace
@@ -117,9 +120,7 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n", "t_max", "t_g"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        check_sizes(self, "n", "t_max", "t_g")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.history_mode not in HISTORY_MODES:
@@ -141,7 +142,7 @@ class RunConfig:
 
 def valid_c(n: int, c: float) -> bool:
     """Whether c yields between 1 and n parents before any clamping."""
-    return math.isfinite(c) and c > 0 and 1 <= _parent_count(n, c) <= n
+    return c > 0 and math.isfinite(n / c) and 1 <= _parent_count(n, c) <= n
 
 
 def _parent_count(n: int, c: float) -> int:
@@ -288,16 +289,21 @@ class RunResult:
 
 class Tally:
     """Bookkeeping shared by every loop: the one child path (`grow`), which
-    trains each child and records it in the genealogy tree, the model states
-    of the last call's children, the searchers' unit-space view of the
-    records, and one curve mark per generation (or trial) with the progress
-    callback. Root slots init from the run seed `seed`."""
+    picks the hps its runner leaves open (`searcher` on `history_mode`
+    histories, with the run's search stream), trains each child and records
+    it in the genealogy tree, the model states of the last call's children,
+    the searchers' unit-space view of the records, and one curve mark per
+    generation (or trial) with the progress callback. Root slots init from
+    the run seed `seed`."""
 
-    def __init__(self, trainer: Trainer, space: SearchSpace, seed: int,
-                 progress: ProgressFn | None):
+    def __init__(self, trainer: Trainer, space: SearchSpace, searcher: SearcherConfig,
+                 history_mode: str, seed: int, progress: ProgressFn | None):
         self.trainer = trainer
         self.space = space
+        self.searcher = searcher
+        self.history_mode = history_mode
         self.seed = seed
+        self._rng = search_stream(seed)
         self.tree = GenealogyTree()
         # Each record's unit-space point and val loss by id; doubled when full.
         self._u = np.empty((64, space.dim))
@@ -309,7 +315,6 @@ class Tally:
         self._t_start = time.perf_counter()
 
     def grow(self, slots: Sequence[tuple[int | None, HpVector | None]], iters: int,
-             propose: Callable[[int | None], HpVector] | None = None,
              early: list[float] | None = None) -> list[int]:
         """Train, evaluate and record one child per (parent, hp) slot, in
         order, for `iters` iterations; keep their states and return their ids.
@@ -321,19 +326,24 @@ class Tally:
         child of the previous call) hands its own state to its last slot, and
         its earlier slots train forks of it.
 
-        Children train in waves. A maximal run of consecutive slots whose hp
-        is given is one wave. A slot whose hp is None is a wave of one: its
-        hp is `propose(parent)`, asked just before it trains, when every
-        earlier child is recorded. A wave asks for every child's first step
-        and eval before it reads any loss, so that an external trainer
-        answers them back to back; the in-process trainers see the same
-        calls on the same states, in another order. With a level-3 ledger of
-        this generation's first-iteration losses, a child is evaluated after
-        one iteration and stops there if the median gate, read in slot order
-        against the ledger as the slots before it left it, says so; without
-        one it trains through in one trainer call. Last, the wave records its
-        children in slot order."""
+        Children train in waves. A slot whose hp is None gets one from the
+        searcher. The random searcher reads no history, so it draws each such
+        hp up front, in slot order. Any other searcher proposes it from the
+        parent's lineage history just before the child trains, when every
+        earlier child is recorded, and the child is a wave of one. A maximal
+        run of consecutive slots whose hp is known is one wave. A wave asks
+        for every child's first step and eval before it reads any loss, so
+        that an external trainer answers them back to back; the in-process
+        trainers see the same calls on the same states, in another order.
+        With a level-3 ledger of this generation's first-iteration losses, a
+        child is evaluated after one iteration and stops there if the median
+        gate, read in slot order against the ledger as the slots before it
+        left it, says so; without one it trains through in one trainer call.
+        Last, the wave records its children in slot order."""
         trainer, space, tree, states = self.trainer, self.space, self.tree, self._states
+        if self.searcher.kind == "random":  # suggest's random branch, without a history
+            slots = [(pid, space.sample_uniform(self._rng) if hp is None else hp)
+                     for pid, hp in slots]
         last = {pid: k for k, (pid, _) in enumerate(slots)}
         starts = [
             trainer.init(init_seed(self.seed, len(tree) + k)) if pid is None
@@ -348,7 +358,8 @@ class Tally:
         while k < len(slots):
             pid, hp = slots[k]
             if hp is None:
-                wave = [(pid, propose(pid))]
+                history = self.history(tree.lineage_history(pid, self.history_mode, False))
+                wave = [(pid, suggest(self.searcher, space, history, self._rng))]
                 k += 1
             else:
                 end = k + 1
@@ -416,12 +427,10 @@ def run(
     """Execute the full generation loop and return the best agent, its
     hyperparameter schedule, best-seen curves, and the transfer ledger."""
     es = config.early_stop
-    rng_search = search_stream(config.seed)
     rng_algo = np.random.default_rng(derive_seed(config.seed, STREAM_ALGO))
     gate3 = es.level3 and config.t_g > 1  # inert with a single iteration
-    draw = config.searcher.kind == "random"  # suggest's random branch, without a history
 
-    tally = Tally(trainer, space, config.seed, progress)
+    tally = Tally(trainer, space, config.searcher, config.history_mode, config.seed, progress)
     tree = tally.tree
     ledger: list[int] = []
     dyn_cfg = config.c if isinstance(config.c, DynamicC) else None
@@ -450,21 +459,13 @@ def run(
 
         # Child slots in evaluation order: group by group, best parent first
         # (weaker parents' children then face a low level-3 median), each
-        # parent's children in creation order. A random searcher reads no
-        # history, so its hps are drawn here, in slot order, and the whole
-        # generation trains as one wave; any other searcher's are proposed
-        # child by child.
-        parents = [None] * config.n if t == 0 else []
+        # parent's children in creation order. The searcher picks every hp.
+        slots = [(None, None)] * config.n if t == 0 else []
         for size, c in groups:
             for pid, count in zip(ranking, plan_generation(size, c)):
-                parents += [pid] * count
-        slots = [(pid, space.sample_uniform(rng_search) if draw else None) for pid in parents]
+                slots += [(pid, None)] * count
 
-        def propose(pid):
-            history = tally.history(tree.lineage_history(pid, config.history_mode, False))
-            return suggest(config.searcher, space, history, rng_search)
-
-        children = tally.grow(slots, config.t_g, propose, [] if gate3 else None)
+        children = tally.grow(slots, config.t_g, [] if gate3 else None)
         ranking = tree.ranked(children)
 
         if dyn_cfg is not None and t > 0:

@@ -24,6 +24,8 @@ from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
+from .config import check_sizes
+
 LR_NAME = "lr"  # the one hyperparameter that drives the synthetic dynamics
 LOSS_CLAMP = 1e12
 THETA_CLIP = 1e9  # overflow guard for divergent rates; losses stay finite
@@ -49,8 +51,7 @@ class TrainerSpec:
     def __post_init__(self):
         if self.kind not in TRAINER_KINDS:
             raise ValueError(f"kind must be one of {', '.join(TRAINER_KINDS)}, not {self.kind!r}")
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+        check_sizes(self, "dim")
         if self.curvatures is not None and len(self.curvatures) != self.dim:
             raise ValueError("curvatures length must equal dim")
         if not all(map(math.isfinite, (*(self.curvatures or ()), self.r_max))):
@@ -192,10 +193,15 @@ class WeightSensitiveTrainer(NoisyQuadraticTrainer):
 def _expected_variance(v: np.ndarray, h: np.ndarray, r: float, noise: float,
                        iters: int) -> np.ndarray:
     """`iters` clamped steps of v <- (1 - r*h)^2 * v + (r*sigma)^2; the phase
-    surrogate and `expected_schedule_loss` share it, so they agree bit for bit."""
+    surrogate and `expected_schedule_loss` share it, so they agree bit for bit.
+    A noise floor past the largest float clamps v like any other large one."""
     decay = (1.0 - r * h) ** 2
+    try:
+        floor = (r * noise) ** 2
+    except OverflowError:  # Python's float power raises where NumPy's gives inf
+        floor = math.inf
     for _ in range(iters):
-        v = np.minimum(decay * v + (r * noise) ** 2, THETA_CLIP**2)
+        v = np.minimum(decay * v + floor, THETA_CLIP**2)
     return v
 
 

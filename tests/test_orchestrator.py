@@ -769,6 +769,44 @@ class TestWaves:
         assert method == "pbt" or stopped_any
 
 
+class TestHpChoice:
+    """`Tally` picks every hp a runner leaves open: the random searcher draws
+    it without a history, any other searcher builds one lineage history and
+    makes one `suggest` call per child."""
+
+    @pytest.mark.parametrize("method,kind", [
+        ("gpbt", "random"), ("gpbt", "tpe"), ("nonadaptive", "random"),
+        ("nonadaptive", "tpe"), ("pbt", "random"),
+    ])
+    def test_searcher_asked_once_per_proposed_child(self, method, kind, monkeypatch):
+        import gpbt.orchestrator
+        from gpbt.baselines import NonadaptiveConfig, PbtConfig, run_nonadaptive, run_pbt
+
+        calls = {"suggest": 0, "lineage_history": 0}
+
+        def counted(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(gpbt.orchestrator, "suggest",
+                            counted("suggest", gpbt.orchestrator.suggest))
+        monkeypatch.setattr(GenealogyTree, "lineage_history",
+                            counted("lineage_history", GenealogyTree.lineage_history))
+        searcher = SearcherConfig(kind=kind)
+        if method == "gpbt":
+            config = small_config(searcher=searcher, early_stop=EarlyStopConfig(level3=True))
+            result = run(config, small_space(), small_trainer())
+        elif method == "nonadaptive":
+            config = NonadaptiveConfig(trials=6, t_total=4, searcher=searcher)
+            result = run_nonadaptive(config, small_space(), small_trainer())
+        else:
+            result = run_pbt(PbtConfig(n=6, t_max=3, t_g=2), small_space(), small_trainer())
+        proposed = 0 if kind == "random" else len(result.tree)
+        assert calls == {"suggest": proposed, "lineage_history": proposed}
+
+
 class FourCallTrainer:
     """A trainer with only the four contract calls."""
 

@@ -9,6 +9,7 @@ Modes (argv[1], default "quad"):
   sleep     never replies to "step" (exercises the timeout path)
   nostate   replies {"ok": true} without "state" to "step"
   badval    replies to "eval" with "val": "abc", or with the JSON value in argv[2]
+  reply     replies to "step" with the line whose bytes, in hex, are argv[2]
   notutf8   replies to "step" with a line of bytes that are not UTF-8
   trailing  replies to "step" with a reply object followed by more data
   bom       starts each reply to "step" with a UTF-8 byte order mark
@@ -92,6 +93,10 @@ for line in sys.stdin:
             continue
         if mode == "nostate":
             reply({"ok": True})
+            continue
+        if mode == "reply":
+            sys.stdout.buffer.write(bytes.fromhex(sys.argv[2]) + b"\n")
+            sys.stdout.buffer.flush()
             continue
         if mode == "notutf8":
             sys.stdout.buffer.write(b'{"ok": true, "state": "\xff\xfe"}\n')
