@@ -339,7 +339,6 @@ def _load_cells(out: Path, cfg: dict, seeds: list[int]) -> dict[str, dict[int, d
                 curve = final["curve"] = [(p.epochs_consumed, p.best_seen_val, p.best_seen_test)
                                           for p, _ in points]
                 given = curve[-1]  # an empty genealogy raises IndexError
-                final["replay"] = _final_replay(tree, space, spec) if replayed else None
             except _MALFORMED as exc:
                 raise ConfigError("results", f"malformed {path}: {exc!r}") from None
             held = (final["epochs"], final["val"], final["test"])
@@ -347,6 +346,12 @@ def _load_cells(out: Path, cfg: dict, seeds: list[int]) -> dict[str, dict[int, d
                 raise ConfigError("results", f"{cell}: result.json holds {held}, but its"
                                   f" genealogy.ndjson gives {given}"
                                   " (total_epochs, final_best_val, final_best_test)")
+            # After the check above, so the replay steps no more epochs than
+            # result.json says the run trained.
+            try:
+                final["replay"] = _final_replay(tree, space, spec) if replayed else None
+            except _MALFORMED as exc:
+                raise ConfigError("results", f"malformed {path}: {exc!r}") from None
     if missing:
         raise ConfigError("results", "missing cells: " + ", ".join(missing))
     return per_method

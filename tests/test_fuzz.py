@@ -139,6 +139,8 @@ class TestGenealogyFuzz:
            | st.tuples(st.none(), st.text(max_size=40)))
     @example(cell="pbt", index=0, mutation=(None, DEEP))
     @example(cell="gpbt_tpe", index=3, mutation=(("hp", 0), "1e308"))
+    # A record on the final best agent's chain: the replay would step it 2**63 times.
+    @example(cell="gpbt_tpe", index=5, mutation=(("epochs_trained",), str(2**63)))
     @settings(max_examples=60, deadline=5000)
     def test_compare_exits_0_or_2(self, written_cells, cell, index, mutation):
         config, out = written_cells
