@@ -20,13 +20,11 @@ genealogy.ndjson and curves.csv are written, and result.json last. A cell
 whose writes stop part of the way (an interrupt, a full disk) thus has no
 result.json, and `compare` lists it as missing.
 
-`run` gives each (method, seed) cell a fresh trainer of its own, made one cell
-ahead: the next cell's trainer is made just before the current cell runs, so
-an external trainer's process starts up while the cell before it runs. A
-cell's trainer is shut down as soon as its run returns, so that an external
-process exits while the cell's files are written, and closed (its process
-reaped) after them. At most two trainers are open at once, and each one is
-closed on every exit path.
+`run` makes one trainer and runs every (method, seed) cell on it in turn: an
+external trainer is one process. By the reply contract of `trainers.Trainer`,
+no cell's results depend on the cells before it. The trainer is shut down as
+soon as the last cell's run returns, so that a process exits while that
+cell's files are written, and closed (reaped) after them and on every exit path.
 """
 
 from __future__ import annotations
@@ -47,7 +45,8 @@ from .external import TrainerProtocolError
 from .genealogy import GenealogyTree
 from .orchestrator import DynamicC, FixedC, RunConfig, RunResult, curve_points, run
 from .space import SearchSpace
-from .trainers import CLOSED_FORM_KINDS, TrainerSpec, expected_schedule_loss, make_trainer
+from .trainers import (CLOSED_FORM_KINDS, NOISE_BLOCK_KINDS, TrainerSpec, expected_schedule_loss,
+                       make_trainer)
 
 _REQUIRED = ("space", "trainer", "seeds", "methods")
 
@@ -102,6 +101,11 @@ def _parse_config(cfg) -> dict:
         same = [other for other, _ in parsed if other.casefold() == name.casefold()]
         if same:  # in any case, as a case-insensitive filesystem gives both one directory
             raise ConfigError(f"methods[{i}].name", f"duplicate method name {name!r} (as {same[0]!r})")
+        field = _CHILD_ITERS[type(config)]
+        size = getattr(config, field) * trainer_spec.dim * 8  # bytes of a step's noise draws
+        if trainer_spec.kind in NOISE_BLOCK_KINDS and size > sys.maxsize:
+            raise ConfigError(f"methods[{i}].{field}", f"{field} x trainer.dim float64 noise"
+                              f" draws take {size} bytes, more than {sys.maxsize}")
         parsed.append((name, config))
 
     cfg["_space"] = space
@@ -115,6 +119,8 @@ _METHOD_CONFIGS = {
     "pbt": PbtConfig,
     "nonadaptive": NonadaptiveConfig,
 }
+# The field of each method config that holds the iterations one child trains.
+_CHILD_ITERS = {RunConfig: "t_g", PbtConfig: "t_g", NonadaptiveConfig: "t_total"}
 
 
 def _parse_method(entry, index: int, seed: int):
@@ -166,20 +172,6 @@ def _atomic_write(path: Path, data: str):
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(data, encoding="utf-8")
     tmp.replace(path)
-
-
-def _run_cell(config, space: SearchSpace, trainer, progress=None) -> RunResult:
-    # Runners are looked up at call time, so wrapping the module globals works.
-    runner = {PbtConfig: run_pbt, NonadaptiveConfig: run_nonadaptive}.get(type(config), run)
-    return runner(config, space, trainer, progress=progress)
-
-
-def _end(trainer, step: str):
-    """Call the trainer's `shutdown` or `close`, which only a trainer backed by
-    a process has."""
-    method = getattr(trainer, step, None)
-    if method is not None:
-        method()
 
 
 def _curve_rows(name: str, seed: int, result: RunResult, deterministic: bool) -> list[dict]:
@@ -241,14 +233,11 @@ def cmd_run(args) -> int:
     cells = [(name, dataclasses.replace(method_config, seed=seed))
              for name, method_config in cfg["_methods"] for seed in seeds]
     all_rows: list[dict] = []
-    trainers = []  # made and not yet closed: this cell's, then the next cell's
+    trainer = make_trainer(trainer_spec, space)
+    # Only a trainer backed by a process has `shutdown` and `close`.
+    end = lambda step: getattr(trainer, step, lambda: None)()
     try:
         for k, (name, config) in enumerate(cells):
-            if k == 0:
-                trainers.append(make_trainer(trainer_spec, space))
-            if k + 1 < len(cells):
-                # Made one cell ahead, so that its process starts up while this cell runs.
-                trainers.append(make_trainer(trainer_spec, space))
             seed = config.seed
             progress = None
             if args.verbose:
@@ -257,13 +246,14 @@ def cmd_run(args) -> int:
                     f"(test {p.best_seen_test:.6g}) after {p.epochs_consumed} epochs",
                     file=sys.stderr,
                 )
-            result = _run_cell(config, space, trainers[0], progress=progress)
-            _end(trainers[0], "shutdown")
+            # Runners are looked up at call time, so wrapping the module globals works.
+            runner = {PbtConfig: run_pbt, NonadaptiveConfig: run_nonadaptive}.get(type(config), run)
+            result = runner(config, space, trainer, progress=progress)
+            if k + 1 == len(cells):
+                end("shutdown")
             all_rows.extend(_write_cell(out, name, seed, config, result, echo, args.deterministic))
-            _end(trainers.pop(0), "close")
     finally:
-        while trainers:
-            _end(trainers.pop(0), "close")
+        end("close")
     _atomic_write(out / "curves.csv", _csv_text(all_rows))
     print(f"wrote {len(cells)} runs under {out}")
     return 0
@@ -346,8 +336,15 @@ def _load_cells(out: Path, cfg: dict, seeds: list[int]) -> dict[str, dict[int, d
                 raise ConfigError("results", f"{cell}: result.json holds {held}, but its"
                                   f" genealogy.ndjson gives {given}"
                                   " (total_epochs, final_best_val, final_best_test)")
-            # After the check above, so the replay steps no more epochs than
-            # result.json says the run trained.
+            # After the checks above, so the replay steps no more epochs than
+            # result.json says the run trained, and no record more than a child can.
+            field = _CHILD_ITERS[type(config)]
+            iters = getattr(config, field)
+            over = [r for r in tree.records if r.epochs_trained > iters]
+            if over:
+                raise ConfigError("results", f"{path}: record {over[0].id} trained"
+                                  f" {over[0].epochs_trained} epochs, more than {name}'s"
+                                  f" {field} = {iters}")
             try:
                 final["replay"] = _final_replay(tree, space, spec) if replayed else None
             except _MALFORMED as exc:

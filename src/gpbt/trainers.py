@@ -35,6 +35,8 @@ _THETA_TAG = 4242
 
 TRAINER_KINDS = ("noisy_quadratic", "phase_surrogate", "weight_sensitive", "external")
 CLOSED_FORM_KINDS = ("noisy_quadratic", "phase_surrogate")  # see expected_schedule_loss
+# step_many draws an (iters, dim) float64 block of noise as one NumPy array.
+NOISE_BLOCK_KINDS = ("noisy_quadratic", "weight_sensitive")
 
 
 @dataclass(frozen=True)
@@ -78,7 +80,14 @@ class Trainer(Protocol):
     and an independent copy of a state. Calls on different states come in
     any order (a wave steps every child before it evaluates any), and the
     loop unpacks each `evaluate` result once, so a backend may return a pair
-    that reads its losses only then."""
+    that reads its losses only then.
+
+    The reply contract: what a call returns depends only on its arguments
+    and the states they name, never on calls on other states, so one trainer
+    serves many runs in turn and each run's results are the same as on a
+    trainer of its own. `gpbt run` runs every cell on one trainer. A state
+    the loop no longer uses is not released: an external process keeps
+    every state it made until the trainer is shut down."""
 
     def init(self, seed: int): ...
     def step_many(self, state, hp: Mapping[str, float], iters: int): ...
@@ -94,7 +103,7 @@ class _TestGap:
 
     def __init__(self, spec_seed: int):
         self.spec_seed = spec_seed
-        self._z: dict[int, float] = {}  # by steps: at most t_max * t_g entries in a run
+        self._z: dict[int, float] = {}  # by steps: one per step count a state reaches
 
     def __call__(self, steps: int, val: float) -> float:
         z = self._z.get(steps)

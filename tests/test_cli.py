@@ -217,8 +217,12 @@ class TestRunCommand:
             (0, {"c": 100, "n": 4}, "c=100"),
             (2, {"trials": 0}, "methods[2].trials"),
             (2, {"t_total": 0}, "methods[2].t_total"),
+            # dim 3: a step's noise draws would not fit in one NumPy array
+            (0, {"t_g": 2**61}, f"methods[0].t_g: t_g x trainer.dim float64 noise draws take"
+                                f" {2**61 * 3 * 8} bytes"),
+            (2, {"t_total": 2**61}, "methods[2].t_total: t_total x trainer.dim float64"),
         ],
-        ids=["history_mode", "c", "trials", "t_total"],
+        ids=["history_mode", "c", "trials", "t_total", "t_g_noise_block", "t_total_noise_block"],
     )
     def test_invalid_method_value_exits_2(self, tmp_path, capsys, index, fields, named):
         path = tmp_path / "bad.json"
@@ -344,40 +348,63 @@ class TestRunCommand:
         )
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
 
-    def test_one_trainer_per_cell_made_one_cell_ahead(self, tmp_path, monkeypatch):
-        events, made, open_now, peak = [], [], set(), []
+    def test_one_trainer_made_before_the_first_cell(self, tmp_path, monkeypatch):
+        events = []
         make_trainer = gpbt.cli.make_trainer
 
         class Recorded:
             def __init__(self, inner):
                 self.inner = inner
-                self.inits = 0
 
             def __getattr__(self, name):
                 return getattr(self.inner, name)
 
             def init(self, seed):
                 events.append("init")
-                self.inits += 1
                 return self.inner.init(seed)
 
+            def shutdown(self):
+                events.append("shutdown")
+
             def close(self):
-                open_now.remove(self)
+                events.append("close")
 
         def recording(spec, space):
             events.append("make")
-            made.append(Recorded(make_trainer(spec, space)))
-            open_now.add(made[-1])
-            peak.append(len(open_now))
-            return made[-1]
+            return Recorded(make_trainer(spec, space))
 
         monkeypatch.setattr(gpbt.cli, "make_trainer", recording)
         assert main(["run", str(tiny_config(tmp_path)), "--out", str(tmp_path / "o")]) == 0
-        assert len(made) == 3 * 2  # one call per (method, seed) cell
-        assert all(t.inits > 0 for t in made)  # and each one ran its cell
-        assert max(peak) == 2
-        assert events.index("make", 1) < events.index("init")  # made before the first cell ran
-        assert not open_now
+        # One trainer for the 3 x 2 cells: made before the first init, shut
+        # down after the last one and closed once.
+        assert events[0] == "make" and events[-2:] == ["shutdown", "close"]
+        assert set(events[1:-2]) == {"init"}
+
+    @pytest.mark.parametrize("trainer", [
+        {"kind": "weight_sensitive", "dim": 2, "noise": 0.3, "r_max": 1.0, "seed": 3},
+        {"kind": "external", "command": [sys.executable, str(DOUBLE), "quad"]},
+    ], ids=["in_process", "external"])
+    def test_each_cell_is_the_cell_run_alone(self, tmp_path, trainer):
+        # Every cell runs on one trainer after the cells before it, yet its
+        # result.json and genealogy.ndjson are those of the cell run alone.
+        # Only result.json's echo of the config differs: it lists the methods.
+        cfg = tiny_config(tmp_path, trainer=trainer)
+        full = json.loads(cfg.read_text())
+        out = tmp_path / "all"
+        assert main(["run", str(cfg), "--deterministic", "--out", str(out)]) == 0
+        for i, method in enumerate(full["methods"]):
+            alone = tiny_config(tmp_path, trainer=trainer, methods=[method])
+            for seed in full["seeds"]:
+                out_alone = tmp_path / f"alone-{i}-{seed}"
+                assert main(["run", str(alone), "--seed", str(seed), "--deterministic",
+                             "--out", str(out_alone)]) == 0
+                cell, cell_alone = (o / method["name"] / str(seed) for o in (out, out_alone))
+                result = json.loads((cell_alone / "result.json").read_text())
+                result["config"]["methods"] = full["methods"]
+                assert (json.dumps(result, sort_keys=True, indent=1) + "\n"
+                        == (cell / "result.json").read_text())
+                assert ((cell / "genealogy.ndjson").read_bytes()
+                        == (cell_alone / "genealogy.ndjson").read_bytes())
 
     def test_deterministic_rerun_byte_identical(self, tmp_path):
         cfg = tiny_config(tmp_path)
@@ -535,6 +562,29 @@ class TestCompareCommand:
         assert "genealogy.ndjson" in err and "malformed" not in err
         assert not any((out / name).exists()
                        for name in ("summary.csv", "summary.json", "plot_data.csv"))
+
+    @pytest.mark.parametrize("cell, field", [("pbt/0", "t_g = 2"),
+                                             ("random_search/1", "t_total = 6")])
+    def test_record_past_its_methods_iterations_exits_2(self, tmp_path, capsys, cell, field):
+        # result.json and genealogy.ndjson agree, but a record claims more
+        # epochs than one child trains, so the replay never starts.
+        cfg = tiny_config(tmp_path)
+        out = tmp_path / "out"
+        main(["run", str(cfg), "--deterministic", "--out", str(out)])
+        records = (out / cell / "genealogy.ndjson").read_text().splitlines()
+        last = json.loads(records[-1])
+        last["epochs_trained"] += 1
+        records[-1] = json.dumps(last)
+        (out / cell / "genealogy.ndjson").write_text("\n".join(records) + "\n")
+        result = json.loads((out / cell / "result.json").read_text())
+        (out / cell / "result.json").write_text(
+            json.dumps({**result, "total_epochs": result["total_epochs"] + 1}))
+        assert main(["compare", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        name = cell.split("/")[0]
+        assert err == (f"config error: results: {out / cell / 'genealogy.ndjson'}: record"
+                       f" {last['id']} trained {last['epochs_trained']} epochs, more than"
+                       f" {name}'s {field}\n")
 
     def test_curves_csv_not_read(self, tmp_path):
         # Each cell's curve comes from its genealogy: compare writes the same

@@ -127,7 +127,7 @@ class TestBridgeBasics:
         assert trainer._proc.returncode == 0
 
     def test_close_before_any_request_shuts_the_child_down(self):
-        # A trainer made one cell ahead whose cell never ran.
+        # As when `gpbt run` is interrupted before the first cell's first call.
         trainer = ExternalTrainer(external_spec(), space())
         started = time.monotonic()
         trainer.close()
@@ -479,27 +479,21 @@ class TestProcessFailures:
         assert b'"early_stopped": true' in quad.read_bytes()
         assert [proc.returncode for proc in reaped_processes] == [0, 0]
 
-    def test_failed_cell_closes_the_next_cells_trainer(self, tmp_path, reaped_processes):
+    def test_failed_cell_reaps_the_trainer(self, tmp_path, reaped_processes):
         path = cli_config(tmp_path, "exit", 30.0, seeds=(0, 1))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
-        # Seed 1's process was made while seed 0 ran, and shut down unused.
-        assert [proc.returncode for proc in reaped_processes] == [7, 0]
+        # The one process, which exited 7 in seed 0's cell; no other was started.
+        assert [proc.returncode for proc in reaped_processes] == [7]
 
-    def test_failed_make_trainer_closes_the_trainer_made_before(
-        self, tmp_path, monkeypatch, reaped_processes
-    ):
-        made = []
-
-        def make_trainer_once(spec, space):
-            if made:
-                raise TrainerProtocolError("scripted start-up failure")
-            made.append(make_trainer(spec, space))
-            return made[-1]
-
-        monkeypatch.setattr(cli, "make_trainer", make_trainer_once)
+    def test_failed_start_exits_3_with_no_process(self, tmp_path, capsys, reaped_processes):
         path = cli_config(tmp_path, "quad", 30.0, seeds=(0, 1))
+        cfg = json.loads(path.read_text())
+        cfg["trainer"]["command"] = [str(tmp_path / "missing-trainer")]
+        path.write_text(json.dumps(cfg))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
-        assert [proc.returncode for proc in reaped_processes] == [0]
+        err = capsys.readouterr().err
+        assert err.startswith("trainer failure: could not start trainer command")
+        assert reaped_processes == []
 
     def test_interrupt_closes_every_trainer(self, tmp_path, monkeypatch, reaped_processes):
         def interrupted(*args, **kwargs):
@@ -509,5 +503,5 @@ class TestProcessFailures:
         path = cli_config(tmp_path, "quad", 30.0, seeds=(0, 1, 2))
         with pytest.raises(KeyboardInterrupt):
             main(["run", str(path), "--out", str(tmp_path / "out")])
-        # The first cell's process and the one made ahead for the second.
-        assert [proc.returncode for proc in reaped_processes] == [0, 0]
+        # The run's one process, shut down before any request.
+        assert [proc.returncode for proc in reaped_processes] == [0]

@@ -91,6 +91,9 @@ class TestConfigFuzz:
     @example(kind="phase_surrogate", path=("methods", 0, "n"), text=str(2**63))
     @example(kind="phase_surrogate", path=("methods", 2, "n"), text=str(2**63))
     @example(kind="noisy_quadratic", path=("methods", 0, "t_g"), text=str(2**63))
+    # A (t_g, dim) noise block past sys.maxsize bytes, which NumPy refuses.
+    @example(kind="noisy_quadratic", path=("methods", 0, "t_g"), text=str(2**62))
+    @example(kind="weight_sensitive", path=("methods", 3, "t_total"), text=str(2**62))
     @example(kind="phase_surrogate", path=("trainer", "noise"), text="1e308")
     @example(kind="noisy_quadratic", path=("trainer", "noise"), text="1e308")
     @example(kind="noisy_quadratic", path=("space", 0, "upper"), text="1e308")
@@ -128,6 +131,19 @@ def mutated_line(line, path, text):
     return mutated(json.loads(line), path, text)
 
 
+def following(result_text, old_line, new_line):
+    """The text of a result.json whose total_epochs moves by the change of
+    epochs_trained from the genealogy line `old_line` to `new_line`, so that
+    the two files agree; unchanged when a line has no such count."""
+    try:
+        delta = json.loads(new_line)["epochs_trained"] - json.loads(old_line)["epochs_trained"]
+    except (ValueError, KeyError, TypeError, RecursionError):
+        return result_text
+    result = json.loads(result_text)
+    result["total_epochs"] += delta
+    return json.dumps(result, sort_keys=True, indent=1) + "\n"
+
+
 RECORD_PATHS = list(paths(json.loads(
     '{"id": 0, "parent": null, "generation": 0, "hp": [0.5, 0.5], "val_loss": 1.0,'
     ' "test_loss": 1.0, "epochs_trained": 2, "early_stopped": false}')))
@@ -136,24 +152,32 @@ RECORD_PATHS = list(paths(json.loads(
 class TestGenealogyFuzz:
     @given(cell=st.sampled_from([m["name"] for m in BASE["methods"]]), index=st.integers(0, 40),
            mutation=st.tuples(st.sampled_from(RECORD_PATHS), st.none() | st.sampled_from(VALUES))
-           | st.tuples(st.none(), st.text(max_size=40)))
-    @example(cell="pbt", index=0, mutation=(None, DEEP))
-    @example(cell="gpbt_tpe", index=3, mutation=(("hp", 0), "1e308"))
-    # A record on the final best agent's chain: the replay would step it 2**63 times.
-    @example(cell="gpbt_tpe", index=5, mutation=(("epochs_trained",), str(2**63)))
+           | st.tuples(st.none(), st.text(max_size=40)), follow=st.booleans())
+    @example(cell="pbt", index=0, mutation=(None, DEEP), follow=False)
+    @example(cell="gpbt_tpe", index=3, mutation=(("hp", 0), "1e308"), follow=False)
+    # A record on the final best agent's chain: the replay would step it 2**63
+    # times, whether result.json disagrees or claims the same epochs.
+    @example(cell="gpbt_tpe", index=5, mutation=(("epochs_trained",), str(2**63)), follow=False)
+    @example(cell="gpbt_tpe", index=5, mutation=(("epochs_trained",), str(2**63)), follow=True)
     @settings(max_examples=60, deadline=5000)
-    def test_compare_exits_0_or_2(self, written_cells, cell, index, mutation):
+    def test_compare_exits_0_or_2(self, written_cells, cell, index, mutation, follow):
+        """`compare` exits 0 or 2 on a cell with one genealogy line mutated
+        and, when `follow`, result.json's total_epochs moved to agree."""
         config, out = written_cells
         path = out / cell / "0" / "genealogy.ndjson"
-        original = path.read_text()
+        result_path = path.with_name("result.json")
+        original, original_result = path.read_text(), result_path.read_text()
         lines = original.splitlines(keepends=True)
         k = index % len(lines)
-        lines[k] = mutated_line(lines[k], *mutation) + "\n"
+        line = mutated_line(lines[k], *mutation)
         try:
-            path.write_text("".join(lines))
+            if follow:
+                result_path.write_text(following(original_result, lines[k], line))
+            path.write_text("".join(lines[:k] + [line + "\n"] + lines[k + 1:]))
             assert main(["compare", str(config), "--out", str(out)]) in (0, 2)
         finally:
             path.write_text(original)
+            result_path.write_text(original_result)
 
 
 def valid_step_reply(line: bytes) -> bool:
