@@ -44,6 +44,7 @@ from .config import ConfigError, build, typed_value
 from .external import TrainerProtocolError
 from .genealogy import GenealogyTree
 from .orchestrator import DynamicC, FixedC, RunConfig, RunResult, curve_points, run
+from .searchers import SearcherConfig
 from .space import SearchSpace
 from .trainers import (CLOSED_FORM_KINDS, NOISE_BLOCK_KINDS, TrainerSpec, expected_schedule_loss,
                        make_trainer)
@@ -106,6 +107,10 @@ def _parse_config(cfg) -> dict:
         if trainer_spec.kind in NOISE_BLOCK_KINDS and size > sys.maxsize:
             raise ConfigError(f"methods[{i}].{field}", f"{field} x trainer.dim float64 noise"
                               f" draws take {size} bytes, more than {sys.maxsize}")
+        try:  # pbt has no searcher field: it draws at random
+            getattr(config, "searcher", _RANDOM).check_dim(space.dim)
+        except ValueError as exc:
+            raise ConfigError(f"methods[{i}].searcher", str(exc)) from None
         parsed.append((name, config))
 
     cfg["_space"] = space
@@ -121,6 +126,7 @@ _METHOD_CONFIGS = {
 }
 # The field of each method config that holds the iterations one child trains.
 _CHILD_ITERS = {RunConfig: "t_g", PbtConfig: "t_g", NonadaptiveConfig: "t_total"}
+_RANDOM = SearcherConfig("random")
 
 
 def _parse_method(entry, index: int, seed: int):

@@ -294,10 +294,12 @@ class Tally:
     it in the genealogy tree, the model states of the last call's children,
     the searchers' unit-space view of the records, and one curve mark per
     generation (or trial) with the progress callback. Root slots init from
-    the run seed `seed`."""
+    the run seed `seed`. A searcher that cannot search `space` raises
+    ValueError here, before any trainer call."""
 
     def __init__(self, trainer: Trainer, space: SearchSpace, searcher: SearcherConfig,
                  history_mode: str, seed: int, progress: ProgressFn | None):
+        searcher.check_dim(space.dim)
         self.trainer = trainer
         self.space = space
         self.searcher = searcher

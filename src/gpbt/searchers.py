@@ -7,6 +7,12 @@ and their losses. Every searcher is a pure function of (d, history, rng)
 returning a point in the unit cube; `suggest` picks it by the config's kind and
 maps that point to native units once, so every suggestion validates against
 the space.
+
+GP-UCB keeps one piece of state per thread: the points and the noisy kernel
+of its previous call, so that a history which extends the previous one gets
+only its new kernel rows computed. The memo is keyed by the points' bytes and
+gives the same kernel, bit for bit, as a fresh build, so every searcher still
+behaves as a pure function of its arguments.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import functools
 import importlib.util
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +61,9 @@ GP_JITTER = 1e-6
 # numbers that the first GP_POOL points use.
 SOBOL_BITS = 30
 SOBOL_DIRECTIONS = (GP_POOL - 1).bit_length()
+# The dimensions that SciPy's Joe & Kuo table gives directions for, and so the
+# most that a GP-UCB candidate pool can have.
+SOBOL_MAX_DIM = 21201
 _SOBOL_WEIGHTS = 2 ** np.arange(SOBOL_BITS, dtype=np.uint32)
 # For each bit p, counted from the most significant end, the mask of the bits
 # before it: the strict lower triangle of row p of a scrambling matrix.
@@ -87,6 +97,12 @@ class SearcherConfig:
     def __post_init__(self):
         if self.kind not in SEARCHER_KINDS:
             raise ValueError(f"kind must be one of {', '.join(SEARCHER_KINDS)}, not {self.kind!r}")
+
+    def check_dim(self, d: int) -> None:
+        """Raise ValueError if this searcher cannot search a `d`-dimensional space."""
+        if self.kind == "gp_ucb" and d > SOBOL_MAX_DIM:
+            raise ValueError(f"gp_ucb draws Sobol candidates in at most {SOBOL_MAX_DIM}"
+                             f" dimensions, not {d}")
 
 
 def suggest(
@@ -386,6 +402,53 @@ def _rbf(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.exp(k, out=k)
 
 
+class _KernelMemo(threading.local):
+    """Per thread, the previous `_noisy_kernel` call's points (their shape and
+    bytes) and the buffer whose top-left block is their noisy kernel."""
+
+    shape = (0, 0)
+    points = b""
+    kernel = None
+
+
+_kernel_memo = _KernelMemo()
+
+
+def _noisy_kernel(x: np.ndarray) -> np.ndarray:
+    """K(x, x) + GP_NOISE_VAR I for the (H, d) points `x`, as a read-only view.
+
+    When `x` starts with the previous call's points (in this thread) bit for
+    bit, only the rows of the points after them are computed, and written with
+    their transpose into the previous kernel's buffer, which doubles when full.
+    Otherwise the whole kernel is built. `cdist` and `exp` give every entry the
+    same bits whatever the shape of the arrays, so both paths give the kernel
+    that a fresh build gives.
+    """
+    h, d = x.shape
+    memo = _kernel_memo
+    points = x.tobytes()
+    h0, d0 = memo.shape
+    if not (d0 == d and h0 <= h and points.startswith(memo.points)):
+        h0 = 0
+    kernel = memo.kernel if h0 else None
+    if h0 < h:
+        rows = _rbf(x[h0:], x)
+        rows.ravel()[h0 :: h + 1] += GP_NOISE_VAR  # row i's diagonal entry is column h0 + i
+        if kernel is None:
+            kernel = rows
+        else:
+            if kernel.shape[0] < h:
+                grown = np.empty((max(h, 2 * kernel.shape[0]),) * 2)
+                grown[:h0, :h0] = kernel[:h0, :h0]
+                kernel = grown
+            kernel[h0:h, :h] = rows
+            kernel[:h0, h0:h] = rows[:, :h0].T
+    memo.shape, memo.points, memo.kernel = (h, d), points, kernel
+    view = kernel[:h, :h]
+    view.flags.writeable = False
+    return view
+
+
 def _solve_upper(upper: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:
     """Solve `upper @ x = b` (trans=0) or `upper.T @ x = b` (trans=1) for an
     F-contiguous upper triangle, overwriting `b` when it is F-contiguous: the
@@ -413,6 +476,11 @@ def gp_ucb_suggest(
     retry, then the call degrades to a uniform sample. The posterior comes
     from the Cholesky factor by triangular solves (GPML, Alg. 2.1).
 
+    The noisy kernel comes from `_noisy_kernel`, which computes only the rows
+    of the points that extend this thread's previous history; the kernel has
+    the bits of a fresh build either way, so the result does not depend on
+    the calls before this one.
+
     The factor is NumPy's: SciPy's `dpotrf` comes from another OpenBLAS build
     and can differ in the last bits. Its transpose, an F-contiguous upper
     triangle, goes straight to LAPACK's `dtrtrs` for the three solves, and the
@@ -428,8 +496,7 @@ def gp_ucb_suggest(
     std = math.sqrt(np.add.reduce(dev * dev) / h)
     y_s = dev / std if std > 0 else dev
 
-    k = _rbf(x, x)
-    k.ravel()[:: h + 1] += GP_NOISE_VAR
+    k = _noisy_kernel(x)
     try:
         chol = np.linalg.cholesky(k)
     except np.linalg.LinAlgError:

@@ -10,6 +10,7 @@ import pytest
 import gpbt.cli
 from gpbt.cli import main
 from gpbt.genealogy import GenealogyTree
+from gpbt.searchers import SOBOL_MAX_DIM
 from gpbt.trainers import TrainerSpec, expected_schedule_loss
 
 CONFIGS = Path(__file__).resolve().parents[1] / "src" / "gpbt" / "configs"
@@ -232,6 +233,25 @@ class TestRunCommand:
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and named in err
+
+    @pytest.mark.parametrize("index", [0, 2], ids=["gpbt", "nonadaptive"])
+    def test_gp_ucb_beyond_the_sobol_table_exits_2(self, tmp_path, capsys, index):
+        # GP-UCB's candidates need Sobol directions, which exist for
+        # SOBOL_MAX_DIM dimensions; one more used to end in a traceback once
+        # generation 0 had trained.
+        path = tmp_path / "wide.json"
+        cfg = json.loads(tiny_config(tmp_path).read_text())
+        cfg["space"] += [{"name": f"x{i}", "lower": 0.0, "upper": 1.0, "scale": "linear"}
+                         for i in range(SOBOL_MAX_DIM - 1)]
+        cfg["methods"][index]["searcher"] = {"kind": "gp_ucb"}
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: methods[{index}].searcher: gp_ucb") and (
+            f"at most {SOBOL_MAX_DIM} dimensions, not {SOBOL_MAX_DIM + 1}" in err)
+        cfg["space"].pop()  # at the limit, the config is valid
+        path.write_text(json.dumps(cfg))
+        assert gpbt.cli.load_config(str(path))["_space"].dim == SOBOL_MAX_DIM
 
     @pytest.mark.parametrize(
         "section,fields,named",

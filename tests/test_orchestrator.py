@@ -1,5 +1,7 @@
 import math
+import sys
 import tempfile
+import threading
 from dataclasses import replace
 from fractions import Fraction
 
@@ -26,7 +28,7 @@ from gpbt.orchestrator import (
     update_dynamic_c,
     valid_c,
 )
-from gpbt.searchers import SearcherConfig
+from gpbt.searchers import SOBOL_MAX_DIM, SearcherConfig
 from gpbt.space import Dimension, SearchSpace
 from gpbt.trainers import TrainerSpec, make_trainer
 from history_spy import bare_searcher_loop, run_with_histories
@@ -230,6 +232,41 @@ class TestRun:
         assert [(p.generation, p.epochs_consumed, p.best_seen_val) for p in a.curves] == [
             (p.generation, p.epochs_consumed, p.best_seen_val) for p in b.curves
         ]
+
+    def test_concurrent_gp_ucb_runs_match_sequential_runs(self):
+        # GP-UCB keeps its last kernel per thread: two pooled runs at once, in
+        # two threads switching as often as the interpreter lets them, give
+        # the trees and curves (all but their wall times) of each run alone.
+        space = SearchSpace([Dimension("lr", 0.01, 1.0, "log"), Dimension("wd", 0.0, 1.0)])
+        configs = [small_config(searcher=SearcherConfig(kind="gp_ucb"), history_mode="pooled",
+                                t_max=5, seed=seed) for seed in (1, 2)]
+
+        def outputs(config):
+            result = run(config, space, small_trainer())
+            return list(result.tree.to_lines()), [
+                (p.generation, p.epochs_consumed, p.best_seen_val.hex(), p.best_seen_test.hex())
+                for p in result.curves]
+
+        alone = [outputs(config) for config in configs]
+        together = []
+
+        def work(i, got):
+            got[i] = outputs(configs[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                got = [None, None]
+                threads = [threading.Thread(target=work, args=(i, got)) for i in range(2)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join()
+                together.append(got)
+        finally:
+            sys.setswitchinterval(interval)
+        assert together == [alone] * 3
 
     def test_best_seen_curve_non_increasing(self):
         result = run(small_config(seed=5), small_space(), small_trainer(noise=0.4))
@@ -805,6 +842,21 @@ class TestHpChoice:
             result = run_pbt(PbtConfig(n=6, t_max=3, t_g=2), small_space(), small_trainer())
         proposed = 0 if kind == "random" else len(result.tree)
         assert calls == {"suggest": proposed, "lineage_history": proposed}
+
+    @pytest.mark.parametrize("method", ["gpbt", "nonadaptive"])
+    def test_searcher_beyond_its_dimensions_raises_before_training(self, method):
+        # GP-UCB's Sobol candidates exist for at most SOBOL_MAX_DIM dimensions
+        from gpbt.baselines import NonadaptiveConfig, run_nonadaptive
+
+        space = SearchSpace([Dimension(f"x{i}", 0.0, 1.0) for i in range(SOBOL_MAX_DIM + 1)])
+        searcher, trainer = SearcherConfig(kind="gp_ucb"), CallLogTrainer()
+        with pytest.raises(ValueError, match=f"at most {SOBOL_MAX_DIM} dimensions"):
+            if method == "gpbt":
+                run(small_config(searcher=searcher), space, trainer)
+            else:
+                run_nonadaptive(NonadaptiveConfig(trials=2, t_total=1, searcher=searcher),
+                                space, trainer)
+        assert trainer.calls == []
 
 
 class FourCallTrainer:

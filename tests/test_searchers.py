@@ -1,7 +1,9 @@
+import importlib.util
 import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,7 @@ from gpbt.searchers import (
     GP_POOL,
     SOBOL_BITS,
     SOBOL_DIRECTIONS,
+    SOBOL_MAX_DIM,
     CmaState,
     History,
     SearcherConfig,
@@ -422,6 +425,104 @@ class TestGpUcb:
         # the losses and the lower confidence bounds themselves, not only the
         # candidate they choose: a last-bit drift in mu or var shows here
         assert [a.tobytes() for a in got_scores] == [a.tobytes() for a in want_scores]
+
+    @given(
+        d=st.integers(1, 12),
+        steps=st.lists(
+            st.one_of(
+                st.tuples(st.just("extend"), st.integers(0, 3)),
+                st.tuples(st.sampled_from(["fresh", "shorter", "other_d", "mutate"]),
+                          st.integers(1, 40)),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        coarse=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(d=5, steps=[("extend", 1), ("extend", 3), ("mutate", 1), ("extend", 1),
+                         ("shorter", 2), ("extend", 0)], coarse=False, seed=0)
+    @example(d=9, steps=[("extend", 2), ("other_d", 30), ("extend", 1)], coarse=True, seed=1)
+    @settings(max_examples=100, deadline=None)
+    def test_nested_histories_match_frozen_oracle(self, d, steps, coarse, seed):
+        # A sequence of calls in one thread, each history extending the one
+        # before by 0-3 rows, or fresh, shorter, of another d, or the previous
+        # history's own array changed in place after its call. Every call must
+        # give what the oracle gives on its own; coarse points repeat rows, so
+        # kernels also go through the jitter retry.
+        data = np.random.default_rng(seed)
+
+        def points(h, d):
+            u = data.random((h, d))
+            return np.round(u, 1) if coarse else u
+
+        u, loss = points(1, d), data.random(1)
+        for i, (op, k) in enumerate(steps):
+            if op == "extend":
+                u, loss = np.concatenate([u, points(k, d)]), np.concatenate([loss, data.random(k)])
+            elif op == "shorter":
+                u, loss = u[: max(len(u) - k, 0)], loss[: max(len(u) - k, 0)]
+            elif op == "mutate":  # the array that the previous call was given
+                if len(u):
+                    u[data.integers(len(u))] = points(1, d)[0]
+            else:
+                d = d % 12 + 1 if op == "other_d" else d
+                u, loss = points(k, d), data.random(k)
+            beta_t = float(1 + i)
+            rng, twin = np.random.default_rng([seed, i]), np.random.default_rng([seed, i])
+            got, got_scores = with_argmin_inputs(gp_ucb_suggest, History(u, loss), d, beta_t, rng)
+            want, want_scores = with_argmin_inputs(gp_ucb_oracle, History(u.copy(), loss), d,
+                                                   beta_t, twin)
+            assert got.tobytes() == want.tobytes()
+            assert rng.bit_generator.state == twin.bit_generator.state
+            assert [a.tobytes() for a in got_scores] == [a.tobytes() for a in want_scores]
+            if len(u):  # the whole kernel kept, not only the triangle a Cholesky reads
+                kernel = rbf_loop(u, u)
+                kernel.ravel()[:: len(u) + 1] += GP_NOISE_VAR
+                assert searchers._noisy_kernel(u).tobytes() == kernel.tobytes()
+
+    def test_nested_history_computes_only_new_kernel_rows(self, monkeypatch):
+        rbf, rows = searchers._rbf, []
+
+        def spy(a, b):
+            rows.append(len(a))
+            return rbf(a, b)
+
+        monkeypatch.setattr(searchers, "_rbf", spy)
+        u, loss = np.random.default_rng(6).random((12, 3)), np.arange(12.0)
+        for h in (9, 10, 12, 12, 11):
+            gp_ucb_suggest(History(u[:h], loss[:h]), 3, 2.0, np.random.default_rng(h))
+        pool = GP_POOL + 1  # the cross-kernel of the candidates
+        assert rows == [9, pool, 1, pool, 2, pool, pool, 11, pool]
+
+    def test_kernel_memo_is_per_thread(self, monkeypatch):
+        # a thread never extends the kernel of another thread's call
+        rbf, rows = searchers._rbf, []
+        monkeypatch.setattr(searchers, "_rbf", lambda a, b: rows.append(len(a)) or rbf(a, b))
+        x = np.random.default_rng(8).random((6, 2))
+        searchers._noisy_kernel(x[:5])
+        thread = threading.Thread(target=searchers._noisy_kernel, args=(x,))
+        thread.start()
+        thread.join()
+        searchers._noisy_kernel(x)
+        assert rows == [5, 6, 1]
+
+    def test_kernel_is_read_only(self):
+        k = searchers._noisy_kernel(np.random.default_rng(7).random((5, 2)))
+        assert k.shape == (5, 5) and not k.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            k[0, 0] = 0.0
+
+    def test_sobol_max_dim_is_the_table_length(self):
+        scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        with np.load(os.path.join(scipy_dir, "stats", "_sobol_direction_numbers.npz")) as table:
+            assert SOBOL_MAX_DIM == len(table["poly"])
+        for kind in KINDS:
+            SearcherConfig(kind=kind).check_dim(SOBOL_MAX_DIM)
+            if kind != "gp_ucb":
+                SearcherConfig(kind=kind).check_dim(SOBOL_MAX_DIM + 1)
+        with pytest.raises(ValueError, match=f"at most {SOBOL_MAX_DIM} dimensions, not 21202"):
+            SearcherConfig(kind="gp_ucb").check_dim(SOBOL_MAX_DIM + 1)
 
     @given(d=st.integers(1, 40), seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=200, deadline=None)
